@@ -28,7 +28,7 @@ import sys
 from . import config as cfgmod
 from .control import optimize
 from .errors import BlowUpError, ConfigError, LineSearchError, NschError
-from .grid import set_fft_workers
+from .grid import set_fft_workers, workers_from_env
 from .snapshots import write_diagnostics_csv, write_face, write_trajectory_snapshots
 from .verification import verify
 
@@ -41,8 +41,7 @@ def _load(args) -> cfgmod.RunConfig:
         cfg.values["run.seed"] = int(args.seed)
     if args.out is not None:
         cfg.values["output.dir"] = args.out
-    workers = int(os.environ.get("NSCH_THREADS", cfg["run.workers"]))
-    set_fft_workers(max(1, workers))
+    set_fft_workers(workers_from_env(max(1, cfg["run.workers"])))
     return cfg
 
 

@@ -30,7 +30,7 @@ error messages and in the configuration layer):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +65,10 @@ class PhysParams:
     c_F: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (int, float)) and not np.isfinite(value):
+                raise ConfigError(f"physics parameter '{f.name}' must be finite, got {value}")
         if self.eps != EPS_FROZEN:
             raise ConfigError("interface thickness is frozen at 1 in this solver")
         if self.potential != "quartic":
@@ -165,16 +169,14 @@ def linearized_chemical_potentials(
 def free_energy(phi: ScalarField, params: PhysParams) -> tuple[float, float, float]:
     """Total free energy; returns (E, bending_part, gl_part).
 
-    The bending part is int omega^2 / 2; the Ginzburg-Landau part carries
-    the eta weight, eta * int(|grad phi|^2 / 2 + F(phi)).  Midpoint (cell
-    sum) quadrature, gradient term from face differences.
+    The bending part is int omega^2 / 2; the Ginzburg-Landau part is
+    eta * B(phi) = eta * int(|grad phi|^2 / 2 + F(phi)), see
+    :func:`constraint_integrals`.  Midpoint (cell sum) quadrature, gradient
+    term from face differences.
     """
-    vol = phi.grid.cell_volume
     omega = omega_of_phi(phi, params)
-    bending = 0.5 * (omega.values**2).sum() * vol
-    g = gradient_to_faces(phi)
-    grad_sq = ((g.x**2).sum() + (g.y**2).sum()) * vol
-    gl = params.eta * (0.5 * grad_sq + potential_F(phi.values).sum() * vol)
+    bending = 0.5 * (omega.values**2).sum() * phi.grid.cell_volume
+    gl = params.eta * constraint_integrals(phi)[1]
     return bending + gl, bending, gl
 
 

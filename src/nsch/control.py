@@ -29,7 +29,7 @@ import numpy as np
 
 from .adjoint import AdjointState, require_unit_mobility, solve_adjoint
 from .constitutive import CostSpec, PhysParams
-from .errors import ConfigError, LineSearchError
+from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
 from .state import TimeSpec, Trajectory, simulate
 
@@ -355,5 +355,3 @@ def optimize(
         g_norm = g.norm_q(dt)
         last_step = s_try
         s = min(2.0 * s_try, step0) if opts.grow_step else step0
-
-    raise LineSearchError("unreachable")  # pragma: no cover

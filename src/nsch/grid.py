@@ -24,21 +24,37 @@ cosine mode is
 which is nonpositive and vanishes only on the constant (0, 0) mode.  All
 pure-derivative solves fix that gauge mode by returning the zero-mean
 solution.
+
+The inverse symbols of the direct solves here and in :mod:`nsch.mac` are
+built, checked and cached once per (grid, coefficients) key: :func:`cached_symbol`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
 
-from .errors import IncompatibleMeanError, SingularSymbolError
+from .errors import ConfigError, IncompatibleMeanError, SingularSymbolError
 
-# Worker count for scipy.fft calls; overridable through the NSCH_THREADS
-# environment variable (read once at import, deterministic per run).
-_FFT_WORKERS = int(os.environ.get("NSCH_THREADS", "1"))
+
+def workers_from_env(default: int = 1) -> int:
+    """FFT worker count from NSCH_THREADS (``default`` when unset); a value
+    that is not a positive integer raises a ConfigError naming it."""
+    raw = os.environ.get("NSCH_THREADS", str(default))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"NSCH_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+# Worker count for scipy.fft calls, read once at import (deterministic per
+# run).  A bad NSCH_THREADS falls back to one worker here; the CLI reports it.
+try:
+    _FFT_WORKERS = workers_from_env()
+except ConfigError:
+    _FFT_WORKERS = 1
 
 
 def fft_workers() -> int:
@@ -217,7 +233,6 @@ class SpectralCoeffs:
 
     grid: GridSpec
     coeffs: np.ndarray
-    eigenvalues: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -226,11 +241,22 @@ class SpectralCoeffs:
                 f"coefficient shape {self.coeffs.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny})"
             )
-        if self.eigenvalues is None:
-            self.eigenvalues = laplacian_eigenvalues(self.grid)
 
 
-_EIG_CACHE: dict = {}
+_SYMBOLS: dict = {}
+
+
+def cached_symbol(build):
+    """Memoize ``build(grid, *coefficients)`` in the one symbol cache; a
+    build that raises stores nothing, so its checks run on every call."""
+
+    def cached(*key):
+        value = _SYMBOLS.get((build, *key))
+        if value is None:
+            value = _SYMBOLS[(build, *key)] = build(*key)
+        return value
+
+    return cached
 
 
 def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
@@ -238,29 +264,21 @@ def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
 
     lambda_{jk} <= 0 with equality exactly at the constant (0, 0) mode.
     """
-    key = (grid.nx, grid.ny, grid.lx, grid.ly)
-    lam = _EIG_CACHE.get(key)
-    if lam is None:
-        lx = -(2.0 - 2.0 * np.cos(np.pi * np.arange(grid.nx) / grid.nx)) / grid.hx**2
-        ly = -(2.0 - 2.0 * np.cos(np.pi * np.arange(grid.ny) / grid.ny)) / grid.hy**2
-        lam = lx[:, None] + ly[None, :]
-        lam[0, 0] = 0.0
-        _EIG_CACHE[key] = lam
+    lx = -(2.0 - 2.0 * np.cos(np.pi * np.arange(grid.nx) / grid.nx)) / grid.hx**2
+    ly = -(2.0 - 2.0 * np.cos(np.pi * np.arange(grid.ny) / grid.ny)) / grid.hy**2
+    lam = lx[:, None] + ly[None, :]
+    lam[0, 0] = 0.0
     return lam
 
 
+@cached_symbol
 def _amplitude_weights(grid: GridSpec) -> np.ndarray:
     # converts orthonormal DCT-II coefficients to modal amplitudes
-    key = ("amp", grid.nx, grid.ny)
-    w = _EIG_CACHE.get(key)
-    if w is None:
-        rx = np.full(grid.nx, np.sqrt(2.0 / grid.nx))
-        rx[0] = np.sqrt(1.0 / grid.nx)
-        ry = np.full(grid.ny, np.sqrt(2.0 / grid.ny))
-        ry[0] = np.sqrt(1.0 / grid.ny)
-        w = rx[:, None] * ry[None, :]
-        _EIG_CACHE[key] = w
-    return w
+    rx = np.full(grid.nx, np.sqrt(2.0 / grid.nx))
+    rx[0] = np.sqrt(1.0 / grid.nx)
+    ry = np.full(grid.ny, np.sqrt(2.0 / grid.ny))
+    ry[0] = np.sqrt(1.0 / grid.ny)
+    return rx[:, None] * ry[None, :]
 
 
 def cosine_transform(f: ScalarField) -> SpectralCoeffs:
@@ -277,17 +295,24 @@ def inverse_cosine_transform(c: SpectralCoeffs) -> ScalarField:
     return ScalarField(c.grid, v)
 
 
-def _pad_mirror(values: np.ndarray) -> np.ndarray:
-    # mirror ghost layer: realizes homogeneous Neumann walls
-    return np.pad(values, 1, mode="edge")
+def _second_difference(u: np.ndarray, two_u: np.ndarray, h2: float) -> np.ndarray:
+    # (u[i-1] - 2u[i] + u[i+1]) / h2 along axis 0 with mirror ghosts
+    # u[-1] = u[0], u[n] = u[n-1], in the operation order of a padded stencil
+    out = np.empty_like(u)
+    np.subtract(u[:-2], two_u[1:-1], out=out[1:-1])
+    out[1:-1] += u[2:]
+    out[0] = u[0] - two_u[0] + u[1]
+    out[-1] = u[-2] - two_u[-1] + u[-1]
+    out /= h2
+    return out
 
 
 def laplacian(f: ScalarField) -> ScalarField:
     """5-point Laplacian with mirror ghost cells; output has zero mean."""
-    g = _pad_mirror(f.values)
-    hx2, hy2 = f.grid.hx**2, f.grid.hy**2
-    lap = (g[:-2, 1:-1] - 2.0 * g[1:-1, 1:-1] + g[2:, 1:-1]) / hx2
-    lap += (g[1:-1, :-2] - 2.0 * g[1:-1, 1:-1] + g[1:-1, 2:]) / hy2
+    u = f.values
+    two_u = 2.0 * u
+    lap = _second_difference(u, two_u, f.grid.hx**2)
+    lap += _second_difference(u.T, two_u.T, f.grid.hy**2).T
     return ScalarField(f.grid, lap)
 
 
@@ -341,30 +366,33 @@ def helmholtz_poly_solve(
     IncompatibleMeanError
         If the constant-mode symbol is zero but mean(rhs) is not.
     """
-    lam = laplacian_eigenvalues(rhs.grid)
+    grid = rhs.grid
+    inv_symbol, gauge = _poly_inverse_symbol(grid, a0, a1, a2, a3)
+    # orthonormal transforms: the amplitude weights of cosine_transform cancel
+    workers = fft_workers()
+    d = fft.dctn(rhs.values, type=2, norm="ortho", workers=workers)
+    mean = d[0, 0] / np.sqrt(grid.nx * grid.ny)
+    if gauge and check_mean and abs(mean) > 1e-10 * max(rhs.norm_l2(), 1e-300):
+        raise IncompatibleMeanError(
+            f"incompatible mean: |mean(rhs)|={abs(mean):.3e} with a "
+            "pure-derivative operator; right-hand side must have zero mean"
+        )
+    d *= inv_symbol
+    return ScalarField(grid, fft.idctn(d, type=2, norm="ortho", workers=workers, overwrite_x=True))
+
+
+@cached_symbol
+def _poly_inverse_symbol(grid: GridSpec, a0, a1, a2, a3) -> tuple[np.ndarray, bool]:
+    # (1/symbol, gauge); the inverse is zero on a singular constant mode
+    lam = laplacian_eigenvalues(grid)
     symbol = a0 + a1 * (-lam) + a2 * lam**2 + a3 * (-lam) ** 3
-    scale = np.abs(symbol).max()
-    tiny = 1e-14 * max(scale, 1.0)
-    singular = np.abs(symbol) <= tiny
+    singular = np.abs(symbol) <= 1e-14 * max(np.abs(symbol).max(), 1.0)
     if singular[1:, :].any() or singular[0, 1:].any():
         raise SingularSymbolError(
             f"singular symbol: coefficients ({a0}, {a1}, {a2}, {a3}) vanish on a nonzero mode"
         )
-    c = cosine_transform(rhs)
-    if singular[0, 0]:
-        rhs_norm = rhs.norm_l2()
-        if check_mean and abs(c.coeffs[0, 0]) > 1e-10 * max(rhs_norm, 1e-300):
-            raise IncompatibleMeanError(
-                f"incompatible mean: |mean(rhs)|={abs(c.coeffs[0, 0]):.3e} with a "
-                "pure-derivative operator; right-hand side must have zero mean"
-            )
-        sym = symbol.copy()
-        sym[0, 0] = 1.0
-        coeffs = c.coeffs / sym
-        coeffs[0, 0] = 0.0
-    else:
-        coeffs = c.coeffs / symbol
-    return inverse_cosine_transform(SpectralCoeffs(rhs.grid, coeffs))
+    inv = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=~singular)
+    return inv, bool(singular[0, 0])
 
 
 def poisson_neumann(rhs: ScalarField, check_mean: bool = True) -> ScalarField:
@@ -397,8 +425,12 @@ def project_divergence_free(v: FaceField, dt: float) -> tuple[FaceField, ScalarF
     carries only roundoff and is dropped without a compatibility check.
     """
     div = divergence_of_faces(v)
-    p = poisson_neumann(ScalarField(v.grid, -div.values / dt), check_mean=False)
-    return v - dt * gradient_to_faces(p), p
+    div.values /= -dt
+    p = poisson_neumann(div, check_mean=False)
+    out = gradient_to_faces(p)
+    for vc, oc in ((v.x, out.x), (v.y, out.y)):
+        np.subtract(vc, np.multiply(oc, dt, out=oc), out=oc)
+    return out, p
 
 
 def scalar_inner(f: ScalarField, g: ScalarField) -> float:

@@ -14,7 +14,8 @@ by arithmetic averaging with mirror ghosts.
 The per-component Helmholtz solves (I - c*Lap) used by the semi-implicit
 viscous step are diagonalized exactly: sine transforms of type I along the
 component's own direction (Dirichlet at wall faces) and of type II along
-the transverse direction (reflection ghosts).
+the transverse direction (reflection ghosts).  Their inverse symbols
+1/(1 - c*lam) are cached once per (grid, c) key in :mod:`nsch.grid`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft
 
-from .grid import FaceField, GridSpec, ScalarField, fft_workers
-
-_EIG_CACHE: dict = {}
+from .grid import FaceField, GridSpec, ScalarField, cached_symbol, fft_workers
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +135,11 @@ def momentum_advection(carrier: FaceField, q: FaceField) -> FaceField:
     cy_c = yface_to_center(carrier.y)
     cx_n = xcomp_at_corners(carrier.x)
     cy_n = ycomp_at_corners(carrier.y)
-    qx_c = xface_to_center(q.x)
-    qy_c = yface_to_center(q.y)
-    qx_n = xcomp_at_corners(q.x)
-    qy_n = ycomp_at_corners(q.y)
+    if q is carrier:
+        qx_c, qy_c, qx_n, qy_n = cx_c, cy_c, cx_n, cy_n
+    else:
+        qx_c, qy_c = xface_to_center(q.x), yface_to_center(q.y)
+        qx_n, qy_n = xcomp_at_corners(q.x), ycomp_at_corners(q.y)
 
     out = FaceField.zeros(grid)
     fxx = cx_c * qx_c  # (nx, ny) at centers
@@ -192,7 +192,7 @@ def strain_contraction(v: FaceField, w: FaceField) -> np.ndarray:
     """Cell-centered D(v) : D(w) (full tensor contraction)."""
     diag = _dvx_dx(v) * _dvx_dx(w) + _dvy_dy(v) * _dvy_dy(w)
     ev = 0.5 * (_dvx_dy_corners(v) + _dvy_dx_corners(v))
-    ew = 0.5 * (_dvx_dy_corners(w) + _dvy_dx_corners(w))
+    ew = ev if w is v else 0.5 * (_dvx_dy_corners(w) + _dvy_dx_corners(w))
     prod = ev * ew
     off = 0.25 * (prod[:-1, :-1] + prod[1:, :-1] + prod[:-1, 1:] + prod[1:, 1:])
     return diag + 2.0 * off
@@ -202,22 +202,19 @@ def strain_contraction(v: FaceField, w: FaceField) -> np.ndarray:
 # implicit component solves
 
 
-def _face_eigenvalues(grid: GridSpec):
-    key = (grid.nx, grid.ny, grid.lx, grid.ly)
-    eig = _EIG_CACHE.get(key)
-    if eig is None:
-        nx, ny = grid.nx, grid.ny
-        # x-component: DST-I over interior x-faces, DST-II across cells
-        lx_d1 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx) / nx)) / grid.hx**2
-        ly_d2 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny + 1) / ny)) / grid.hy**2
-        lam_x = lx_d1[:, None] + ly_d2[None, :]
-        # y-component mirrored
-        lx_d2 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx + 1) / nx)) / grid.hx**2
-        ly_d1 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny) / ny)) / grid.hy**2
-        lam_y = lx_d2[:, None] + ly_d1[None, :]
-        eig = (lam_x, lam_y)
-        _EIG_CACHE[key] = eig
-    return eig
+@cached_symbol
+def _face_inverse_symbols(grid: GridSpec, c: float):
+    # 1/(1 - c*lam) for the x- and y-component Laplacians
+    nx, ny = grid.nx, grid.ny
+    # x-component: DST-I over interior x-faces, DST-II across cells
+    lx_d1 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx) / nx)) / grid.hx**2
+    ly_d2 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny + 1) / ny)) / grid.hy**2
+    lam_x = lx_d1[:, None] + ly_d2[None, :]
+    # y-component mirrored
+    lx_d2 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx + 1) / nx)) / grid.hx**2
+    ly_d1 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny) / ny)) / grid.hy**2
+    lam_y = lx_d2[:, None] + ly_d1[None, :]
+    return 1.0 / (1.0 - c * lam_x), 1.0 / (1.0 - c * lam_y)
 
 
 def solve_face_helmholtz(rhs: FaceField, c: float) -> FaceField:
@@ -227,20 +224,20 @@ def solve_face_helmholtz(rhs: FaceField, c: float) -> FaceField:
     direction and reflection ghosts in the tangential direction; both are
     diagonalized exactly by sine transforms, so the solve is direct.
     """
-    lam_x, lam_y = _face_eigenvalues(rhs.grid)
+    inv_x, inv_y = _face_inverse_symbols(rhs.grid, c)
     out = FaceField.zeros(rhs.grid)
-
-    bx = fft.dst(rhs.x[1:-1, :], type=1, axis=0, norm="ortho", workers=fft_workers())
-    bx = fft.dst(bx, type=2, axis=1, norm="ortho", workers=fft_workers())
-    bx /= 1.0 - c * lam_x
-    bx = fft.idst(bx, type=2, axis=1, norm="ortho", workers=fft_workers())
-    out.x[1:-1, :] = fft.idst(bx, type=1, axis=0, norm="ortho", workers=fft_workers())
-
-    by = fft.dst(rhs.y[:, 1:-1], type=1, axis=1, norm="ortho", workers=fft_workers())
-    by = fft.dst(by, type=2, axis=0, norm="ortho", workers=fft_workers())
-    by /= 1.0 - c * lam_y
-    by = fft.idst(by, type=2, axis=0, norm="ortho", workers=fft_workers())
-    out.y[:, 1:-1] = fft.idst(by, type=1, axis=1, norm="ortho", workers=fft_workers())
+    workers = fft_workers()
+    # DST-I along the component's own axis (wall faces), DST-II across it
+    for b, target, inv, (wall, across) in (
+        (rhs.x[1:-1, :], out.x[1:-1, :], inv_x, (0, 1)),
+        (rhs.y[:, 1:-1], out.y[:, 1:-1], inv_y, (1, 0)),
+    ):
+        b = fft.dst(b, type=1, axis=wall, norm="ortho", workers=workers)
+        b = fft.dst(b, type=2, axis=across, norm="ortho", workers=workers, overwrite_x=True)
+        b *= inv
+        b = fft.idst(b, type=2, axis=across, norm="ortho", workers=workers, overwrite_x=True)
+        b = fft.idst(b, type=1, axis=wall, norm="ortho", workers=workers, overwrite_x=True)
+        target[...] = b
     return out
 
 

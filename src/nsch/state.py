@@ -34,13 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mac
-from .constitutive import (
-    PhysParams,
-    constraint_integrals,
-    free_energy,
-    mu_of_phi,
-    potential_f,
-)
+from .constitutive import PhysParams, constraint_integrals, mu_of_phi
 from .errors import BlowUpError, ConfigError
 from .grid import (
     FaceField,
@@ -138,23 +132,23 @@ def _check_finite_step(step: int, *arrays: np.ndarray) -> None:
 
 
 def ch_step(
-    phi_n: ScalarField, v: FaceField, dt: float, params: PhysParams
+    phi_n: ScalarField, mu_n: ScalarField, v: FaceField, dt: float, params: PhysParams
 ) -> ScalarField:
     """One semi-implicit phase step transported by the face field ``v``.
 
-    ``v`` must be discretely divergence-free (conservation of the phase
-    mean relies on it).  Nonconstant mobility is handled by an explicit
-    extra flux of the variable part against the mobility floor.
+    ``mu_n`` is the chemical potential of ``phi_n`` (``mu_of_phi``).  ``v``
+    must be discretely divergence-free (conservation of the phase mean
+    relies on it).  Nonconstant mobility is handled by an explicit extra
+    flux of the variable part against the mobility floor.
     """
     grid = phi_n.grid
-    mu, _ = mu_of_phi(phi_n, params)
     m0 = params.mob_const
     s = params.stab
 
     lap_phi = laplacian(phi_n)
     lap2_phi = laplacian(lap_phi)
     # N(phi) = mu - Lap^2 phi, the non-leading part of the chemical potential
-    n_part = ScalarField(grid, mu.values - lap2_phi.values)
+    n_part = ScalarField(grid, mu_n.values - lap2_phi.values)
 
     rhs = (
         phi_n.values
@@ -164,7 +158,7 @@ def ch_step(
     )
     if not params.constant_mobility:
         mval, _ = params.mobility(phi_n.values)
-        extra = mac.gradient_force(mval - m0, mu)
+        extra = mac.gradient_force(mval - m0, mu_n)
         rhs += dt * divergence_of_faces(extra).values
     return helmholtz_poly_solve(1.0, 0.0, dt * s, dt * m0, ScalarField(grid, rhs))
 
@@ -204,8 +198,11 @@ def _node_state(v, p, phi, t, params) -> State:
 def _node_diagnostics(state: State, params: PhysParams) -> tuple[float, ...]:
     phi, v = state.phi, state.v
     vol = phi.grid.cell_volume
-    mass, _ = constraint_integrals(phi)
-    energy, willmore, gl = free_energy(phi, params)
+    # one gradient of phi: gl = eta * B(phi), bending from the stored omega
+    mass, area = constraint_integrals(phi)
+    willmore = 0.5 * (state.omega.values**2).sum() * vol
+    gl = params.eta * area
+    energy = willmore + gl
     kinetic = 0.5 * face_inner(v, v)
     nu, _ = params.viscosity(phi.values)
     diss_v = (2.0 * nu * mac.strain_contraction(v, v)).sum() * vol
@@ -243,7 +240,7 @@ def simulate(
     for n in range(n_steps):
         u_n = u[n] if u is not None else None
         v, p = ns_step(v, phi, states[-1].mu, u_n, time.dt, params)
-        phi = ch_step(phi, v, time.dt, params)
+        phi = ch_step(phi, states[-1].mu, v, time.dt, params)
         _check_finite_step(n + 1, phi.values, v.x, v.y)
         t = (n + 1) * time.dt
         states.append(_node_state(v, p, phi, t, params))

@@ -1,5 +1,9 @@
 """Configuration parsing/validation and the command-line front end."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,9 @@ from nsch.config import (
     refine_config,
 )
 from nsch.errors import ConfigError
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -80,6 +87,15 @@ class TestValidation:
         )
         with pytest.raises(ConfigError, match="A6"):
             build_problem(cfg)
+
+    @pytest.mark.parametrize(
+        "key, field", [("physics.nu_bar", "nu_bar"), ("physics.eta", "eta"),
+                       ("physics.stabilization", "stab")]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_physics_rejected(self, key, field, value):
+        with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
+            build_params(RunConfig({key: value}))
 
     def test_unknown_preset(self):
         cfg = RunConfig({"init.preset": "vortex"})
@@ -163,6 +179,31 @@ class TestCli:
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "A1 positivity violated" in capsys.readouterr().err
+
+    def test_non_finite_physics_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL + "physics.nu_bar = nan\n")
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "nu_bar" in capsys.readouterr().err
+
+    def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NSCH_THREADS", "abc")
+        cfg = write_cfg(tmp_path, SMALL)
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "NSCH_THREADS" in capsys.readouterr().err
+
+    def test_bad_thread_count_does_not_break_import(self):
+        env = dict(os.environ, NSCH_THREADS="abc")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", "import nsch; print(nsch.grid.fft_workers())"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "1"
 
     def test_all_zero_weights_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -100,6 +100,15 @@ class TestLaplacian:
         assert np.abs(laplacian(f).values - lam * f.values).max() < 1e-11
         assert laplacian_eigenvalues(grid6)[1, 0] == pytest.approx(lam, rel=1e-14)
 
+    @pytest.mark.parametrize("shape", [(6, 6), (6, 5), (17, 9)])
+    def test_matches_mirror_pad_formula(self, shape, rng):
+        grid = GridSpec(shape[0], shape[1], 1.5, 1.2)
+        f = random_scalar(grid, rng)
+        g = np.pad(f.values, 1, mode="edge")
+        ref = (g[:-2, 1:-1] - 2.0 * g[1:-1, 1:-1] + g[2:, 1:-1]) / grid.hx**2
+        ref += (g[1:-1, :-2] - 2.0 * g[1:-1, 1:-1] + g[1:-1, 2:]) / grid.hy**2
+        assert np.abs(laplacian(f).values - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_factors_through_grad_div(self, grid65, rng):
         f = random_scalar(grid65, rng)
         composed = divergence_of_faces(gradient_to_faces(f))
@@ -182,13 +191,19 @@ class TestHelmholtzPolySolve:
         assert res.norm_l2() <= 1e-10 * f.norm_l2()
 
     def test_singular_symbol_rejected(self, grid6, rng):
+        # every call raises: a singular symbol is never cached
         lam = laplacian_eigenvalues(grid6)[1, 0]
-        with pytest.raises(SingularSymbolError, match="singular symbol"):
-            helmholtz_poly_solve(lam, 1.0, 0.0, 0.0, random_scalar(grid6, rng))
+        for _ in range(3):
+            with pytest.raises(SingularSymbolError, match="singular symbol"):
+                helmholtz_poly_solve(lam, 1.0, 0.0, 0.0, random_scalar(grid6, rng))
 
-    def test_incompatible_mean_rejected(self, grid6):
-        with pytest.raises(IncompatibleMeanError, match="incompatible mean"):
-            poisson_neumann(ScalarField.full(grid6, 1.0))
+    def test_incompatible_mean_rejected(self, grid6, rng):
+        # the mean check runs on every call, also once the symbol is cached
+        f = random_scalar(grid6, rng)
+        poisson_neumann(ScalarField(grid6, f.values - f.values.mean()))
+        for _ in range(3):
+            with pytest.raises(IncompatibleMeanError, match="incompatible mean"):
+                poisson_neumann(ScalarField.full(grid6, 1.0))
 
 
 class TestPoissonNeumann:

@@ -12,13 +12,16 @@ from nsch import (
     ScalarField,
     TimeSpec,
     ch_step,
+    constraint_integrals,
     divergence_of_faces,
     energy_balance_residual,
+    free_energy,
     mu_of_phi,
     ns_step,
     simulate,
 )
 from nsch.config import bubble_phase, swirl_velocity
+from nsch.state import _node_diagnostics, _node_state
 
 from conftest import random_face, random_scalar, random_solenoidal
 import oracles
@@ -42,33 +45,33 @@ class TestTimeSpec:
 class TestChStep:
     def test_pure_phase_fixed_point(self, grid6, params):
         phi = ScalarField.full(grid6, 1.0)
-        out = ch_step(phi, FaceField.zeros(grid6), 1e-3, params)
+        out = ch_step(phi, mu_of_phi(phi, params)[0], FaceField.zeros(grid6), 1e-3, params)
         assert np.abs(out.values - 1.0).max() < 1e-13
 
     def test_any_constant_fixed_point(self, grid6, params):
         for c in (-1.0, 0.3, 2.0):
             phi = ScalarField.full(grid6, c)
-            out = ch_step(phi, FaceField.zeros(grid6), 1e-3, params)
+            out = ch_step(phi, mu_of_phi(phi, params)[0], FaceField.zeros(grid6), 1e-3, params)
             assert np.abs(out.values - c).max() < 1e-12 * max(1.0, abs(c))
 
     def test_mean_preservation(self, grid65, params, rng):
         phi = random_scalar(grid65, rng, scale=0.5)
         v = random_solenoidal(grid65, rng)
-        out = ch_step(phi, v, 1e-3, params)
+        out = ch_step(phi, mu_of_phi(phi, params)[0], v, 1e-3, params)
         assert abs(out.mean() - phi.mean()) < 1e-13
 
     def test_mean_preservation_nonconstant_mobility(self, grid65, rng):
         p = PhysParams(mob_amp=0.5)
         phi = random_scalar(grid65, rng, scale=0.5)
         v = random_solenoidal(grid65, rng)
-        out = ch_step(phi, v, 1e-4, p)
+        out = ch_step(phi, mu_of_phi(phi, p)[0], v, 1e-4, p)
         assert abs(out.mean() - phi.mean()) < 1e-13
 
     def test_constants_fixed_under_nonconstant_mobility(self, grid6):
         # grad(mu) = 0 kills the extra flux, so constants stay fixed points
         p = PhysParams(mob_amp=0.5)
         phi = ScalarField.full(grid6, 0.4)
-        out = ch_step(phi, FaceField.zeros(grid6), 1e-3, p)
+        out = ch_step(phi, mu_of_phi(phi, p)[0], FaceField.zeros(grid6), 1e-3, p)
         assert np.abs(out.values - 0.4).max() < 1e-13
 
 
@@ -213,6 +216,16 @@ class TestSimulate:
         phi0 = ScalarField.full(grid, 1e7)  # far outside the physical range
         with pytest.raises(BlowUpError, match="step"):
             simulate(FaceField.zeros(grid), phi0, None, ts, params)
+
+    def test_node_diagnostics_match_functionals(self, params, rng):
+        grid = GridSpec(24, 20, 16.0, 12.0)
+        phi = bubble_phase(grid) + random_scalar(grid, rng, scale=0.1)
+        state = _node_state(random_solenoidal(grid, rng), ScalarField.zeros(grid), phi, 0.0, params)
+        mass, energy, willmore, gl = _node_diagnostics(state, params)[:4]
+        e_ref, bending_ref, gl_ref = free_energy(phi, params)
+        for got, ref in ((mass, constraint_integrals(phi)[0]), (energy, e_ref),
+                         (willmore, bending_ref), (gl, gl_ref)):
+            assert got == pytest.approx(ref, rel=1e-13)
 
     def test_diagnostics_columns(self, params):
         grid = GridSpec(8, 8, 4.0, 4.0)
