@@ -35,7 +35,9 @@ from .control import (
     evaluate_cost,
     optimize,
     project_admissible,
+    random_smooth_facefield,
     reduced_gradient,
+    smooth_control_series,
     stationarity_residual,
 )
 from .errors import (
@@ -74,11 +76,6 @@ from .state import (
     ns_step,
     simulate,
 )
-from .verification import (
-    VerifyReport,
-    random_smooth_facefield,
-    smooth_control_series,
-    verify,
-)
+from .verification import VerifyReport, verify
 
 __version__ = "0.1.0"

@@ -38,6 +38,10 @@ with the trapezoid weight of the cost quadrature (the half-weighted final
 node rides along with the terminal data during the first backward step;
 the stored terminal state carries the plain terminal condition).
 
+Each node stores (va, pa, phia) and its base state; mua and omegaa are
+built on first read.  The step never needs them, and it takes each
+Laplacian once (linearity merges the terms that share z and Lap(z)).
+
 This realizes the continuous adjoint system rather than the exact
 transpose of the discrete forward map: the velocity advection stencils are
 transposed only up to O(h^2), so gradients agree with finite differences
@@ -46,7 +50,8 @@ up to discretization error, which the verification suite measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,14 +71,22 @@ from .state import PHI_BLOWUP_LIMIT, State, Trajectory
 
 @dataclass
 class AdjointState:
-    """Adjoint tuple at one time node; (mua, omegaa) consistent with (phia, va)."""
+    """Adjoint tuple at one time node: va, pa and phia are stored with the
+    node's base state; mua and omegaa are computed on first read and cached."""
 
     va: FaceField
     pa: ScalarField
     phia: ScalarField
-    mua: ScalarField
-    omegaa: ScalarField
     time: float
+    base: State = field(repr=False)
+    params: PhysParams = field(repr=False)
+
+    @cached_property
+    def _potentials(self) -> tuple[ScalarField, ScalarField]:
+        return _adjoint_potentials(self.phia, self.va, self.base, self.params)
+
+    mua = property(lambda self: self._potentials[0])
+    omegaa = property(lambda self: self._potentials[1])
 
 
 def require_unit_mobility(params: PhysParams, context: str) -> None:
@@ -106,10 +119,9 @@ def adjoint_terminal(
     grid = phi_t.grid
     va = FaceField.zeros(grid)
     phia = ScalarField(grid, cost.alpha2 * (phi_t.values - cost.phi_omega.values))
-    mua, omegaa = _adjoint_potentials(phia, va, base_final, params)
     return AdjointState(
-        va=va, pa=ScalarField.zeros(grid), phia=phia, mua=mua, omegaa=omegaa,
-        time=base_final.time,
+        va=va, pa=ScalarField.zeros(grid), phia=phia, time=base_final.time,
+        base=base_final, params=params,
     )
 
 
@@ -160,13 +172,14 @@ def adjoint_step(
     y_proj, p_front = project_divergence_free(y_pre, dt)
     y = mac.solve_face_helmholtz(y_proj, dt * params.nu_bar)
 
-    # scalar couplings on the smoothed fields, coefficients at t_n
+    # scalar couplings on the smoothed fields, coefficients at t_n; by
+    # linearity Lap^2(g1) + s Lap^2(z) = Lap(Lap(g1) + s Lap(z)) and
+    # H^T(g1) + H^T(Lap z) = H^T(g1 + Lap z)
     g1 = advect_scalar(y, phi_n)  # grad(phi) . va on cells
+    lap_z = laplacian(z)
     rest = (
-        laplacian(laplacian(g1)).values
-        + _chain_transpose(g1, base_n, params).values
-        + _chain_transpose(laplacian(z), base_n, params).values
-        + s * laplacian(laplacian(z)).values
+        laplacian(ScalarField(grid, laplacian(g1).values + s * lap_z.values)).values
+        + _chain_transpose(g1 + lap_z, base_n, params).values
         + advect_scalar(base_np1.v, z).values
         - advect_scalar(y, mu_n).values
         - 2.0 * nu_p * mac.strain_contraction(v_n, y)
@@ -184,10 +197,8 @@ def adjoint_step(
     stretch = mac.transpose_gradient_term(v_n, y)
     va_n, p_end = project_divergence_free(y + dt * (visc + adv - stretch), dt)
     pa_n = ScalarField(grid, -(p_front.values + p_end.values))
-
-    mua_n, omegaa_n = _adjoint_potentials(phia_n, va_n, base_n, params)
     return AdjointState(
-        va=va_n, pa=pa_n, phia=phia_n, mua=mua_n, omegaa=omegaa_n, time=base_n.time
+        va=va_n, pa=pa_n, phia=phia_n, time=base_n.time, base=base_n, params=params
     )
 
 
@@ -220,11 +231,7 @@ def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[
     adj = terminal
     s_n = source(n_steps)
     if s_n is not None:
-        adj = AdjointState(
-            va=terminal.va, pa=terminal.pa,
-            phia=ScalarField(base.grid, terminal.phia.values + dt * s_n.values),
-            mua=terminal.mua, omegaa=terminal.omegaa, time=terminal.time,
-        )
+        adj = replace(terminal, phia=ScalarField(base.grid, terminal.phia.values + dt * s_n.values))
 
     for n in range(n_steps - 1, -1, -1):
         adj = adjoint_step(

@@ -55,12 +55,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import CostSpec, PhysParams
-from .control import ControlBounds, ControlField, ControlProblem, OptimizerOptions, project_admissible
+from .control import ControlBounds, ControlField, ControlProblem, OptimizerOptions
+from .control import project_admissible, smooth_control_series
 from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField
 from .mac import stream_function_velocity
+from .snapshots import read_face, read_scalar
 from .state import TimeSpec, simulate
-from .verification import smooth_control_series
 
 _DEFAULTS: dict[str, object] = {
     "grid.nx": 64, "grid.ny": 64, "grid.lx": 16.0, "grid.ly": 16.0,
@@ -101,9 +102,7 @@ class RunConfig:
 def _coerce(key: str, val):
     ref = _DEFAULTS[key]
     try:
-        if isinstance(ref, bool):
-            return bool(val)
-        if isinstance(ref, int) and not isinstance(ref, bool):
+        if isinstance(ref, int):
             return int(str(val))
         if isinstance(ref, float):
             return float(str(val))
@@ -186,6 +185,19 @@ def swirl_velocity(grid: GridSpec, amplitude: float) -> FaceField:
     return stream_function_velocity(grid, psi)
 
 
+def _read_snapshot(reader, key: str, path: str, grid: GridSpec):
+    """The field of the snapshot at ``path``, named by its config ``key`` on error."""
+    if not path or not os.path.exists(path):
+        raise ConfigError(f"{key} '{path}' does not exist")
+    try:
+        f = reader(path)[0]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{key} '{path}' is not a readable snapshot: {exc}") from exc
+    if (f.grid.nx, f.grid.ny) != (grid.nx, grid.ny):
+        raise ConfigError(f"{key}: snapshot grid does not match configured grid")
+    return f
+
+
 def build_initial(cfg: RunConfig, grid: GridSpec) -> tuple[FaceField, ScalarField]:
     preset = cfg["init.preset"]
     if preset == "equilibrium":
@@ -195,24 +207,12 @@ def build_initial(cfg: RunConfig, grid: GridSpec) -> tuple[FaceField, ScalarFiel
     elif preset == "stripe":
         phi = stripe_phase(grid, cfg["init.width"])
     elif preset == "snapshot":
-        from .snapshots import read_scalar
-
-        path = cfg["init.phi_path"]
-        if not path or not os.path.exists(path):
-            raise ConfigError(f"init.phi_path '{path}' does not exist")
-        phi, _, _ = read_scalar(path)
-        if (phi.grid.nx, phi.grid.ny) != (grid.nx, grid.ny):
-            raise ConfigError("snapshot grid does not match configured grid")
+        phi = _read_snapshot(read_scalar, "init.phi_path", cfg["init.phi_path"], grid)
     else:
         raise ConfigError(f"init.preset '{preset}' is not a known preset")
 
-    v_path = cfg["init.v_path"]
-    if v_path:
-        from .snapshots import read_face
-
-        if not os.path.exists(v_path):
-            raise ConfigError(f"init.v_path '{v_path}' does not exist")
-        v0, _, _ = read_face(v_path)
+    if cfg["init.v_path"]:
+        v0 = _read_snapshot(read_face, "init.v_path", cfg["init.v_path"], grid)
     else:
         v0 = swirl_velocity(grid, cfg["init.swirl"])
     return v0, phi

@@ -134,8 +134,8 @@ def potential_fpp(s):
     return 6.0 * s
 
 
-def omega_of_phi(phi: ScalarField, params: PhysParams) -> ScalarField:
-    """First variation of the Ginzburg-Landau energy: -Lap(phi) + f(phi)."""
+def omega_of_phi(phi: ScalarField, params: PhysParams | None = None) -> ScalarField:
+    """First variation of the Ginzburg-Landau energy: -Lap(phi) + f(phi) (eps frozen at 1)."""
     return ScalarField(phi.grid, -laplacian(phi).values + potential_f(phi.values))
 
 

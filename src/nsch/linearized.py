@@ -74,10 +74,10 @@ def linearized_step(
     """Advance the sensitivity one step along the stored base trajectory."""
     grid = base_n.phi.grid
     w_n, psi_n = lin_n.w, lin_n.psi
-    phi_n, v_n, mu_n, omega_n = base_n.phi, base_n.v, base_n.mu, base_n.omega
+    phi_n, v_n, mu_n = base_n.phi, base_n.v, base_n.mu
+    theta_n = lin_n.theta  # built by _lin_node at this base state
 
     nu, nu_p = params.viscosity(phi_n.values)
-    theta_n, _ = linearized_chemical_potentials(psi_n, phi_n, omega_n, params)
 
     adv = mac.momentum_advection(w_n, v_n) + mac.momentum_advection(v_n, w_n)
     visc = mac.viscous_stress_divergence(

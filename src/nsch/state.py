@@ -24,17 +24,21 @@ perturbation):
 where N(phi) = -Lap(f(phi)) + (f'(phi) + eta) omega(phi) is the chemical
 potential minus its leading biharmonic part, so that mu = Lap^2 phi + N.
 All implicit solves are diagonal in cosine/sine bases and therefore exact.
+
+A trajectory stores (v, p, phi, mu) at every node; omega is recomputed from
+phi when read and the per-node diagnostics are computed on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import mac
-from .constitutive import PhysParams, constraint_integrals, mu_of_phi
+from .constitutive import PhysParams, constraint_integrals, mu_of_phi, omega_of_phi
 from .errors import BlowUpError, ConfigError
 from .grid import (
     FaceField,
@@ -73,6 +77,9 @@ class TimeSpec:
     dt: float
 
     def __post_init__(self):
+        for name in ("T", "dt"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"time.{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ConfigError("time step must be positive")
         n = round(self.T / self.dt)
@@ -94,25 +101,36 @@ class TimeSpec:
 
 @dataclass
 class State:
-    """Flow/phase tuple at one time node; (mu, omega) are consistent with phi."""
+    """Flow/phase tuple at one time node: v, p, phi and mu(phi) are stored;
+    omega is recomputed from phi on every read, bit-identical to mu_of_phi's."""
 
     v: FaceField
     p: ScalarField
     phi: ScalarField
     mu: ScalarField
-    omega: ScalarField
     time: float
+
+    @property
+    def omega(self) -> ScalarField:
+        return omega_of_phi(self.phi)
 
 
 @dataclass
 class Trajectory:
-    """Forward states at t_0..t_N plus per-node diagnostics."""
+    """Forward states at t_0..t_N; the per-node ``diagnostics`` (one series per
+    DIAGNOSTIC_COLUMNS entry) are computed from them on first read and cached."""
 
     grid: GridSpec
     time: TimeSpec
     params: PhysParams
     states: list[State]
-    diagnostics: dict[str, np.ndarray]
+
+    @cached_property
+    def diagnostics(self) -> dict[str, np.ndarray]:
+        rows = [(n, s.time) + _node_diagnostics(s, self.params) for n, s in enumerate(self.states)]
+        return {
+            name: np.array([row[i] for row in rows]) for i, name in enumerate(DIAGNOSTIC_COLUMNS)
+        }
 
     def __len__(self) -> int:
         return len(self.states)
@@ -175,14 +193,15 @@ def ns_step(
     nu, _ = params.viscosity(phi_n.values)
 
     adv = mac.momentum_advection(v_n, v_n)
-    visc = mac.viscous_stress_divergence(nu - params.nu_bar, v_n)
+    rhs = mac.viscous_stress_divergence(nu - params.nu_bar, v_n)
     force = mac.gradient_force(mu_n.values, phi_n)
 
-    rhs = FaceField(
-        v_n.grid,
-        v_n.x + dt * (-adv.x + visc.x + force.x),
-        v_n.y + dt * (-adv.y + visc.y + force.y),
-    )
+    # rhs = v_n + dt * (-adv + visc + force), built in the visc buffer
+    for r, a, f, v in ((rhs.x, adv.x, force.x, v_n.x), (rhs.y, adv.y, force.y, v_n.y)):
+        r -= a
+        r += f
+        r *= dt
+        r += v
     if u_n is not None:
         rhs.x += dt * u_n.x
         rhs.y += dt * u_n.y
@@ -191,8 +210,7 @@ def ns_step(
 
 
 def _node_state(v, p, phi, t, params) -> State:
-    mu, omega = mu_of_phi(phi, params)
-    return State(v=v, p=p, phi=phi, mu=mu, omega=omega, time=t)
+    return State(v=v, p=p, phi=phi, mu=mu_of_phi(phi, params)[0], time=t)
 
 
 def _node_diagnostics(state: State, params: PhysParams) -> tuple[float, ...]:
@@ -221,7 +239,7 @@ def simulate(
     time: TimeSpec,
     params: PhysParams,
 ) -> Trajectory:
-    """Run the forward solver and record states and diagnostics at every node.
+    """Run the forward solver and record the state at every node.
 
     ``u`` is the body-force series, one face field per step (or None for an
     unforced run).  The initial velocity is projected once so the stored
@@ -234,7 +252,6 @@ def simulate(
 
     v0p, _ = project_divergence_free(v0.zero_boundary_normal(), 1.0)
     states = [_node_state(v0p, ScalarField.zeros(grid), phi0.copy(), 0.0, params)]
-    diag_rows = [(0, 0.0) + _node_diagnostics(states[0], params)]
 
     v, phi = v0p, phi0
     for n in range(n_steps):
@@ -242,15 +259,8 @@ def simulate(
         v, p = ns_step(v, phi, states[-1].mu, u_n, time.dt, params)
         phi = ch_step(phi, states[-1].mu, v, time.dt, params)
         _check_finite_step(n + 1, phi.values, v.x, v.y)
-        t = (n + 1) * time.dt
-        states.append(_node_state(v, p, phi, t, params))
-        diag_rows.append((n + 1, t) + _node_diagnostics(states[-1], params))
-
-    diagnostics = {
-        name: np.array([row[i] for row in diag_rows])
-        for i, name in enumerate(DIAGNOSTIC_COLUMNS)
-    }
-    return Trajectory(grid=grid, time=time, params=params, states=states, diagnostics=diagnostics)
+        states.append(_node_state(v, p, phi, (n + 1) * time.dt, params))
+    return Trajectory(grid=grid, time=time, params=params, states=states)
 
 
 def energy_balance_residual(traj: Trajectory, u: Sequence[FaceField] | None = None) -> float:

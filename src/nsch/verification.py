@@ -15,10 +15,11 @@ Five checks, each with a quantitative threshold:
 * ``gradient``  -- the reduced gradient against central finite differences
                    of the reduced cost along seeded random directions.
 
-Random directions are smooth, low-mode cosine series with coefficients
-drawn from a seeded generator and shaped to vanish on boundary normal
-faces; because the continuum field is fixed by the seed, the same
-direction can be re-sampled on a refined grid for convergence studies.
+Random directions (``control.smooth_control_series``) are smooth,
+low-mode cosine series with coefficients drawn from a seeded generator and
+shaped to vanish on boundary normal faces; because the continuum field is
+fixed by the seed, the same direction can be re-sampled on a refined grid
+for convergence studies.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 
 from .adjoint import solve_adjoint
 from .control import ControlField, ControlProblem, evaluate_cost, reduced_gradient
-from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
+from .control import random_smooth_facefield, smooth_control_series  # the first re-exported
+from .grid import ScalarField, face_inner, scalar_inner
 from .linearized import solve_linearized
 from .state import TimeSpec, Trajectory, energy_balance_residual, simulate
 
@@ -50,55 +52,6 @@ class VerifyReport:
         status = "PASS" if self.passed else "FAIL"
         head = f"[{status}] {self.name}"
         return "\n".join([head] + [f"    {ln}" for ln in self.lines])
-
-
-# ---------------------------------------------------------------------------
-# seeded smooth fields
-
-
-def _cosine_series(rng: np.ndarray, x, y, lx, ly, n_modes: int):
-    total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-    for j in range(n_modes):
-        for k in range(n_modes):
-            c = rng[j, k]
-            total = total + c * np.cos(np.pi * j * x / lx) * np.cos(np.pi * k * y / ly)
-    return total
-
-
-def random_smooth_facefield(
-    grid: GridSpec, seed: int, amplitude: float = 1.0, n_modes: int = 3
-) -> FaceField:
-    """Smooth seeded face field with vanishing boundary normal components.
-
-    The underlying continuum field depends only on the seed, so sampling it
-    on a refined grid gives the same function.
-    """
-    rng = np.random.default_rng(seed)
-    cx = rng.standard_normal((n_modes, n_modes))
-    cy = rng.standard_normal((n_modes, n_modes))
-
-    xf_x = np.arange(grid.nx + 1) * grid.hx
-    xf_y = (np.arange(grid.ny) + 0.5) * grid.hy
-    fx = _cosine_series(cx, xf_x[:, None], xf_y[None, :], grid.lx, grid.ly, n_modes)
-    fx *= np.sin(np.pi * xf_x / grid.lx)[:, None]
-
-    yf_x = (np.arange(grid.nx) + 0.5) * grid.hx
-    yf_y = np.arange(grid.ny + 1) * grid.hy
-    fy = _cosine_series(cy, yf_x[:, None], yf_y[None, :], grid.lx, grid.ly, n_modes)
-    fy *= np.sin(np.pi * yf_y / grid.ly)[None, :]
-
-    scale = max(np.abs(fx).max(), np.abs(fy).max(), 1e-30)
-    return FaceField(grid, amplitude * fx / scale, amplitude * fy / scale)
-
-
-def smooth_control_series(
-    grid: GridSpec, time: TimeSpec, seed: int, amplitude: float = 1.0
-) -> ControlField:
-    """Seeded smooth space profile modulated smoothly in time, one per step."""
-    profile = random_smooth_facefield(grid, seed, amplitude)
-    t_mid = (np.arange(time.n_steps) + 0.5) * time.dt
-    mod = 1.0 + 0.5 * np.sin(2.0 * np.pi * t_mid / max(time.T, 1e-30))
-    return ControlField(grid, [float(m) * profile for m in mod])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from nsch import (
 from nsch.adjoint import adjoint_step
 from nsch.config import bubble_phase, stripe_phase, swirl_velocity
 
-from conftest import random_scalar
+from conftest import random_scalar, random_solenoidal
 import oracles
 
 
@@ -241,3 +241,74 @@ class TestDenseOracle:
         )
         assert np.abs(out.va.x - vax_ref).max() < 1e-10 * max(1.0, np.abs(vax_ref).max())
         assert np.abs(out.va.y - vay_ref).max() < 1e-10 * max(1.0, np.abs(vay_ref).max())
+
+
+def term_by_term_phia(b0, b1, adj1, source, dt, params):
+    """phia of one backward step with every Laplacian of the scalar couplings
+    taken separately: Lap^2(g1) + H^T(g1) + H^T(Lap z) + s Lap^2(z) + ..."""
+    from nsch import advect_scalar, helmholtz_poly_solve, laplacian, project_divergence_free
+    from nsch import mac
+    from nsch.adjoint import _chain_transpose
+
+    phi, s = b0.phi, params.stab
+    _, nu_p = params.viscosity(phi.values)
+    z = helmholtz_poly_solve(1.0, 0.0, dt * s, dt, adj1.phia)
+    y_proj, _ = project_divergence_free(adj1.va - dt * mac.gradient_force(z.values, phi), dt)
+    y = mac.solve_face_helmholtz(y_proj, dt * params.nu_bar)
+    g1 = advect_scalar(y, phi)
+    rest = (
+        laplacian(laplacian(g1)).values
+        + _chain_transpose(g1, b0, params).values
+        + _chain_transpose(laplacian(z), b0, params).values
+        + s * laplacian(laplacian(z)).values
+        + advect_scalar(b1.v, z).values
+        - advect_scalar(y, b0.mu).values
+        - 2.0 * nu_p * mac.strain_contraction(b0.v, y)
+    )
+    return z.values + dt * rest + dt * source.values
+
+
+class TestMergedStep:
+    @pytest.fixture
+    def random_step(self, params, rng):
+        from nsch.adjoint import AdjointState
+        from nsch.state import _node_state
+
+        grid = GridSpec(12, 10, 6.0, 5.0)
+        dt = 1e-3
+        b0, b1 = (
+            _node_state(random_solenoidal(grid, rng), ScalarField.zeros(grid),
+                        bubble_phase(grid) + random_scalar(grid, rng, 0.1), t, params)
+            for t in (0.0, dt)
+        )
+        adj1 = AdjointState(va=random_solenoidal(grid, rng), pa=ScalarField.zeros(grid),
+                            phia=random_scalar(grid, rng), time=dt, base=b1, params=params)
+        return b0, b1, adj1, random_scalar(grid, rng), dt
+
+    def test_matches_term_by_term_formula(self, random_step, params):
+        b0, b1, adj1, source, dt = random_step
+        out = adjoint_step(b0, b1, adj1, source, dt, params)
+        ref = term_by_term_phia(b0, b1, adj1, source, dt, params)
+        assert np.abs(out.phia.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_six_laplacians_per_step(self, random_step, params, monkeypatch):
+        import nsch.adjoint
+        import nsch.constitutive
+        from nsch.grid import laplacian
+
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return laplacian(f)
+
+        for module in (nsch.adjoint, nsch.constitutive):
+            monkeypatch.setattr(module, "laplacian", counting)
+        b0, b1, adj1, source, dt = random_step
+        out = adjoint_step(b0, b1, adj1, source, dt, params)
+        assert len(calls) == 6
+        # the potentials cost 2 Laplacians on first read and none after
+        first = (out.mua, out.omegaa)
+        assert len(calls) == 8
+        assert out.mua is first[0] and out.omegaa is first[1]
+        assert len(calls) == 8

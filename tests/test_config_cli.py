@@ -1,6 +1,7 @@
 """Configuration parsing/validation and the command-line front end."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from nsch.config import (
     build_grid,
     build_params,
     build_problem,
+    build_time,
     parse_config,
     refine_config,
 )
@@ -107,6 +109,31 @@ class TestValidation:
         with pytest.raises(ConfigError, match="does not exist"):
             build_initial(cfg, build_grid(cfg))
 
+    @pytest.mark.parametrize("key", ["time.T", "time.dt"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_time_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            build_time(RunConfig({key: value}))
+
+    @pytest.mark.parametrize("key", ["init.phi_path", "init.v_path"])
+    def test_garbage_snapshot_names_key_and_path(self, tmp_path, key):
+        path = tmp_path / "garbage.snap"
+        path.write_bytes(b"not a snapshot\n\x00\x01")
+        cfg = RunConfig({"init.preset": "snapshot" if key == "init.phi_path" else "bubble",
+                         key: str(path)})
+        with pytest.raises(ConfigError, match=re.escape(f"{key} '{path}' is not a readable")):
+            build_initial(cfg, build_grid(cfg))
+
+    def test_velocity_snapshot_grid_mismatch(self, tmp_path):
+        from nsch.snapshots import write_face
+
+        cfg8 = RunConfig({"grid.nx": "8", "grid.ny": "8"})
+        path = tmp_path / "v.nschv"
+        write_face(path, build_initial(cfg8, build_grid(cfg8))[0], "v")
+        cfg = RunConfig({"grid.nx": "12", "grid.ny": "12", "init.v_path": str(path)})
+        with pytest.raises(ConfigError, match="init.v_path: snapshot grid does not match"):
+            build_initial(cfg, build_grid(cfg))
+
     def test_refine_config(self):
         cfg = RunConfig({"grid.nx": "8", "grid.ny": "8", "time.dt": "1e-3"})
         fine = refine_config(cfg)
@@ -185,6 +212,24 @@ class TestCli:
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "nu_bar" in capsys.readouterr().err
+
+    def test_non_finite_time_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL.replace("time.T = 0.004", "time.T = nan"))
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "time.T must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["init.phi_path", "init.v_path"])
+    def test_garbage_snapshot_exit_2(self, tmp_path, capsys, key):
+        path = tmp_path / "garbage.snap"
+        path.write_text("garbage\n")
+        preset = "snapshot" if key == "init.phi_path" else "bubble"
+        cfg = write_cfg(tmp_path, SMALL.replace("init.preset = bubble", f"init.preset = {preset}")
+                        + f"{key} = {path}\n")
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and str(path) in err
 
     def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NSCH_THREADS", "abc")

@@ -294,3 +294,26 @@ class TestNonconstantMobility:
 
         e1, e2 = defect(1e-1), defect(5e-2)
         assert 1.8 <= e1 / e2 <= 2.2
+
+
+class TestStoredTheta:
+    def test_stored_theta_reused_bit_identical(self, base_small, params):
+        from dataclasses import replace
+
+        from nsch.constitutive import linearized_chemical_potentials, mu_of_phi
+
+        h = smooth_control_series(base_small.grid, base_small.time, 3).fields
+        lin_n = solve_linearized(base_small, h, params)[1]
+        b1, b2 = base_small.states[1], base_small.states[2]
+        omega = mu_of_phi(b1.phi, params)[1]
+        theta, _ = linearized_chemical_potentials(lin_n.psi, b1.phi, omega, params)
+        dt = base_small.time.dt
+        stored = linearized_step(b1, b2, lin_n, h[1], dt, params)
+        fresh = linearized_step(b1, b2, replace(lin_n, theta=theta), h[1], dt, params)
+        assert np.array_equal(stored.psi.values, fresh.psi.values)
+        assert np.array_equal(stored.w.x, fresh.w.x) and np.array_equal(stored.w.y, fresh.w.y)
+        # the step reads theta from lin_n rather than rebuilding it
+        zeroed = replace(lin_n, theta=ScalarField.zeros(base_small.grid))
+        assert not np.array_equal(
+            linearized_step(b1, b2, zeroed, h[1], dt, params).psi.values, stored.psi.values
+        )

@@ -21,7 +21,7 @@ from nsch import (
     simulate,
 )
 from nsch.config import bubble_phase, swirl_velocity
-from nsch.state import _node_diagnostics, _node_state
+from nsch.state import DIAGNOSTIC_COLUMNS, _node_diagnostics, _node_state
 
 from conftest import random_face, random_scalar, random_solenoidal
 import oracles
@@ -273,3 +273,42 @@ class TestSimulate:
         res_with_work = energy_balance_residual(traj, u)
         res_without = energy_balance_residual(traj)
         assert abs(res_with_work) < abs(res_without)
+
+
+class TestLeanTrajectory:
+    """omega is recomputed on read and the diagnostics are built on first read."""
+
+    @pytest.fixture
+    def traj(self, params):
+        grid = GridSpec(12, 10, 8.0, 6.0)
+        return simulate(swirl_velocity(grid, 1.0), bubble_phase(grid), None,
+                        TimeSpec(0.005, 1e-3), params)
+
+    def test_omega_recomputed_bit_identical(self, traj, params):
+        for state in traj.states:
+            assert "omega" not in vars(state)
+            assert np.array_equal(state.omega.values, mu_of_phi(state.phi, params)[1].values)
+
+    def test_diagnostics_match_row_by_row_rebuild(self, traj, params):
+        rows = [(n, s.time) + _node_diagnostics(s, params) for n, s in enumerate(traj.states)]
+        for i, name in enumerate(DIAGNOSTIC_COLUMNS):
+            assert np.array_equal(traj.diagnostics[name], np.array([r[i] for r in rows]))
+
+    def test_diagnostics_computed_once_on_first_read(self, params, monkeypatch):
+        import nsch.state
+
+        calls = []
+
+        def counting(state, p):
+            calls.append(state.time)
+            return _node_diagnostics(state, p)
+
+        monkeypatch.setattr(nsch.state, "_node_diagnostics", counting)
+        grid = GridSpec(8, 8, 4.0, 4.0)
+        ts = TimeSpec(0.004, 1e-3)
+        traj = simulate(swirl_velocity(grid, 0.5), bubble_phase(grid), None, ts, params)
+        assert calls == []
+        first = traj.diagnostics
+        assert len(calls) == ts.n_steps + 1
+        assert traj.diagnostics is first
+        assert len(calls) == ts.n_steps + 1
