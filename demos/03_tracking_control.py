@@ -45,7 +45,7 @@ u_opt, report = nsch.optimize(
 
 accepted = [r for r in report.rows if r[8] == 1]
 j = np.array([r[1] for r in accepted])
-print(f"stopped: {report.reason} after {len(j) - 1} accepted steps "
+print(f"stopped: {report.reason.value} after {len(j) - 1} accepted steps "
       f"({report.n_simulations} simulations)")
 print(f"cost J        : {j[0]:.4e} -> {j[-1]:.4e}  (factor {j[0] / j[-1]:.0f})")
 print(f"stationarity  : {accepted[0][6]:.3e} -> {accepted[-1][6]:.3e}")

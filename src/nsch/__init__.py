@@ -32,6 +32,7 @@ from .control import (
     ControlProblem,
     OptimReport,
     OptimizerOptions,
+    StopReason,
     evaluate_cost,
     optimize,
     project_admissible,
@@ -44,7 +45,6 @@ from .errors import (
     BlowUpError,
     ConfigError,
     IncompatibleMeanError,
-    LineSearchError,
     NschError,
     SingularSymbolError,
 )

@@ -12,7 +12,8 @@ The scalar chain mirrors the forward one in reverse:
 and substituting the chain into the scalar adjoint equation exposes the
 same leading triharmonic operator as the forward phase equation, so the
 stepper marches in reversed time with the identical implicit symbol
-(I + dt*(-Lap)^3 + dt*S*Lap^2).
+(I + dt*(-Lap)^3 + dt*S*Lap^2), solved by the forward scheme's own
+``state.phase_solve``; the tracking source uses its ``trapezoid_weights``.
 
 One backward step t_{n+1} -> t_n applies the implicit solves first and the
 explicit couplings second, to the smoothed fields:
@@ -53,20 +54,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-import numpy as np
-
 from . import mac
 from .constitutive import CostSpec, PhysParams, potential_fp, potential_fpp
-from .errors import BlowUpError, ConfigError
-from .grid import (
-    FaceField,
-    ScalarField,
-    advect_scalar,
-    helmholtz_poly_solve,
-    laplacian,
-    project_divergence_free,
-)
-from .state import PHI_BLOWUP_LIMIT, State, Trajectory
+from .errors import ConfigError
+from .grid import FaceField, ScalarField, advect_scalar, laplacian, project_divergence_free
+from .state import State, Trajectory, check_finite, phase_solve, trapezoid_weights
 
 
 @dataclass
@@ -164,9 +156,9 @@ def adjoint_step(
     nu, nu_p = params.viscosity(phi_n.values)
     s = params.stab
 
-    # implicit smoothers first (shared symbols with the forward stepper;
-    # the leading coefficient is dt since unit mobility is enforced above)
-    z = helmholtz_poly_solve(1.0, 0.0, dt * s, dt, adj_np1.phia)
+    # implicit smoothers first: the forward phase symbol (unit mobility is
+    # enforced above, so its leading coefficient dt*mob_const is exactly dt)
+    z = phase_solve(adj_np1.phia, dt, params)
     force = mac.gradient_force(z.values, phi_n)
     y_pre = adj_np1.va - dt * force
     y_proj, p_front = project_divergence_free(y_pre, dt)
@@ -216,12 +208,13 @@ def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[
             f"running target has {len(cost.phi_q)} nodes, need {n_steps + 1}"
         )
 
+    weights = trapezoid_weights(n_steps)
+
     def source(n: int) -> ScalarField | None:
         if cost.alpha1 == 0.0:
             return None
-        weight = 0.5 if n in (0, n_steps) else 1.0
         misfit = base.states[n].phi - cost.phi_q_at(n)
-        return ScalarField(base.grid, cost.alpha1 * weight * misfit.values)
+        return ScalarField(base.grid, cost.alpha1 * weights[n] * misfit.values)
 
     terminal = adjoint_terminal(base.final.phi, cost, base.final, params)
     out = [terminal]
@@ -237,12 +230,7 @@ def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[
         adj = adjoint_step(
             base.states[n], base.states[n + 1], adj, source(n), dt, params
         )
-        if not (
-            np.isfinite(adj.phia.values).all()
-            and np.isfinite(adj.va.x).all()
-            and np.isfinite(adj.va.y).all()
-        ) or adj.phia.max_abs() > PHI_BLOWUP_LIMIT:
-            raise BlowUpError(f"blow-up detected at backward step to node {n}", step=n)
+        check_finite(n, {"phia": adj.phia.values}, {"va.x": adj.va.x, "va.y": adj.va.y})
         out.append(adj)
     out.reverse()
     return out

@@ -26,8 +26,8 @@ import os
 import sys
 
 from . import config as cfgmod
-from .control import optimize
-from .errors import BlowUpError, ConfigError, LineSearchError, NschError
+from .control import StopReason, optimize
+from .errors import BlowUpError, ConfigError, NschError
 from .grid import set_fft_workers, workers_from_env
 from .snapshots import write_diagnostics_csv, write_face, write_trajectory_snapshots
 from .verification import verify
@@ -93,13 +93,19 @@ def cmd_optimize(args) -> int:
                 u_opt.fields[n], "u", n * problem.time.dt,
             )
     accepted = report.accepted_J()
+    failed = report.reason is StopReason.LINE_SEARCH_FAILED
+    reason = report.reason.value
+    if failed:
+        trial = dict(zip(report.COLUMNS, report.rows[-1]))  # the last rejected trial
+        reason += (
+            f" after {options.backtrack_max} halvings at iterate {trial['iter'] - 1}: "
+            f"J={accepted[-1]:.6e}, |g|={trial['grad_norm']:.3e}, last step={trial['step']:.3e}"
+        )
     print(
-        f"optimizer stopped: {report.reason} after {len(accepted) - 1} accepted steps, "
+        f"optimizer stopped: {reason} after {len(accepted) - 1} accepted steps, "
         f"J {accepted[0]:.6e} -> {accepted[-1]:.6e}, wrote {csv_path}"
     )
-    if report.reason.startswith("line search failed"):
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:
@@ -151,7 +157,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (BlowUpError, LineSearchError) as exc:
+    except BlowUpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except NschError as exc:

@@ -44,7 +44,8 @@ run.workers           1          FFT worker threads (NSCH_THREADS wins)
 ====================  =========  =====================================
 
 Validation messages name the violated model assumption (A1, A2, A6) or
-the solver precondition so misconfigurations are actionable.
+the solver precondition so misconfigurations are actionable; a non-finite
+number is rejected under its key.
 """
 
 from __future__ import annotations
@@ -104,11 +105,15 @@ def _coerce(key: str, val):
     try:
         if isinstance(ref, int):
             return int(str(val))
-        if isinstance(ref, float):
-            return float(str(val))
-        return str(val)
+        if not isinstance(ref, float):
+            return str(val)
+        value = float(str(val))
     except ValueError as exc:
         raise ConfigError(f"field '{key}': cannot parse {val!r}") from exc
+    # PhysParams rejects non-finite physics values under their field names
+    if not np.isfinite(value) and not key.startswith("physics."):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return value
 
 
 def parse_config(path) -> RunConfig:

@@ -30,7 +30,7 @@ error messages and in the configuration layer):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -59,10 +59,6 @@ class PhysParams:
     stab: float = 2.0
     eps: float = EPS_FROZEN
     potential: str = "quartic"
-    # A3 metadata of the quartic well
-    gamma1: float = field(default=1.0, repr=False)
-    gamma2: float = field(default=1.0, repr=False)
-    c_F: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
         for f in fields(self):

@@ -26,6 +26,7 @@ directions) are built here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .adjoint import AdjointState, require_unit_mobility, solve_adjoint
 from .constitutive import CostSpec, PhysParams
 from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
-from .state import TimeSpec, Trajectory, simulate
+from .state import TimeSpec, Trajectory, simulate, trapezoid_weights
 
 
 @dataclass
@@ -69,21 +70,6 @@ class ControlBounds:
             lo, hi = self.limits(comp, 0)
             if np.any(np.asarray(lo) > np.asarray(hi)):
                 raise ConfigError("admissible set is empty: u_min exceeds u_max")
-
-    @property
-    def radius(self) -> float:
-        """Radius of the control ball: largest bound magnitude plus one."""
-        sup = 0.0
-        for bound in (self.u_min, self.u_max):
-            if isinstance(bound, (int, float)):
-                sup = max(sup, abs(float(bound)))
-            elif isinstance(bound, tuple):
-                sup = max(sup, abs(bound[0]), abs(bound[1]))
-            elif isinstance(bound, FaceField):
-                sup = max(sup, bound.max_abs())
-            else:
-                sup = max(sup, max(f.max_abs() for f in bound))
-        return sup + 1.0
 
 
 @dataclass
@@ -187,7 +173,24 @@ class OptimizerOptions:
     armijo_c1: float = 1e-4
     backtrack_max: int = 30
     step0: float | None = None  # default 1/alpha3 if alpha3 > 0 else 1
-    grow_step: bool = True
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ConfigError(f"optimizer.tol must be finite and nonnegative, got {self.tol}")
+        if not 0 < self.armijo_c1 < 1:
+            raise ConfigError(f"optimizer.armijo_c1 must lie in (0, 1), got {self.armijo_c1}")
+        if self.max_iter < 0:
+            raise ConfigError(f"optimizer.max_iter must be nonnegative, got {self.max_iter}")
+        if self.backtrack_max < 0:
+            raise ConfigError(f"optimizer.backtrack must be nonnegative, got {self.backtrack_max}")
+
+
+class StopReason(Enum):
+    """Why the projected-gradient loop stopped."""
+
+    CONVERGED = "converged"
+    MAX_ITER = "max_iter"
+    LINE_SEARCH_FAILED = "line search failed"
 
 
 @dataclass
@@ -195,7 +198,7 @@ class OptimReport:
     """Per-trial optimizer history plus the termination reason."""
 
     rows: list[tuple] = field(default_factory=list)
-    reason: str = ""
+    reason: StopReason | None = None
     n_simulations: int = 0
     initial_grad_norm: float = 0.0
     max_bound_violation: float = 0.0
@@ -251,8 +254,7 @@ def evaluate_cost(
 
     j_track = 0.0
     if cost.alpha1 > 0:
-        for k, state in enumerate(traj.states):
-            w = 0.5 if k in (0, n) else 1.0
+        for k, (state, w) in enumerate(zip(traj.states, trapezoid_weights(n))):
             diff = state.phi - cost.phi_q_at(k)
             j_track += 0.5 * cost.alpha1 * w * dt * scalar_inner(diff, diff)
 
@@ -329,9 +331,9 @@ def optimize(
     """Projected gradient descent with Armijo backtracking.
 
     Accepts a trial step s when J(P(u - s g)) <= J(u) - c1 s ||g||^2;
-    stops when the unit-step fixed-point residual falls below
-    tol * ||g_0||, after max_iter accepted iterations, or with a
-    line-search diagnosis after backtrack_max halvings.
+    stops (``OptimReport.reason``) when the unit-step fixed-point residual
+    falls below tol * ||g_0||, after max_iter accepted iterations, or when
+    backtrack_max halvings find no acceptable step.
     """
     opts = options or OptimizerOptions()
     cost, bounds, dt = problem.cost, problem.bounds, problem.time.dt
@@ -368,10 +370,10 @@ def optimize(
             step=last_step, accepted=1,
         )
         if residual <= tol_abs:
-            report.reason = "converged"
+            report.reason = StopReason.CONVERGED
             return u, report
         if it == opts.max_iter:
-            report.reason = "max_iter"
+            report.reason = StopReason.MAX_ITER
             return u, report
 
         g_norm_sq = g_norm * g_norm
@@ -392,10 +394,7 @@ def optimize(
             )
             s_try *= 0.5
         if not accepted:
-            report.reason = (
-                f"line search failed after {opts.backtrack_max} halvings at iterate "
-                f"{it}: J={j:.6e}, |g|={g_norm:.3e}, last step={s_try * 2:.3e}"
-            )
+            report.reason = StopReason.LINE_SEARCH_FAILED
             return u, report
 
         u, traj, j, comps = u_trial, traj_trial, j_trial, comps_trial
@@ -406,4 +405,4 @@ def optimize(
         g = reduced_gradient(u, adj, cost)
         g_norm = g.norm_q(dt)
         last_step = s_try
-        s = min(2.0 * s_try, step0) if opts.grow_step else step0
+        s = min(2.0 * s_try, step0)

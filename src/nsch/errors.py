@@ -23,7 +23,3 @@ class BlowUpError(NschError):
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
-
-
-class LineSearchError(NschError):
-    """Armijo backtracking failed to find an acceptable step."""

@@ -15,7 +15,9 @@ chemical chain
 The discrete stepper below is the exact Jacobian of the forward stepper:
 every explicit term is the directional derivative of its forward
 counterpart with coefficients frozen at the beginning-of-step base state,
-the implicit symbols are identical, and the phase transport uses the
+the momentum and phase updates are the forward scheme's own
+(``state.momentum_update`` and ``state.phase_update``, so the implicit
+symbols are identical by construction), and the phase transport uses the
 end-of-step velocities exactly as the forward splitting does.  This makes
 superposition exact to roundoff and pushes the defect of the sensitivity
 against forward differencing down to the quadratic remainder.
@@ -29,21 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import mac
 from .constitutive import PhysParams, linearized_chemical_potentials
-from .errors import BlowUpError, ConfigError
-from .grid import (
-    FaceField,
-    ScalarField,
-    advect_scalar,
-    divergence_of_faces,
-    helmholtz_poly_solve,
-    laplacian,
-    project_divergence_free,
-)
-from .state import PHI_BLOWUP_LIMIT, State, Trajectory
+from .errors import ConfigError
+from .grid import FaceField, ScalarField, advect_scalar
+from .state import State, Trajectory, check_finite, momentum_update, phase_update
 
 
 @dataclass
@@ -72,13 +64,11 @@ def linearized_step(
     params: PhysParams,
 ) -> LinearizedState:
     """Advance the sensitivity one step along the stored base trajectory."""
-    grid = base_n.phi.grid
     w_n, psi_n = lin_n.w, lin_n.psi
     phi_n, v_n, mu_n = base_n.phi, base_n.v, base_n.mu
     theta_n = lin_n.theta  # built by _lin_node at this base state
 
     nu, nu_p = params.viscosity(phi_n.values)
-
     adv = mac.momentum_advection(w_n, v_n) + mac.momentum_advection(v_n, w_n)
     visc = mac.viscous_stress_divergence(
         nu - params.nu_bar, w_n
@@ -86,33 +76,17 @@ def linearized_step(
     force = mac.gradient_force(theta_n.values, phi_n) + mac.gradient_force(
         mu_n.values, psi_n
     )
-
-    rhs = w_n + dt * (-adv + visc + force)
-    if h_n is not None:
-        rhs = rhs + dt * h_n
-    w_star = mac.solve_face_helmholtz(rhs, dt * params.nu_bar)
-    w_np1, q_np1 = project_divergence_free(w_star, dt)
+    w_np1, q_np1 = momentum_update(w_n, adv, visc, force, h_n, dt, params)
 
     # phase part: transported by the end-of-step velocities, like the forward
-    m0 = params.mob_const
-    s = params.stab
-    lap2_psi = laplacian(laplacian(psi_n))
-    # directional derivative of N(phi): theta minus its leading biharmonic part
-    h_field = ScalarField(grid, theta_n.values - lap2_psi.values)
-    rhs_psi = (
-        psi_n.values
-        + dt * m0 * laplacian(h_field).values
-        + dt * s * lap2_psi.values
-        - dt * advect_scalar(w_np1, phi_n).values
-        - dt * advect_scalar(base_np1.v, psi_n).values
-    )
+    flux = None
     if not params.constant_mobility:
         mval, m_p = params.mobility(phi_n.values)
-        extra = mac.gradient_force(mval - m0, theta_n) + mac.gradient_force(
+        flux = mac.gradient_force(mval - params.mob_const, theta_n) + mac.gradient_force(
             m_p * psi_n.values, mu_n
         )
-        rhs_psi += dt * divergence_of_faces(extra).values
-    psi_np1 = helmholtz_poly_solve(1.0, 0.0, dt * s, dt * m0, ScalarField(grid, rhs_psi))
+    transports = [advect_scalar(w_np1, phi_n), advect_scalar(base_np1.v, psi_n)]
+    psi_np1 = phase_update(psi_n, theta_n, transports, flux, dt, params)
 
     return _lin_node(w_np1, q_np1, psi_np1, base_np1, params, base_np1.time)
 
@@ -136,11 +110,6 @@ def solve_linearized(
     for n in range(n_steps):
         h_n = h[n] if h is not None else None
         lin = linearized_step(base.states[n], base.states[n + 1], lin, h_n, base.time.dt, params)
-        if not (
-            np.isfinite(lin.psi.values).all()
-            and np.isfinite(lin.w.x).all()
-            and np.isfinite(lin.w.y).all()
-        ) or lin.psi.max_abs() > PHI_BLOWUP_LIMIT:
-            raise BlowUpError(f"blow-up detected at step {n + 1}", step=n + 1)
+        check_finite(n + 1, {"psi": lin.psi.values}, {"w.x": lin.w.x, "w.y": lin.w.y})
         out.append(lin)
     return out

@@ -25,6 +25,10 @@ where N(phi) = -Lap(f(phi)) + (f'(phi) + eta) omega(phi) is the chemical
 potential minus its leading biharmonic part, so that mu = Lap^2 phi + N.
 All implicit solves are diagonal in cosine/sine bases and therefore exact.
 
+The scheme lives here once (``momentum_update``, ``phase_update``,
+``phase_solve``, ``trapezoid_weights``, ``check_finite``): the sensitivity
+stepper runs the same updates and the adjoint stepper the same phase symbol.
+
 A trajectory stores (v, p, phi, mu) at every node; omega is recomputed from
 phi when read and the per-node diagnostics are computed on first read.
 """
@@ -82,7 +86,8 @@ class TimeSpec:
                 raise ConfigError(f"time.{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ConfigError("time step must be positive")
-        n = round(self.T / self.dt)
+        ratio = self.T / self.dt
+        n = round(ratio) if np.isfinite(ratio) else 0  # T/dt can overflow
         if n < 1 or abs(n * self.dt - self.T) > 1e-12 * max(1.0, abs(self.T)):
             raise ConfigError(
                 f"final time {self.T} is not an integer multiple of dt={self.dt}"
@@ -143,10 +148,63 @@ class Trajectory:
         return [s.phi for s in self.states]
 
 
-def _check_finite_step(step: int, *arrays: np.ndarray) -> None:
-    for arr in arrays:
-        if not np.isfinite(arr).all() or np.abs(arr).max() > PHI_BLOWUP_LIMIT:
-            raise BlowUpError(f"blow-up detected at step {step}", step=step)
+def check_finite(step: int, bounded: dict, unbounded: dict | None = None) -> None:
+    """Raise a BlowUpError naming ``step`` and the first field that is not
+    finite or, for the ``bounded`` ones, exceeds PHI_BLOWUP_LIMIT in magnitude."""
+    for name, arr in {**bounded, **(unbounded or {})}.items():
+        if not np.isfinite(arr).all() or (
+            name in bounded and np.abs(arr).max() > PHI_BLOWUP_LIMIT
+        ):
+            raise BlowUpError(f"blow-up detected at step {step} in {name}", step=step)
+
+
+def trapezoid_weights(n_steps: int) -> list[float]:
+    """Trapezoid-rule node weights on t_0..t_N in units of dt: [0.5, 1, ..., 1, 0.5]."""
+    return [0.5 if k in (0, n_steps) else 1.0 for k in range(n_steps + 1)]
+
+
+def phase_solve(rhs: ScalarField, dt: float, params: PhysParams) -> ScalarField:
+    """The implicit phase symbol: solve (I + dt*m0*(-Lap)^3 + dt*S*Lap^2) x = rhs."""
+    return helmholtz_poly_solve(1.0, 0.0, dt * params.stab, dt * params.mob_const, rhs)
+
+
+def phase_update(
+    x: ScalarField, chem: ScalarField, transports: Sequence[ScalarField],
+    flux: FaceField | None, dt: float, params: PhysParams,
+) -> ScalarField:
+    """One stabilized phase step of ``x`` with chemical potential ``chem``
+    (Lap^2 x is its implicit part); the ``transports`` are subtracted in
+    order and ``flux`` is the nonconstant-mobility face flux (or None)."""
+    lap2_x = laplacian(laplacian(x))
+    n_part = ScalarField(x.grid, chem.values - lap2_x.values)  # N = chem - Lap^2 x
+    rhs = (
+        x.values
+        + dt * params.mob_const * laplacian(n_part).values
+        + dt * params.stab * lap2_x.values
+    )
+    for t in transports:
+        rhs -= dt * t.values
+    if flux is not None:
+        rhs += dt * divergence_of_faces(flux).values
+    return phase_solve(ScalarField(x.grid, rhs), dt, params)
+
+
+def momentum_update(
+    v_n: FaceField, adv: FaceField, visc: FaceField, force: FaceField,
+    u_n: FaceField | None, dt: float, params: PhysParams,
+) -> tuple[FaceField, ScalarField]:
+    """v_n + dt*(-adv + visc + force [+ u_n]), built in the ``visc`` buffer,
+    then the implicit dt*nu_bar viscous solve and the pressure projection."""
+    for r, a, f, v in ((visc.x, adv.x, force.x, v_n.x), (visc.y, adv.y, force.y, v_n.y)):
+        r -= a
+        r += f
+        r *= dt
+        r += v
+    if u_n is not None:
+        visc.x += dt * u_n.x
+        visc.y += dt * u_n.y
+    v_star = mac.solve_face_helmholtz(visc, dt * params.nu_bar)
+    return project_divergence_free(v_star, dt)
 
 
 def ch_step(
@@ -159,26 +217,11 @@ def ch_step(
     relies on it).  Nonconstant mobility is handled by an explicit extra
     flux of the variable part against the mobility floor.
     """
-    grid = phi_n.grid
-    m0 = params.mob_const
-    s = params.stab
-
-    lap_phi = laplacian(phi_n)
-    lap2_phi = laplacian(lap_phi)
-    # N(phi) = mu - Lap^2 phi, the non-leading part of the chemical potential
-    n_part = ScalarField(grid, mu_n.values - lap2_phi.values)
-
-    rhs = (
-        phi_n.values
-        + dt * m0 * laplacian(n_part).values
-        + dt * s * lap2_phi.values
-        - dt * advect_scalar(v, phi_n).values
-    )
+    flux = None
     if not params.constant_mobility:
         mval, _ = params.mobility(phi_n.values)
-        extra = mac.gradient_force(mval - m0, mu_n)
-        rhs += dt * divergence_of_faces(extra).values
-    return helmholtz_poly_solve(1.0, 0.0, dt * s, dt * m0, ScalarField(grid, rhs))
+        flux = mac.gradient_force(mval - params.mob_const, mu_n)
+    return phase_update(phi_n, mu_n, [advect_scalar(v, phi_n)], flux, dt, params)
 
 
 def ns_step(
@@ -191,22 +234,10 @@ def ns_step(
 ) -> tuple[FaceField, ScalarField]:
     """One momentum step; returns the projected velocity and its pressure."""
     nu, _ = params.viscosity(phi_n.values)
-
     adv = mac.momentum_advection(v_n, v_n)
-    rhs = mac.viscous_stress_divergence(nu - params.nu_bar, v_n)
+    visc = mac.viscous_stress_divergence(nu - params.nu_bar, v_n)
     force = mac.gradient_force(mu_n.values, phi_n)
-
-    # rhs = v_n + dt * (-adv + visc + force), built in the visc buffer
-    for r, a, f, v in ((rhs.x, adv.x, force.x, v_n.x), (rhs.y, adv.y, force.y, v_n.y)):
-        r -= a
-        r += f
-        r *= dt
-        r += v
-    if u_n is not None:
-        rhs.x += dt * u_n.x
-        rhs.y += dt * u_n.y
-    v_star = mac.solve_face_helmholtz(rhs, dt * params.nu_bar)
-    return project_divergence_free(v_star, dt)
+    return momentum_update(v_n, adv, visc, force, u_n, dt, params)
 
 
 def _node_state(v, p, phi, t, params) -> State:
@@ -258,7 +289,7 @@ def simulate(
         u_n = u[n] if u is not None else None
         v, p = ns_step(v, phi, states[-1].mu, u_n, time.dt, params)
         phi = ch_step(phi, states[-1].mu, v, time.dt, params)
-        _check_finite_step(n + 1, phi.values, v.x, v.y)
+        check_finite(n + 1, {"phi": phi.values, "v.x": v.x, "v.y": v.y})
         states.append(_node_state(v, p, phi, (n + 1) * time.dt, params))
     return Trajectory(grid=grid, time=time, params=params, states=states)
 

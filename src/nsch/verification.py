@@ -33,7 +33,7 @@ from .control import ControlField, ControlProblem, evaluate_cost, reduced_gradie
 from .control import random_smooth_facefield, smooth_control_series  # the first re-exported
 from .grid import ScalarField, face_inner, scalar_inner
 from .linearized import solve_linearized
-from .state import TimeSpec, Trajectory, energy_balance_residual, simulate
+from .state import TimeSpec, Trajectory, energy_balance_residual, simulate, trapezoid_weights
 
 FRECHET_EPSILONS = (1e-1, 5e-2, 2.5e-2)
 FRECHET_FLOOR_EPSILON = 1e-3
@@ -60,10 +60,8 @@ class VerifyReport:
 
 def phi_l2q_norm(fields: list[ScalarField], dt: float) -> float:
     """Trapezoid-in-time L2(Q) norm of a node series of cell fields."""
-    n = len(fields) - 1
     total = 0.0
-    for k, f in enumerate(fields):
-        w = 0.5 if k in (0, n) else 1.0
+    for f, w in zip(fields, trapezoid_weights(len(fields) - 1)):
         total += w * dt * scalar_inner(f, f)
     return float(np.sqrt(total))
 
@@ -161,8 +159,7 @@ def duality_gap(
     rhs = cost.alpha2 * scalar_inner(
         base.final.phi - cost.phi_omega, lin[-1].psi
     )
-    for k in range(1, time.n_steps + 1):
-        w = 0.5 if k == time.n_steps else 1.0
+    for k, w in enumerate(trapezoid_weights(time.n_steps)[1:], start=1):
         diff = base.states[k].phi - cost.phi_q_at(k)
         rhs += cost.alpha1 * w * dt * scalar_inner(diff, lin[k].psi)
     mism = abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nsch import (
+    BlowUpError,
     ConfigError,
     CostSpec,
     FaceField,
@@ -312,3 +313,14 @@ class TestMergedStep:
         assert len(calls) == 8
         assert out.mua is first[0] and out.omegaa is first[1]
         assert len(calls) == 8
+
+
+class TestBlowUp:
+    def test_non_finite_base_names_step_and_field(self, params):
+        grid = GridSpec(6, 6, 3.0, 3.0)
+        ts = TimeSpec(0.006, 2e-3)
+        base = simulate(swirl_velocity(grid, 0.5), bubble_phase(grid), None, ts, params)
+        base.states[1].phi.values[3, 3] = np.nan
+        with pytest.raises(BlowUpError, match=r"at step 1 in phia$") as info:
+            solve_adjoint(base, tracking_cost(base), params)
+        assert info.value.step == 1

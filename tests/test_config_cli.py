@@ -7,9 +7,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsch.cli import main
 from nsch.config import (
+    _DEFAULTS,
     RunConfig,
     build_initial,
     build_grid,
@@ -219,6 +222,42 @@ class TestCli:
         assert rc == 2
         assert "time.T must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["cost.alpha1", "cost.alpha2", "cost.alpha3", "cost.target_amplitude",
+                "bounds.u_min", "bounds.u_max", "init.radius", "init.width", "init.swirl"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, key, value):
+        text = "\n".join(ln for ln in SMALL.splitlines() if not ln.startswith(key))
+        cfg = write_cfg(tmp_path, text + f"\n{key} = {value}\n")
+        rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, name",
+        [("optimizer.max_iter = -1", "optimizer.max_iter"),
+         ("optimizer.backtrack = -1", "optimizer.backtrack"),
+         ("optimizer.tol = nan", "optimizer.tol"),
+         ("optimizer.tol = -0.5", "optimizer.tol"),
+         ("optimizer.armijo_c1 = 1.5", "optimizer.armijo_c1")],
+    )
+    def test_bad_optimizer_option_exit_2(self, tmp_path, capsys, line, name):
+        cfg = write_cfg(tmp_path, SMALL + line + "\n")
+        rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
+    def test_line_search_failure_exit_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL + "optimizer.backtrack = 0\noptimizer.tol = 1e-12\n")
+        rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert re.search(
+            r"line search failed after 0 halvings at iterate \d+: J=\S+, \|g\|=\S+, "
+            r"last step=1\.000e\+07", out
+        ), out
+
     @pytest.mark.parametrize("key", ["init.phi_path", "init.v_path"])
     def test_garbage_snapshot_exit_2(self, tmp_path, capsys, key):
         path = tmp_path / "garbage.snap"
@@ -299,3 +338,28 @@ class TestCli:
         d1 = (tmp_path / "o1" / "diagnostics.csv").read_bytes()
         d2 = (tmp_path / "o2" / "diagnostics.csv").read_bytes()
         assert d1 == d2
+
+
+class TestConfigProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(_DEFAULTS)),
+        text=st.one_of(
+            st.text(max_size=12),
+            st.floats().map(repr),
+            st.integers(-10**6, 10**6).map(str),
+            st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999", "-1e999", " 1.5 ", "5e-324"]),
+        ),
+    )
+    def test_values_finite_or_config_error(self, key, text):
+        """A configuration either holds only finite numbers (after the physics
+        and time builders ran) or is refused with a ConfigError."""
+        try:
+            cfg = RunConfig({key: text})
+            build_params(cfg)
+            build_time(cfg)
+        except ConfigError:
+            return
+        for value in cfg.values.values():
+            if isinstance(value, float):
+                assert np.isfinite(value)

@@ -14,6 +14,7 @@ from nsch import (
     OptimizerOptions,
     PhysParams,
     ScalarField,
+    StopReason,
     TimeSpec,
     evaluate_cost,
     optimize,
@@ -232,10 +233,6 @@ class TestProjection:
         assert p.fields[1].x.max() <= 0.5 + 1e-15
         assert p.fields[1].x.max() > 0.1  # the looser step really is looser
 
-    def test_radius(self):
-        bounds = ControlBounds((-2.0, -0.5), 1.5)
-        assert bounds.radius == pytest.approx(3.0)
-
     def test_empty_box_rejected(self):
         with pytest.raises(ConfigError, match="u_min exceeds u_max"):
             ControlBounds(1.0, -1.0).validate()
@@ -267,7 +264,7 @@ class TestOptimize:
             problem.bounds,
         )
         u, rep = optimize(problem, u0, OptimizerOptions(tol=1e-10, max_iter=5))
-        assert rep.reason == "converged"
+        assert rep.reason is StopReason.CONVERGED
         assert u.max_abs() < 1e-14
         assert rep.accepted_J()[-1] == pytest.approx(0.0, abs=1e-20)
 
@@ -275,7 +272,7 @@ class TestOptimize:
         problem = small_problem(params, alpha1=0.0, alpha2=0.0, alpha3=1.0)
         u0 = ControlField.zeros(problem.grid, problem.time.n_steps, problem.bounds)
         u, rep = optimize(problem, u0, OptimizerOptions(tol=1e-6, max_iter=5))
-        assert rep.reason == "converged"
+        assert rep.reason is StopReason.CONVERGED
         assert rep.n_simulations == 1
         assert len(rep.rows) == 1
 
@@ -296,7 +293,7 @@ class TestOptimize:
         problem = small_problem(params, alpha3=1e-6, T=0.004)
         opts = OptimizerOptions(tol=1e-12, max_iter=3, backtrack_max=0, step0=1e12)
         u, rep = optimize(problem, None, opts)
-        assert rep.reason.startswith("line search failed")
+        assert rep.reason is StopReason.LINE_SEARCH_FAILED
 
     def test_mobility_guardrail(self):
         p = PhysParams(mob_amp=0.5)
@@ -313,3 +310,37 @@ class TestOptimize:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iter,J,J_track,J_terminal,J_control,grad_norm,stationarity,step,accepted"
         assert len(lines) >= 2
+
+
+class TestQuadratureAndOptions:
+    def test_cost_matches_hand_trapezoid_bit_for_bit(self, params, rng):
+        grid = GridSpec(6, 5, 1.5, 1.2)
+        ts = TimeSpec(0.004, 1e-3)
+        traj = simulate(FaceField.zeros(grid), bubble_phase(grid), None, ts, params)
+        n, dt = ts.n_steps, ts.dt
+        tgt = [ScalarField(grid, rng.standard_normal((6, 5))) for _ in range(n + 1)]
+        cost = CostSpec(0.7, 1.3, 2.1, tgt, tgt[-1])
+        _, comps = evaluate_cost(traj, None, cost)
+        j_track = 0.0
+        for k, state in enumerate(traj.states):
+            w = 0.5 if k in (0, n) else 1.0
+            diff = state.phi - tgt[k]
+            j_track += 0.5 * 0.7 * w * dt * scalar_inner(diff, diff)
+        assert comps["track"] == j_track
+
+    @pytest.mark.parametrize(
+        "kw, name",
+        [({"max_iter": -1}, "max_iter"), ({"backtrack_max": -1}, "backtrack"),
+         ({"tol": float("nan")}, "tol"), ({"tol": float("inf")}, "tol"),
+         ({"tol": -1e-3}, "tol"), ({"armijo_c1": 0.0}, "armijo_c1"),
+         ({"armijo_c1": 1.0}, "armijo_c1"), ({"armijo_c1": float("nan")}, "armijo_c1")],
+    )
+    def test_bad_options_rejected(self, kw, name):
+        with pytest.raises(ConfigError, match=f"optimizer.{name}"):
+            OptimizerOptions(**kw)
+
+    def test_zero_iterations_allowed(self, params):
+        problem = small_problem(params, alpha3=1e-6, T=0.002)
+        _, rep = optimize(problem, None, OptimizerOptions(max_iter=0, backtrack_max=0))
+        assert rep.reason in (StopReason.CONVERGED, StopReason.MAX_ITER)
+        assert rep.n_simulations == 1

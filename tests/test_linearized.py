@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nsch import (
+    BlowUpError,
     ConfigError,
     FaceField,
     GridSpec,
@@ -317,3 +318,82 @@ class TestStoredTheta:
         assert not np.array_equal(
             linearized_step(b1, b2, zeroed, h[1], dt, params).psi.values, stored.psi.values
         )
+
+
+def written_out_step(base_n, base_np1, lin_n, h_n, dt, params):
+    """The sensitivity step with its own momentum and phase right-hand sides,
+    as the stepper computed them before it shared the forward scheme."""
+    from nsch import mac
+    from nsch.grid import (
+        advect_scalar,
+        divergence_of_faces,
+        helmholtz_poly_solve,
+        laplacian,
+        project_divergence_free,
+    )
+
+    grid = base_n.phi.grid
+    w_n, psi_n, theta_n = lin_n.w, lin_n.psi, lin_n.theta
+    phi_n, v_n, mu_n = base_n.phi, base_n.v, base_n.mu
+    nu, nu_p = params.viscosity(phi_n.values)
+    adv = mac.momentum_advection(w_n, v_n) + mac.momentum_advection(v_n, w_n)
+    visc = mac.viscous_stress_divergence(
+        nu - params.nu_bar, w_n
+    ) + mac.viscous_stress_divergence(nu_p * psi_n.values, v_n)
+    force = mac.gradient_force(theta_n.values, phi_n) + mac.gradient_force(
+        mu_n.values, psi_n
+    )
+    rhs = w_n + dt * (-adv + visc + force)
+    if h_n is not None:
+        rhs = rhs + dt * h_n
+    w_star = mac.solve_face_helmholtz(rhs, dt * params.nu_bar)
+    w_np1, _ = project_divergence_free(w_star, dt)
+
+    m0, s = params.mob_const, params.stab
+    lap2_psi = laplacian(laplacian(psi_n))
+    h_field = ScalarField(grid, theta_n.values - lap2_psi.values)
+    rhs_psi = (
+        psi_n.values
+        + dt * m0 * laplacian(h_field).values
+        + dt * s * lap2_psi.values
+        - dt * advect_scalar(w_np1, phi_n).values
+        - dt * advect_scalar(base_np1.v, psi_n).values
+    )
+    if not params.constant_mobility:
+        mval, m_p = params.mobility(phi_n.values)
+        extra = mac.gradient_force(mval - m0, theta_n) + mac.gradient_force(
+            m_p * psi_n.values, mu_n
+        )
+        rhs_psi += dt * divergence_of_faces(extra).values
+    psi_np1 = helmholtz_poly_solve(1.0, 0.0, dt * s, dt * m0, ScalarField(grid, rhs_psi))
+    return w_np1, psi_np1
+
+
+class TestSharedScheme:
+    """The sensitivity step runs the forward scheme's momentum and phase updates."""
+
+    @pytest.mark.parametrize(
+        "p", [PhysParams(), PhysParams(mob_const=0.8, mob_amp=0.3)], ids=["const", "mob"]
+    )
+    @pytest.mark.parametrize("with_h", [True, False])
+    def test_matches_written_out_step_bit_for_bit(self, p, with_h, rng):
+        grid = GridSpec(10, 8, 5.0, 4.0)
+        ts = TimeSpec(0.004, 2e-3)
+        base = simulate(swirl_velocity(grid, 0.5), bubble_phase(grid), None, ts, p)
+        b0, b1 = base.states[0], base.states[1]
+        lin_n = _lin_node(
+            random_solenoidal(grid, rng), ScalarField.zeros(grid),
+            random_scalar(grid, rng, scale=0.1), b0, p, b0.time,
+        )
+        h_n = random_face(grid, rng) if with_h else None
+        out = linearized_step(b0, b1, lin_n, h_n, ts.dt, p)
+        w_ref, psi_ref = written_out_step(b0, b1, lin_n, h_n, ts.dt, p)
+        assert np.array_equal(out.psi.values, psi_ref.values)
+        assert np.array_equal(out.w.x, w_ref.x) and np.array_equal(out.w.y, w_ref.y)
+
+    def test_non_finite_direction_names_step_and_field(self, base_small, params):
+        h = smooth_control_series(base_small.grid, base_small.time, 3).fields
+        h[1].x[2, 2] = np.nan
+        with pytest.raises(BlowUpError, match=r"at step 2 in psi$") as info:
+            solve_linearized(base_small, h, params)
+        assert info.value.step == 2

@@ -21,7 +21,13 @@ from nsch import (
     simulate,
 )
 from nsch.config import bubble_phase, swirl_velocity
-from nsch.state import DIAGNOSTIC_COLUMNS, _node_diagnostics, _node_state
+from nsch.state import (
+    DIAGNOSTIC_COLUMNS,
+    _node_diagnostics,
+    _node_state,
+    check_finite,
+    trapezoid_weights,
+)
 
 from conftest import random_face, random_scalar, random_solenoidal
 import oracles
@@ -36,6 +42,10 @@ class TestTimeSpec:
     def test_non_integral_ratio_rejected(self):
         with pytest.raises(ConfigError):
             TimeSpec(0.1, 3e-4)
+
+    def test_overflowing_step_count_rejected(self):
+        with pytest.raises(ConfigError, match="not an integer multiple"):
+            TimeSpec(0.1, 5e-324)
 
     def test_refine(self):
         ts = TimeSpec(0.1, 1e-3).refine()
@@ -312,3 +322,31 @@ class TestLeanTrajectory:
         assert len(calls) == ts.n_steps + 1
         assert traj.diagnostics is first
         assert len(calls) == ts.n_steps + 1
+
+
+class TestSchemeHome:
+    """The shared quadrature and blow-up check of the forward, sensitivity and
+    adjoint solvers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_trapezoid_weights(self, n):
+        w = trapezoid_weights(n)
+        assert len(w) == n + 1
+        assert sum(w) == n
+        assert w[0] == w[-1] == 0.5 and all(x == 1.0 for x in w[1:-1])
+
+    def test_forward_blow_up_names_step_and_phi(self, params):
+        grid = GridSpec(8, 8, 1.0, 1.0)
+        ts = TimeSpec(0.01, 1e-3)
+        phi0 = ScalarField.full(grid, 1e7)
+        with pytest.raises(BlowUpError, match=r"at step 1 in phi$") as info:
+            simulate(FaceField.zeros(grid), phi0, None, ts, params)
+        assert info.value.step == 1
+
+    def test_check_finite_bounds_only_the_bounded_fields(self):
+        big, bad = np.full(3, 1e7), np.array([0.0, np.nan])
+        check_finite(4, {"psi": np.zeros(3)}, {"w.x": big})  # no bound on w
+        with pytest.raises(BlowUpError, match=r"at step 4 in psi$"):
+            check_finite(4, {"psi": big}, {"w.x": np.zeros(3)})
+        with pytest.raises(BlowUpError, match=r"at step 4 in w.y$"):
+            check_finite(4, {"psi": np.zeros(3)}, {"w.x": big, "w.y": bad})
