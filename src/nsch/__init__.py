@@ -52,14 +52,11 @@ from .grid import (
     FaceField,
     GridSpec,
     ScalarField,
-    SpectralCoeffs,
     advect_scalar,
-    cosine_transform,
     divergence_of_faces,
     face_inner,
     gradient_to_faces,
     helmholtz_poly_solve,
-    inverse_cosine_transform,
     laplacian,
     laplacian_eigenvalues,
     poisson_neumann,

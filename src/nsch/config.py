@@ -24,12 +24,12 @@ cost.alpha2           1.0        terminal tracking weight
 cost.alpha3           1e-7       control energy weight
 cost.target           tracking   tracking | initial | stripe | zero
 cost.target_amplitude 1.0        amplitude of the target-generating force
-cost.target_seed      1          seed of the target-generating force
+cost.target_seed      1          seed of the target-generating force (>= 0)
 bounds.u_min          -1.0       lower control bound (both components)
 bounds.u_max          1.0        upper control bound (both components)
 init.preset           bubble     bubble | stripe | equilibrium | snapshot
-init.radius           0.0        bubble radius (0 = min(lx,ly)/4)
-init.width            0.0        stripe half-width (0 = ly/4)
+init.radius           0.0        bubble radius (>= 0; 0 = min(lx,ly)/4)
+init.width            0.0        stripe half-width (>= 0; 0 = ly/4)
 init.swirl            0.0        amplitude of the solenoidal initial flow
 init.phi_path         (none)     phase snapshot for preset=snapshot
 init.v_path           (none)     velocity snapshot (optional)
@@ -39,13 +39,14 @@ optimizer.armijo_c1   1e-4       Armijo sufficient-decrease constant
 optimizer.backtrack   30         max step halvings per iteration
 output.dir            nsch_out   output directory
 output.snapshot_stride 0         write snapshots every N nodes (0 = off)
-run.seed              0          seed for verification directions
+run.seed              0          seed for verification directions (>= 0)
 run.workers           1          FFT worker threads (NSCH_THREADS wins)
 ====================  =========  =====================================
 
 Validation messages name the violated model assumption (A1, A2, A6) or
 the solver precondition so misconfigurations are actionable; a non-finite
-number is rejected under its key.
+number, a negative seed, radius or width, and a grid cell so small that
+h**-6 overflows are rejected under their keys.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ _DEFAULTS: dict[str, object] = {
     "output.dir": "nsch_out", "output.snapshot_stride": 0,
     "run.seed": 0, "run.workers": 1,
 }
+_NONNEGATIVE = ("cost.target_seed", "run.seed", "init.radius", "init.width")
 
 
 @dataclass
@@ -102,17 +104,17 @@ class RunConfig:
 
 def _coerce(key: str, val):
     ref = _DEFAULTS[key]
+    if isinstance(ref, str):
+        return str(val)
     try:
-        if isinstance(ref, int):
-            return int(str(val))
-        if not isinstance(ref, float):
-            return str(val)
-        value = float(str(val))
+        value = type(ref)(str(val))
     except ValueError as exc:
         raise ConfigError(f"field '{key}': cannot parse {val!r}") from exc
     # PhysParams rejects non-finite physics values under their field names
-    if not np.isfinite(value) and not key.startswith("physics."):
+    if isinstance(ref, float) and not np.isfinite(value) and not key.startswith("physics."):
         raise ConfigError(f"{key} must be finite, got {value}")
+    if key in _NONNEGATIVE and value < 0:
+        raise ConfigError(f"{key} must be nonnegative, got {value}")
     return value
 
 

@@ -12,8 +12,8 @@ eta-weighted Ginzburg-Landau part,
 
     E(phi) = 1/2 int omega^2 + eta int (|grad phi|^2 / 2 + F(phi)).
 
-The interface-thickness parameter is kept as a named symbol but frozen at
-one; the laws below assume that normalization.
+The interface thickness is one: the laws below are written in that
+normalization and the quartic well is the only potential.
 
 Model assumptions enforced at construction time (referenced by name in
 error messages and in the configuration layer):
@@ -38,8 +38,6 @@ import numpy as np
 from .errors import ConfigError
 from .grid import GridSpec, ScalarField, gradient_to_faces, laplacian
 
-EPS_FROZEN = 1.0
-
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -57,18 +55,12 @@ class PhysParams:
     mob_const: float = 1.0
     mob_amp: float = 0.0
     stab: float = 2.0
-    eps: float = EPS_FROZEN
-    potential: str = "quartic"
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, (int, float)) and not np.isfinite(value):
+            if not np.isfinite(value):
                 raise ConfigError(f"physics parameter '{f.name}' must be finite, got {value}")
-        if self.eps != EPS_FROZEN:
-            raise ConfigError("interface thickness is frozen at 1 in this solver")
-        if self.potential != "quartic":
-            raise ConfigError(f"unknown potential '{self.potential}'")
         if self.nu_star <= 0.0:
             raise ConfigError(
                 "A1 positivity violated: nu_bar - |nu_amp| = "
@@ -130,14 +122,14 @@ def potential_fpp(s):
     return 6.0 * s
 
 
-def omega_of_phi(phi: ScalarField, params: PhysParams | None = None) -> ScalarField:
-    """First variation of the Ginzburg-Landau energy: -Lap(phi) + f(phi) (eps frozen at 1)."""
+def omega_of_phi(phi: ScalarField) -> ScalarField:
+    """First variation of the Ginzburg-Landau energy: -Lap(phi) + f(phi)."""
     return ScalarField(phi.grid, -laplacian(phi).values + potential_f(phi.values))
 
 
 def mu_of_phi(phi: ScalarField, params: PhysParams) -> tuple[ScalarField, ScalarField]:
     """Chemical potential mu = -Lap(omega) + (f'(phi) + eta) omega, with omega."""
-    omega = omega_of_phi(phi, params)
+    omega = omega_of_phi(phi)
     mu = -laplacian(omega).values + (potential_fp(phi.values) + params.eta) * omega.values
     return ScalarField(phi.grid, mu), omega
 
@@ -170,7 +162,7 @@ def free_energy(phi: ScalarField, params: PhysParams) -> tuple[float, float, flo
     :func:`constraint_integrals`.  Midpoint (cell sum) quadrature, gradient
     term from face differences.
     """
-    omega = omega_of_phi(phi, params)
+    omega = omega_of_phi(phi)
     bending = 0.5 * (omega.values**2).sum() * phi.grid.cell_volume
     gl = params.eta * constraint_integrals(phi)[1]
     return bending + gl, bending, gl

@@ -115,35 +115,35 @@ class ControlField:
 # seeded smooth fields
 
 
-def _cosine_series(rng: np.ndarray, x, y, lx, ly, n_modes: int):
+# cosine modes per direction of the seeded smooth fields
+SMOOTH_MODES = 3
+
+
+def _cosine_series(coeffs: np.ndarray, x, y, lx, ly):
     total = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
-    for j in range(n_modes):
-        for k in range(n_modes):
-            c = rng[j, k]
-            total = total + c * np.cos(np.pi * j * x / lx) * np.cos(np.pi * k * y / ly)
+    for (j, k), c in np.ndenumerate(coeffs):
+        total = total + c * np.cos(np.pi * j * x / lx) * np.cos(np.pi * k * y / ly)
     return total
 
 
-def random_smooth_facefield(
-    grid: GridSpec, seed: int, amplitude: float = 1.0, n_modes: int = 3
-) -> FaceField:
+def random_smooth_facefield(grid: GridSpec, seed: int, amplitude: float = 1.0) -> FaceField:
     """Smooth seeded face field with vanishing boundary normal components.
 
     The underlying continuum field depends only on the seed, so sampling it
     on a refined grid gives the same function.
     """
     rng = np.random.default_rng(seed)
-    cx = rng.standard_normal((n_modes, n_modes))
-    cy = rng.standard_normal((n_modes, n_modes))
+    cx = rng.standard_normal((SMOOTH_MODES, SMOOTH_MODES))
+    cy = rng.standard_normal((SMOOTH_MODES, SMOOTH_MODES))
 
     xf_x = np.arange(grid.nx + 1) * grid.hx
     xf_y = (np.arange(grid.ny) + 0.5) * grid.hy
-    fx = _cosine_series(cx, xf_x[:, None], xf_y[None, :], grid.lx, grid.ly, n_modes)
+    fx = _cosine_series(cx, xf_x[:, None], xf_y[None, :], grid.lx, grid.ly)
     fx *= np.sin(np.pi * xf_x / grid.lx)[:, None]
 
     yf_x = (np.arange(grid.nx) + 0.5) * grid.hx
     yf_y = np.arange(grid.ny + 1) * grid.hy
-    fy = _cosine_series(cy, yf_x[:, None], yf_y[None, :], grid.lx, grid.ly, n_modes)
+    fy = _cosine_series(cy, yf_x[:, None], yf_y[None, :], grid.lx, grid.ly)
     fy *= np.sin(np.pi * yf_y / grid.ly)[None, :]
 
     scale = max(np.abs(fx).max(), np.abs(fy).max(), 1e-30)

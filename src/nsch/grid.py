@@ -68,6 +68,10 @@ def set_fft_workers(n: int) -> None:
     _FFT_WORKERS = n
 
 
+# Smallest cell size whose h**-6, the scale of the sixth-order phase symbol, is finite.
+MIN_CELL_SIZE = np.finfo(float).max ** (-1.0 / 6.0)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform rectangular grid: nx*ny cells on [0, lx] x [0, ly]."""
@@ -82,6 +86,9 @@ class GridSpec:
             raise ValueError(f"grid must have at least 4x4 cells, got {self.nx}x{self.ny}")
         if not (self.lx > 0 and self.ly > 0):
             raise ValueError("domain edge lengths must be positive")
+        for name, h in (("lx/nx", self.hx), ("ly/ny", self.hy)):
+            if not h > MIN_CELL_SIZE:
+                raise ValueError(f"cell size {name} = {h:.3g} is too small: h**-6 overflows")
 
     @property
     def hx(self) -> float:
@@ -129,11 +136,6 @@ class ScalarField:
     @classmethod
     def full(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full((grid.nx, grid.ny), float(value)))
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "ScalarField":
-        X, Y = grid.cell_centers()
-        return cls(grid, np.asarray(fn(X, Y), dtype=float))
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
@@ -222,27 +224,6 @@ class FaceField:
     __rmul__ = __mul__
 
 
-@dataclass
-class SpectralCoeffs:
-    """Cosine-mode amplitudes of a scalar field.
-
-    ``coeffs[j, k]`` multiplies the separable mode
-    cos(pi j (i+1/2)/nx) * cos(pi k (l+1/2)/ny); the (0, 0) amplitude equals
-    the field mean.
-    """
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
-            )
-
-
 _SYMBOLS: dict = {}
 
 
@@ -259,40 +240,22 @@ def cached_symbol(build):
     return cached
 
 
+def eigenvalues_1d(modes: np.ndarray, n: int, h: float) -> np.ndarray:
+    """-(2 - 2 cos(pi k / n)) / h^2: the 1-D second difference on cell size h
+    acting on the cosine or sine mode k of an n-cell line, for k in ``modes``."""
+    return -(2.0 - 2.0 * np.cos(np.pi * modes / n)) / h**2
+
+
 def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     """Eigenvalues of the 5-point Neumann Laplacian on the cosine basis.
 
     lambda_{jk} <= 0 with equality exactly at the constant (0, 0) mode.
     """
-    lx = -(2.0 - 2.0 * np.cos(np.pi * np.arange(grid.nx) / grid.nx)) / grid.hx**2
-    ly = -(2.0 - 2.0 * np.cos(np.pi * np.arange(grid.ny) / grid.ny)) / grid.hy**2
+    lx = eigenvalues_1d(np.arange(grid.nx), grid.nx, grid.hx)
+    ly = eigenvalues_1d(np.arange(grid.ny), grid.ny, grid.hy)
     lam = lx[:, None] + ly[None, :]
     lam[0, 0] = 0.0
     return lam
-
-
-@cached_symbol
-def _amplitude_weights(grid: GridSpec) -> np.ndarray:
-    # converts orthonormal DCT-II coefficients to modal amplitudes
-    rx = np.full(grid.nx, np.sqrt(2.0 / grid.nx))
-    rx[0] = np.sqrt(1.0 / grid.nx)
-    ry = np.full(grid.ny, np.sqrt(2.0 / grid.ny))
-    ry[0] = np.sqrt(1.0 / grid.ny)
-    return rx[:, None] * ry[None, :]
-
-
-def cosine_transform(f: ScalarField) -> SpectralCoeffs:
-    """Forward even-symmetric (DCT-II) transform to modal amplitudes."""
-    w = _amplitude_weights(f.grid)
-    c = fft.dctn(f.values, type=2, norm="ortho", workers=fft_workers()) * w
-    return SpectralCoeffs(f.grid, c)
-
-
-def inverse_cosine_transform(c: SpectralCoeffs) -> ScalarField:
-    """Inverse of :func:`cosine_transform`; round trip is exact to roundoff."""
-    w = _amplitude_weights(c.grid)
-    v = fft.idctn(c.coeffs / w, type=2, norm="ortho", workers=fft_workers())
-    return ScalarField(c.grid, v)
 
 
 def _second_difference(u: np.ndarray, two_u: np.ndarray, h2: float) -> np.ndarray:
@@ -368,7 +331,6 @@ def helmholtz_poly_solve(
     """
     grid = rhs.grid
     inv_symbol, gauge = _poly_inverse_symbol(grid, a0, a1, a2, a3)
-    # orthonormal transforms: the amplitude weights of cosine_transform cancel
     workers = fft_workers()
     d = fft.dctn(rhs.values, type=2, norm="ortho", workers=workers)
     mean = d[0, 0] / np.sqrt(grid.nx * grid.ny)

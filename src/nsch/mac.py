@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft
 
-from .grid import FaceField, GridSpec, ScalarField, cached_symbol, fft_workers
+from .grid import FaceField, GridSpec, ScalarField, cached_symbol, eigenvalues_1d
+from .grid import fft_workers, gradient_to_faces
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +208,12 @@ def _face_inverse_symbols(grid: GridSpec, c: float):
     # 1/(1 - c*lam) for the x- and y-component Laplacians
     nx, ny = grid.nx, grid.ny
     # x-component: DST-I over interior x-faces, DST-II across cells
-    lx_d1 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx) / nx)) / grid.hx**2
-    ly_d2 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny + 1) / ny)) / grid.hy**2
+    lx_d1 = eigenvalues_1d(np.arange(1, nx), nx, grid.hx)
+    ly_d2 = eigenvalues_1d(np.arange(1, ny + 1), ny, grid.hy)
     lam_x = lx_d1[:, None] + ly_d2[None, :]
     # y-component mirrored
-    lx_d2 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx + 1) / nx)) / grid.hx**2
-    ly_d1 = -(2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny) / ny)) / grid.hy**2
+    lx_d2 = eigenvalues_1d(np.arange(1, nx + 1), nx, grid.hx)
+    ly_d1 = eigenvalues_1d(np.arange(1, ny), ny, grid.hy)
     lam_y = lx_d2[:, None] + ly_d1[None, :]
     return 1.0 / (1.0 - c * lam_x), 1.0 / (1.0 - c * lam_y)
 
@@ -267,8 +268,6 @@ def apply_face_laplacian(v: FaceField) -> FaceField:
 
 def gradient_force(coeff_cells: np.ndarray, f: ScalarField) -> FaceField:
     """Face force (avg coeff) * grad f, e.g. the capillary term mu grad phi."""
-    from .grid import gradient_to_faces
-
     g = gradient_to_faces(f)
     g.x[1:-1, :] *= 0.5 * (coeff_cells[1:, :] + coeff_cells[:-1, :])
     g.y[:, 1:-1] *= 0.5 * (coeff_cells[:, 1:] + coeff_cells[:, :-1])

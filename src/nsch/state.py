@@ -100,8 +100,9 @@ class TimeSpec:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
 
-    def refine(self, factor: int = 2) -> "TimeSpec":
-        return TimeSpec(self.T, self.dt / factor)
+    def refine(self) -> "TimeSpec":
+        """The same interval with half the time step."""
+        return TimeSpec(self.T, self.dt / 2)
 
 
 @dataclass

@@ -37,6 +37,9 @@ from .state import TimeSpec, Trajectory, energy_balance_residual, simulate, trap
 
 FRECHET_EPSILONS = (1e-1, 5e-2, 2.5e-2)
 FRECHET_FLOOR_EPSILON = 1e-3
+GRADIENT_DIRECTIONS = 3
+GRADIENT_EPSILON = 1e-2
+DIRECTION_AMPLITUDE = 1.0  # sup norm of the seeded perturbation directions
 
 
 @dataclass
@@ -70,8 +73,8 @@ def phi_l2q_norm(fields: list[ScalarField], dt: float) -> float:
 # the identity checks
 
 
-def verify_mass(problem: ControlProblem, u: ControlField | None = None) -> VerifyReport:
-    traj = problem.simulate(u)
+def verify_mass(problem: ControlProblem) -> VerifyReport:
+    traj = problem.simulate(None)
     means = np.array([s.phi.mean() for s in traj.states])
     dev = float(np.abs(means - means[0]).max())
     passed = dev <= 1e-12
@@ -105,14 +108,12 @@ def verify_energy(problem: ControlProblem) -> VerifyReport:
     )
 
 
-def verify_frechet(
-    problem: ControlProblem, seed: int = 0, amplitude: float = 1.0
-) -> VerifyReport:
+def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     """Linear shrink of the first-order Taylor defect of the state map."""
     grid, time, params = problem.grid, problem.time, problem.params
     u0 = ControlField.zeros(grid, time.n_steps)
     base = problem.simulate(u0)
-    h = smooth_control_series(grid, time, seed, amplitude)
+    h = smooth_control_series(grid, time, seed, DIRECTION_AMPLITUDE)
     lin = solve_linearized(base, h.fields, params)
 
     def defect(eps: float) -> float:
@@ -141,14 +142,12 @@ def verify_frechet(
     )
 
 
-def duality_gap(
-    problem: ControlProblem, seed: int = 0, amplitude: float = 1.0
-) -> dict:
+def duality_gap(problem: ControlProblem, seed: int = 0) -> dict:
     """Both sides of the adjoint/sensitivity pairing for a seeded direction."""
     grid, time, params, cost = problem.grid, problem.time, problem.params, problem.cost
     base = problem.simulate(None)
     adj = solve_adjoint(base, cost, params)
-    h = smooth_control_series(grid, time, seed, amplitude)
+    h = smooth_control_series(grid, time, seed, DIRECTION_AMPLITUDE)
     lin = solve_linearized(base, h.fields, params)
     dt = time.dt
 
@@ -188,24 +187,18 @@ def verify_duality(
     return VerifyReport("adjoint duality", passed, values, lines)
 
 
-def verify_gradient(
-    problem: ControlProblem,
-    seed: int = 0,
-    n_directions: int = 3,
-    eps: float = 1e-2,
-    amplitude: float = 1.0,
-) -> VerifyReport:
+def verify_gradient(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     """Adjoint gradient against central finite differences of the reduced cost."""
     grid, time, params, cost = problem.grid, problem.time, problem.params, problem.cost
     u0 = ControlField.zeros(grid, time.n_steps)
     base = problem.simulate(u0)
     adj = solve_adjoint(base, cost, params)
     g = reduced_gradient(u0, adj, cost)
-    dt = time.dt
+    dt, eps = time.dt, GRADIENT_EPSILON
 
     adj_dirs, fd_dirs, rel_errors = [], [], []
-    for i in range(n_directions):
-        h = smooth_control_series(grid, time, seed + 1000 * i + 7, amplitude)
+    for i in range(GRADIENT_DIRECTIONS):
+        h = smooth_control_series(grid, time, seed + 1000 * i + 7, DIRECTION_AMPLITUDE)
         jp, _ = evaluate_cost(problem.simulate(u0.axpy(eps, h)), u0.axpy(eps, h), cost)
         jm, _ = evaluate_cost(problem.simulate(u0.axpy(-eps, h)), u0.axpy(-eps, h), cost)
         fd = (jp - jm) / (2.0 * eps)
@@ -223,12 +216,24 @@ def verify_gradient(
         "reduced gradient", passed,
         {"cosine": cosine, "rel_errors": rel_errors, "adjoint": adj_dirs, "fd": fd_dirs},
         [
-            f"cosine similarity over {n_directions} directions = {cosine:.6f} (need >= 0.999)",
+            f"cosine similarity over {GRADIENT_DIRECTIONS} directions = {cosine:.6f} (need >= 0.999)",
             "per-direction relative magnitude errors = "
             + ", ".join(f"{e:.3e}" for e in rel_errors)
             + " (need <= 2e-2)",
         ],
     )
+
+
+# The identity checks by name, in report order: (problem, seed, refined problem)
+# -> report.  The lambdas look the checks up when called, so a rebinding of
+# the module functions (e.g. by a tracer) is seen.
+CHECKS = {
+    "mass": lambda problem, seed, refined: verify_mass(problem),
+    "energy": lambda problem, seed, refined: verify_energy(problem),
+    "frechet": lambda problem, seed, refined: verify_frechet(problem, seed),
+    "duality": lambda problem, seed, refined: verify_duality(problem, refined, seed),
+    "gradient": lambda problem, seed, refined: verify_gradient(problem, seed),
+}
 
 
 def verify(
@@ -238,14 +243,6 @@ def verify(
     refined_problem: ControlProblem | None = None,
 ) -> VerifyReport:
     """Run one named identity check and report pass/fail with its numbers."""
-    if which == "mass":
-        return verify_mass(problem)
-    if which == "energy":
-        return verify_energy(problem)
-    if which == "frechet":
-        return verify_frechet(problem, seed)
-    if which == "duality":
-        return verify_duality(problem, refined_problem, seed)
-    if which == "gradient":
-        return verify_gradient(problem, seed)
-    raise ValueError(f"unknown check '{which}'")
+    if which not in CHECKS:
+        raise ValueError(f"unknown check '{which}'")
+    return CHECKS[which](problem, seed, refined_problem)

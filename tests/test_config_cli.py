@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsch.cli import main
+from nsch.cli import build_parser, main
 from nsch.config import (
     _DEFAULTS,
     RunConfig,
@@ -23,6 +23,7 @@ from nsch.config import (
     refine_config,
 )
 from nsch.errors import ConfigError
+from nsch.verification import CHECKS, verify
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -136,6 +137,28 @@ class TestValidation:
         cfg = RunConfig({"grid.nx": "12", "grid.ny": "12", "init.v_path": str(path)})
         with pytest.raises(ConfigError, match="init.v_path: snapshot grid does not match"):
             build_initial(cfg, build_grid(cfg))
+
+    @pytest.mark.parametrize(
+        "key, value", [("cost.target_seed", "-1"), ("run.seed", "-1"),
+                       ("init.radius", "-2"), ("init.width", "-3")]
+    )
+    def test_negative_seed_or_size_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be nonnegative, got {value}"):
+            RunConfig({key: value})
+
+    def test_degenerate_cell_rejected(self):
+        with pytest.raises(ConfigError, match=r"grid: cell size lx/nx = \S+ is too small"):
+            build_grid(RunConfig({"grid.lx": "1e-300"}))
+
+    def test_contrast_target_keeps_the_dynamics(self):
+        # verify runs mass and energy on the stripe-target problem
+        base = {"grid.nx": "8", "grid.ny": "8", "time.T": "0.002", "init.swirl": "0.5"}
+        tracking = build_problem(RunConfig(base))
+        stripe = build_problem(RunConfig({**base, "cost.target": "stripe"}))
+        assert (tracking.time, tracking.params) == (stripe.time, stripe.params)
+        assert np.array_equal(tracking.phi0.values, stripe.phi0.values)
+        assert np.array_equal(tracking.v0.x, stripe.v0.x)
+        assert np.array_equal(tracking.v0.y, stripe.v0.y)
 
     def test_refine_config(self):
         cfg = RunConfig({"grid.nx": "8", "grid.ny": "8", "time.dt": "1e-3"})
@@ -270,6 +293,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert key in err and str(path) in err
 
+    @pytest.mark.parametrize(
+        "command, values, name",
+        [("optimize", {"cost.target_seed": "-1"}, "cost.target_seed"),
+         ("simulate", {"init.radius": "-2"}, "init.radius"),
+         ("simulate", {"init.preset": "stripe", "init.width": "-3"}, "init.width"),
+         ("optimize", {"cost.target": "stripe", "init.width": "-3"}, "init.width"),
+         ("simulate", {"grid.lx": "1e-300"}, "grid: cell size lx/nx")],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, command, values, name):
+        text = "\n".join(ln for ln in SMALL.splitlines() if ln.split(" =")[0] not in values)
+        cfg = write_cfg(tmp_path, text + "".join(f"\n{k} = {v}" for k, v in values.items()))
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL)
+        rc = main(["verify", "frechet", "--config", cfg, "--seed", "-1"])
+        assert rc == 2
+        assert "run.seed must be nonnegative" in capsys.readouterr().err
+
+    def test_degenerate_snapshot_grid_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "tiny.nschf"
+        path.write_bytes(b"NSCHF 1 phi 12 12 1e-300 8.0 0.0\n" + bytes(8 * 144))
+        cfg = write_cfg(tmp_path, SMALL.replace("init.preset = bubble", "init.preset = snapshot")
+                        + f"init.phi_path = {path}\n")
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "init.phi_path" in err and "lx/nx" in err
+
     def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NSCH_THREADS", "abc")
         cfg = write_cfg(tmp_path, SMALL)
@@ -329,6 +383,25 @@ class TestCli:
              "--out", str(tmp_path / "out")]
         )
         assert rc == 0
+
+    def test_verify_choices_are_the_check_table(self):
+        parser = build_parser()
+        for which in (*CHECKS, "all"):
+            assert parser.parse_args(["verify", which, "--config", "c"]).which == which
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "bogus", "--config", "c"])
+        with pytest.raises(ValueError, match="unknown check 'bogus'"):
+            verify(None, "bogus")
+
+    @pytest.mark.parametrize("which, builds", [("all", 2), ("mass", 1), ("duality", 2)])
+    def test_verify_builds_the_contrast_problem_once(self, tmp_path, monkeypatch, which, builds):
+        import nsch.config as cfgmod
+
+        built, real = [], cfgmod.build_problem
+        monkeypatch.setattr(cfgmod, "build_problem", lambda cfg: built.append(cfg) or real(cfg))
+        main(["verify", which, "--config", write_cfg(tmp_path, SMALL)])
+        assert [cfg["cost.target"] for cfg in built] == ["stripe"] * builds
+        assert [cfg["grid.nx"] for cfg in built] == [12, 24][:builds]
 
     def test_reproducible_diagnostics(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL)

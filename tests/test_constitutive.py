@@ -98,27 +98,23 @@ class TestViscosityMobility:
         with pytest.raises(ConfigError, match="A2 positivity violated"):
             PhysParams(mob_const=0.0)
 
-    def test_eps_frozen(self):
-        with pytest.raises(ConfigError):
-            PhysParams(eps=0.5)
-
 
 class TestChemicalPotentials:
-    def test_omega_pure_phase(self, grid6, params):
-        omega = omega_of_phi(ScalarField.full(grid6, 1.0), params)
+    def test_omega_pure_phase(self, grid6):
+        omega = omega_of_phi(ScalarField.full(grid6, 1.0))
         assert omega.max_abs() < 1e-12
 
-    def test_omega_constant_two(self, grid6, params):
-        omega = omega_of_phi(ScalarField.full(grid6, 2.0), params)
+    def test_omega_constant_two(self, grid6):
+        omega = omega_of_phi(ScalarField.full(grid6, 2.0))
         assert np.abs(omega.values - 6.0).max() < 1e-12
 
-    def test_omega_cosine_against_stencil(self, grid6, params):
+    def test_omega_cosine_against_stencil(self, grid6):
         X, _ = grid6.cell_centers()
         phi = ScalarField(grid6, np.cos(np.pi * X / grid6.lx))
         ref = -oracles.loop_laplacian(phi.values, grid6.hx, grid6.hy) + potential_f(
             phi.values
         )
-        assert np.abs(omega_of_phi(phi, params).values - ref).max() < 1e-12
+        assert np.abs(omega_of_phi(phi).values - ref).max() < 1e-12
 
     def test_mu_pure_phase(self, grid6, params):
         mu, _ = mu_of_phi(ScalarField.full(grid6, 1.0), params)
@@ -184,7 +180,7 @@ class TestEnergy:
         e0, bending0, gl0 = free_energy(phi, p0)
         assert gl0 == 0.0
         assert e0 == pytest.approx(bending0, rel=1e-14)
-        omega = omega_of_phi(phi, p0)
+        omega = omega_of_phi(phi)
         direct = 0.5 * (omega.values**2).sum() * grid6.cell_volume
         assert bending0 == pytest.approx(direct, rel=1e-13)
 
@@ -198,7 +194,7 @@ class TestEnergy:
         for scale in (0.3, 1.0, 2.0):
             phi = random_scalar(grid6, rng, scale=scale)
             e, _, _ = free_energy(phi, p)
-            omega = omega_of_phi(phi, p)
+            omega = omega_of_phi(phi)
             bound = 0.25 * (omega.values**2).sum() * grid6.cell_volume - c4
             assert e >= bound - 1e-10
 

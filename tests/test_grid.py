@@ -10,19 +10,17 @@ from nsch import (
     ScalarField,
     SingularSymbolError,
     advect_scalar,
-    cosine_transform,
     divergence_of_faces,
     face_inner,
     gradient_to_faces,
     helmholtz_poly_solve,
-    inverse_cosine_transform,
     laplacian,
     laplacian_eigenvalues,
     poisson_neumann,
     project_divergence_free,
     scalar_inner,
 )
-from nsch.grid import apply_poly_laplacian
+from nsch.grid import MIN_CELL_SIZE, apply_poly_laplacian
 
 from conftest import random_face, random_scalar, random_solenoidal
 import oracles
@@ -33,49 +31,16 @@ def test_gridspec_validation():
         GridSpec(3, 6, 1.0, 1.0)
     with pytest.raises(ValueError):
         GridSpec(6, 6, -1.0, 1.0)
+    # a cell whose h**-6 overflows would make the sixth-order symbol infinite
+    with pytest.raises(ValueError, match=r"lx/nx = 1.25e-301 is too small: h\*\*-6 overflows"):
+        GridSpec(8, 8, 1e-300, 1.0)
+    with pytest.raises(ValueError, match="ly/ny"):
+        GridSpec(8, 8, 1.0, 8 * MIN_CELL_SIZE)
+    assert np.isfinite(GridSpec(8, 8, 1.0, 16 * MIN_CELL_SIZE).hy ** -6)
     g = GridSpec(8, 4, 2.0, 1.0)
     assert g.hx == pytest.approx(0.25)
     assert g.hy == pytest.approx(0.25)
     assert g.cell_volume > 0
-
-
-class TestCosineTransform:
-    def test_constant_field_is_pure_zero_mode(self, grid6):
-        c = cosine_transform(ScalarField.full(grid6, 3.25))
-        assert c.coeffs[0, 0] == pytest.approx(3.25, abs=1e-13)
-        rest = c.coeffs.copy()
-        rest[0, 0] = 0.0
-        assert np.abs(rest).max() < 1e-13
-
-    def test_round_trip(self, grid6, rng):
-        f = random_scalar(grid6, rng)
-        f2 = inverse_cosine_transform(cosine_transform(f))
-        assert np.abs(f2.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
-
-    def test_single_mode_projection(self, grid6):
-        # cos(pi x / lx) sampled at centers is exactly the (1, 0) mode;
-        # oracle: brute-force projection onto the sampled cosine basis
-        X, _ = grid6.cell_centers()
-        f = ScalarField(grid6, np.cos(np.pi * X / grid6.lx))
-        c = cosine_transform(f)
-        basis = np.cos(np.pi * 1 * (np.arange(grid6.nx) + 0.5) / grid6.nx)
-        amp = (f.values[:, 0] @ basis) / (basis @ basis)
-        assert c.coeffs[1, 0] == pytest.approx(amp, rel=1e-12)
-        mask = np.ones_like(c.coeffs, dtype=bool)
-        mask[1, 0] = False
-        assert np.abs(c.coeffs[mask]).max() < 1e-13
-
-    def test_isometry_up_to_weights(self, grid6, rng):
-        # Parseval with the amplitude normalization: per-mode weights
-        f = random_scalar(grid6, rng)
-        c = cosine_transform(f)
-        wx = np.full(grid6.nx, grid6.nx / 2.0)
-        wx[0] = grid6.nx
-        wy = np.full(grid6.ny, grid6.ny / 2.0)
-        wy[0] = grid6.ny
-        lhs = (f.values**2).sum()
-        rhs = (c.coeffs**2 * wx[:, None] * wy[None, :]).sum()
-        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestLaplacian:
