@@ -39,9 +39,11 @@ with the trapezoid weight of the cost quadrature (the half-weighted final
 node rides along with the terminal data during the first backward step;
 the stored terminal state carries the plain terminal condition).
 
-Each node stores (va, pa, phia) and its base state; mua and omegaa are
-built on first read.  The step never needs them, and it takes each
-Laplacian once (linearity merges the terms that share z and Lap(z)).
+Each node stores (va, phia) and its base state; mua and omegaa are built
+on first read, and the adjoint pressure pa, which no reader needs, is not
+kept (the two projections' pressures are dropped).  The step never needs
+mua or omegaa, and it takes each Laplacian once (linearity merges the
+terms that share z and Lap(z)).
 
 This realizes the continuous adjoint system rather than the exact
 transpose of the discrete forward map: the velocity advection stencils are
@@ -63,11 +65,10 @@ from .state import State, Trajectory, check_finite, phase_solve, trapezoid_weigh
 
 @dataclass
 class AdjointState:
-    """Adjoint tuple at one time node: va, pa and phia are stored with the
-    node's base state; mua and omegaa are computed on first read and cached."""
+    """Adjoint tuple at one time node: va and phia are stored with the node's
+    base state; mua and omegaa are computed on first read and cached."""
 
     va: FaceField
-    pa: ScalarField
     phia: ScalarField
     time: float
     base: State = field(repr=False)
@@ -111,10 +112,7 @@ def adjoint_terminal(
     grid = phi_t.grid
     va = FaceField.zeros(grid)
     phia = ScalarField(grid, cost.alpha2 * (phi_t.values - cost.phi_omega.values))
-    return AdjointState(
-        va=va, pa=ScalarField.zeros(grid), phia=phia, time=base_final.time,
-        base=base_final, params=params,
-    )
+    return AdjointState(va=va, phia=phia, time=base_final.time, base=base_final, params=params)
 
 
 def _chain_transpose(chi: ScalarField, base: State, params: PhysParams) -> ScalarField:
@@ -161,7 +159,7 @@ def adjoint_step(
     z = phase_solve(adj_np1.phia, dt, params)
     force = mac.gradient_force(z.values, phi_n)
     y_pre = adj_np1.va - dt * force
-    y_proj, p_front = project_divergence_free(y_pre, dt)
+    y_proj, _ = project_divergence_free(y_pre, dt)
     y = mac.solve_face_helmholtz(y_proj, dt * params.nu_bar)
 
     # scalar couplings on the smoothed fields, coefficients at t_n; by
@@ -187,11 +185,8 @@ def adjoint_step(
     visc = mac.viscous_stress_divergence(nu - params.nu_bar, y)
     adv = mac.momentum_advection(v_n, y)
     stretch = mac.transpose_gradient_term(v_n, y)
-    va_n, p_end = project_divergence_free(y + dt * (visc + adv - stretch), dt)
-    pa_n = ScalarField(grid, -(p_front.values + p_end.values))
-    return AdjointState(
-        va=va_n, pa=pa_n, phia=phia_n, time=base_n.time, base=base_n, params=params
-    )
+    va_n, _ = project_divergence_free(y + dt * (visc + adv - stretch), dt)
+    return AdjointState(va=va_n, phia=phia_n, time=base_n.time, base=base_n, params=params)
 
 
 def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[AdjointState]:

@@ -37,7 +37,7 @@ def _load(args) -> cfgmod.RunConfig:
     cfg = cfgmod.parse_config(args.config)
     overrides = {"run.seed": args.seed, "output.dir": args.out}
     cfg = cfgmod.RunConfig({**cfg.values, **{k: v for k, v in overrides.items() if v is not None}})
-    set_fft_workers(workers_from_env(max(1, cfg["run.workers"])))
+    set_fft_workers(workers_from_env(cfg["run.workers"]))
     return cfg
 
 
@@ -113,9 +113,10 @@ def cmd_verify(args) -> int:
         cfg = cfgmod.RunConfig({**cfg.values, "cost.target": "stripe"})
     checks = tuple(CHECKS) if args.which == "all" else (args.which,)
     problem = cfgmod.build_problem(cfg)
-    refined = cfgmod.build_problem(cfgmod.refine_config(cfg)) if "duality" in checks else None
     all_passed = True
     for which in checks:
+        # the refined problem and its cached solves live for this check only
+        refined = cfgmod.build_problem(cfgmod.refine_config(cfg)) if which == "duality" else None
         report = verify(problem, which, seed=cfg["run.seed"], refined_problem=refined)
         print(report.summary())
         all_passed = all_passed and report.passed

@@ -38,15 +38,16 @@ optimizer.max_iter    50         accepted-iteration cap
 optimizer.armijo_c1   1e-4       Armijo sufficient-decrease constant
 optimizer.backtrack   30         max step halvings per iteration
 output.dir            nsch_out   output directory
-output.snapshot_stride 0         write snapshots every N nodes (0 = off)
+output.snapshot_stride 0         write snapshots every N nodes (>= 0; 0 = off)
 run.seed              0          seed for verification directions (>= 0)
-run.workers           1          FFT worker threads (NSCH_THREADS wins)
+run.workers           1          FFT worker threads (>= 1; NSCH_THREADS wins)
 ====================  =========  =====================================
 
 Validation messages name the violated model assumption (A1, A2, A6) or
 the solver precondition so misconfigurations are actionable; a non-finite
-number, a negative seed, radius or width, and a grid cell so small that
-h**-6 overflows are rejected under their keys.
+number, a negative seed, radius, width or snapshot stride, a worker count
+below one, and a grid cell so small that h**-6 overflows are rejected
+under their keys.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ _DEFAULTS: dict[str, object] = {
     "output.dir": "nsch_out", "output.snapshot_stride": 0,
     "run.seed": 0, "run.workers": 1,
 }
-_NONNEGATIVE = ("cost.target_seed", "run.seed", "init.radius", "init.width")
+_NONNEGATIVE = (
+    "cost.target_seed", "run.seed", "init.radius", "init.width", "output.snapshot_stride",
+)
 
 
 @dataclass
@@ -115,6 +118,8 @@ def _coerce(key: str, val):
         raise ConfigError(f"{key} must be finite, got {value}")
     if key in _NONNEGATIVE and value < 0:
         raise ConfigError(f"{key} must be nonnegative, got {value}")
+    if key == "run.workers" and value < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value}")
     return value
 
 

@@ -20,13 +20,16 @@ and stay pinned at zero).  First-order stationarity is monitored through
 the fixed-point residual ||u - P(u - step*g)||_{L2(Q)}.
 
 The seeded smooth control series (tracking targets, verification
-directions) are built here too.
+directions) are built here too, and a ``ControlProblem`` keeps its
+unforced trajectory, its adjoint and its seeded sensitivities, each
+solved once on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,41 +38,21 @@ from .adjoint import AdjointState, require_unit_mobility, solve_adjoint
 from .constitutive import CostSpec, PhysParams
 from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
+from .linearized import LinearizedState, solve_linearized
 from .state import TimeSpec, Trajectory, simulate, trapezoid_weights
 
 
 @dataclass
 class ControlBounds:
-    """Componentwise box bounds for the control.
+    """Box bounds u_min <= u <= u_max, the same scalars for both components
+    at every face and step."""
 
-    Each bound is a scalar (same everywhere), a pair of scalars (one per
-    component), a :class:`FaceField` (space-varying), or a sequence of
-    FaceFields (one per step, space-time-varying).
-    """
-
-    u_min: object = -1.0
-    u_max: object = 1.0
-
-    def component(self, bound, comp: str, n: int):
-        """Bound values for component 'x'/'y' at step n (scalar or array)."""
-        if isinstance(bound, (int, float)):
-            return float(bound)
-        if isinstance(bound, tuple):
-            return float(bound[0] if comp == "x" else bound[1])
-        if isinstance(bound, FaceField):
-            return bound.x if comp == "x" else bound.y
-        # sequence of FaceField, one per step
-        f = bound[n]
-        return f.x if comp == "x" else f.y
-
-    def limits(self, comp: str, n: int):
-        return self.component(self.u_min, comp, n), self.component(self.u_max, comp, n)
+    u_min: float = -1.0
+    u_max: float = 1.0
 
     def validate(self) -> None:
-        for comp in ("x", "y"):
-            lo, hi = self.limits(comp, 0)
-            if np.any(np.asarray(lo) > np.asarray(hi)):
-                raise ConfigError("admissible set is empty: u_min exceeds u_max")
+        if self.u_min > self.u_max:
+            raise ConfigError("admissible set is empty: u_min exceeds u_max")
 
 
 @dataclass
@@ -221,9 +204,16 @@ class OptimReport:
                 fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlProblem:
-    """Everything a control run needs: dynamics, cost, and admissible set."""
+    """Everything a control run needs: dynamics, cost, and admissible set.
+
+    The problem is frozen, so the unforced solves it caches on first read
+    -- ``base``, ``base_adjoint`` and the per-seed ``sensitivity`` -- can
+    never go stale; ``dataclasses.replace`` makes a changed problem with
+    empty caches.  Every reader gets the same cached objects, so none may
+    modify them.
+    """
 
     v0: FaceField
     phi0: ScalarField
@@ -231,6 +221,7 @@ class ControlProblem:
     params: PhysParams
     cost: CostSpec
     bounds: ControlBounds
+    _sensitivities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> GridSpec:
@@ -239,6 +230,24 @@ class ControlProblem:
     def simulate(self, u: ControlField | None) -> Trajectory:
         fields = u.fields if u is not None else None
         return simulate(self.v0, self.phi0, fields, self.time, self.params)
+
+    @cached_property
+    def base(self) -> Trajectory:
+        """The unforced trajectory."""
+        return self.simulate(None)
+
+    @cached_property
+    def base_adjoint(self) -> list[AdjointState]:
+        """The adjoint of the cost along ``base``."""
+        return solve_adjoint(self.base, self.cost, self.params)
+
+    def sensitivity(self, seed: int) -> tuple[ControlField, list[LinearizedState]]:
+        """The unit seeded direction ``smooth_control_series(grid, time, seed)``
+        and its sensitivity along ``base``."""
+        if seed not in self._sensitivities:
+            h = smooth_control_series(self.grid, self.time, seed)
+            self._sensitivities[seed] = (h, solve_linearized(self.base, h.fields, self.params))
+        return self._sensitivities[seed]
 
 
 def evaluate_cost(
@@ -290,12 +299,11 @@ def project_admissible(u: ControlField, bounds: ControlBounds) -> ControlField:
     Boundary normal faces are not control degrees of freedom and are kept
     at zero after clamping.
     """
-    out_fields = []
-    for n, f in enumerate(u.fields):
-        lo_x, hi_x = bounds.limits("x", n)
-        lo_y, hi_y = bounds.limits("y", n)
-        g = FaceField(u.grid, np.clip(f.x, lo_x, hi_x), np.clip(f.y, lo_y, hi_y))
-        out_fields.append(g.zero_boundary_normal())
+    lo, hi = bounds.u_min, bounds.u_max
+    out_fields = [
+        FaceField(u.grid, np.clip(f.x, lo, hi), np.clip(f.y, lo, hi)).zero_boundary_normal()
+        for f in u.fields
+    ]
     return ControlField(u.grid, out_fields, bounds)
 
 
@@ -312,13 +320,12 @@ def stationarity_residual(
 def bound_violation(u: ControlField, bounds: ControlBounds) -> float:
     """Largest componentwise excursion of u outside the admissible box."""
     worst = 0.0
-    for n, f in enumerate(u.fields):
-        for comp, arr in (("x", f.x), ("y", f.y)):
-            lo, hi = bounds.limits(comp, n)
+    for f in u.fields:
+        for arr in (f.x, f.y):
             worst = max(
                 worst,
-                float(np.maximum(arr - hi, 0.0).max()),
-                float(np.maximum(np.asarray(lo) - arr, 0.0).max()),
+                float(np.maximum(arr - bounds.u_max, 0.0).max()),
+                float(np.maximum(bounds.u_min - arr, 0.0).max()),
             )
     return worst
 

@@ -345,10 +345,14 @@ def helmholtz_poly_solve(
 
 @cached_symbol
 def _poly_inverse_symbol(grid: GridSpec, a0, a1, a2, a3) -> tuple[np.ndarray, bool]:
-    # (1/symbol, gauge); the inverse is zero on a singular constant mode
+    # (1/symbol, gauge); the inverse is zero on a singular constant mode.  A
+    # mode is singular when its terms cancel to roundoff, judged against the
+    # size of that mode's own terms (a 1/max|symbol| scale would flag the
+    # constant mode of a well-posed symbol once the other modes grow large)
     lam = laplacian_eigenvalues(grid)
     symbol = a0 + a1 * (-lam) + a2 * lam**2 + a3 * (-lam) ** 3
-    singular = np.abs(symbol) <= 1e-14 * max(np.abs(symbol).max(), 1.0)
+    size = abs(a0) + abs(a1) * np.abs(lam) + abs(a2) * lam**2 + abs(a3) * np.abs(lam) ** 3
+    singular = np.abs(symbol) <= 1e-14 * size
     if singular[1:, :].any() or singular[0, 1:].any():
         raise SingularSymbolError(
             f"singular symbol: coefficients ({a0}, {a1}, {a2}, {a3}) vanish on a nonzero mode"

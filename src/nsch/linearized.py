@@ -22,6 +22,10 @@ end-of-step velocities exactly as the forward splitting does.  This makes
 superposition exact to roundoff and pushes the defect of the sensitivity
 against forward differencing down to the quadratic remainder.
 
+Each node stores (w, psi, theta): theta is what the next step reads, and
+the pressure q and the auxiliary w_aux are dropped (w_aux is rebuilt with
+theta by ``constitutive.linearized_chemical_potentials`` when wanted).
+
 Zero initial data and a divergence-free w imply that the mean of psi stays
 exactly zero along the evolution.
 """
@@ -40,19 +44,18 @@ from .state import State, Trajectory, check_finite, momentum_update, phase_updat
 
 @dataclass
 class LinearizedState:
-    """Sensitivity tuple at one time node."""
+    """Sensitivity velocity, phase and linearized chemical potential at one
+    time node."""
 
     w: FaceField
-    q: ScalarField
     psi: ScalarField
     theta: ScalarField
-    w_aux: ScalarField
     time: float
 
 
-def _lin_node(w, q, psi, base: State, params, t) -> LinearizedState:
-    theta, w_aux = linearized_chemical_potentials(psi, base.phi, base.omega, params)
-    return LinearizedState(w=w, q=q, psi=psi, theta=theta, w_aux=w_aux, time=t)
+def _lin_node(w, psi, base: State, params, t) -> LinearizedState:
+    theta, _ = linearized_chemical_potentials(psi, base.phi, base.omega, params)
+    return LinearizedState(w=w, psi=psi, theta=theta, time=t)
 
 
 def linearized_step(
@@ -76,7 +79,7 @@ def linearized_step(
     force = mac.gradient_force(theta_n.values, phi_n) + mac.gradient_force(
         mu_n.values, psi_n
     )
-    w_np1, q_np1 = momentum_update(w_n, adv, visc, force, h_n, dt, params)
+    w_np1, _ = momentum_update(w_n, adv, visc, force, h_n, dt, params)
 
     # phase part: transported by the end-of-step velocities, like the forward
     flux = None
@@ -88,7 +91,7 @@ def linearized_step(
     transports = [advect_scalar(w_np1, phi_n), advect_scalar(base_np1.v, psi_n)]
     psi_np1 = phase_update(psi_n, theta_n, transports, flux, dt, params)
 
-    return _lin_node(w_np1, q_np1, psi_np1, base_np1, params, base_np1.time)
+    return _lin_node(w_np1, psi_np1, base_np1, params, base_np1.time)
 
 
 def solve_linearized(
@@ -102,10 +105,7 @@ def solve_linearized(
         raise ConfigError(f"perturbation series has {len(h)} entries, need {n_steps}")
 
     grid = base.grid
-    lin = _lin_node(
-        FaceField.zeros(grid), ScalarField.zeros(grid), ScalarField.zeros(grid),
-        base.states[0], params, 0.0,
-    )
+    lin = _lin_node(FaceField.zeros(grid), ScalarField.zeros(grid), base.states[0], params, 0.0)
     out = [lin]
     for n in range(n_steps):
         h_n = h[n] if h is not None else None

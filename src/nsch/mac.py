@@ -242,30 +242,6 @@ def solve_face_helmholtz(rhs: FaceField, c: float) -> FaceField:
     return out
 
 
-def apply_face_laplacian(v: FaceField) -> FaceField:
-    """Component-wise Laplacian matching :func:`solve_face_helmholtz`."""
-    grid = v.grid
-    hx2, hy2 = grid.hx**2, grid.hy**2
-    out = FaceField.zeros(grid)
-
-    gx = np.empty((grid.nx + 1, grid.ny + 2))
-    gx[:, 1:-1] = v.x
-    gx[:, 0] = -v.x[:, 0]
-    gx[:, -1] = -v.x[:, -1]
-    lap = (gx[:-2, 1:-1] - 2.0 * gx[1:-1, 1:-1] + gx[2:, 1:-1]) / hx2
-    lap += (gx[1:-1, :-2] - 2.0 * gx[1:-1, 1:-1] + gx[1:-1, 2:]) / hy2
-    out.x[1:-1, :] = lap
-
-    gy = np.empty((grid.nx + 2, grid.ny + 1))
-    gy[1:-1, :] = v.y
-    gy[0, :] = -v.y[0, :]
-    gy[-1, :] = -v.y[-1, :]
-    lap = (gy[:-2, 1:-1] - 2.0 * gy[1:-1, 1:-1] + gy[2:, 1:-1]) / hx2
-    lap += (gy[1:-1, :-2] - 2.0 * gy[1:-1, 1:-1] + gy[1:-1, 2:]) / hy2
-    out.y[:, 1:-1] = lap
-    return out
-
-
 def gradient_force(coeff_cells: np.ndarray, f: ScalarField) -> FaceField:
     """Face force (avg coeff) * grad f, e.g. the capillary term mu grad phi."""
     g = gradient_to_faces(f)

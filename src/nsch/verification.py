@@ -16,10 +16,16 @@ Five checks, each with a quantitative threshold:
                    of the reduced cost along seeded random directions.
 
 Random directions (``control.smooth_control_series``) are smooth,
-low-mode cosine series with coefficients drawn from a seeded generator and
-shaped to vanish on boundary normal faces; because the continuum field is
-fixed by the seed, the same direction can be re-sampled on a refined grid
-for convergence studies.
+low-mode cosine series of unit sup norm with coefficients drawn from a
+seeded generator and shaped to vanish on boundary normal faces; because
+the continuum field is fixed by the seed, the same direction can be
+re-sampled on a refined grid for convergence studies.
+
+The unforced base work is solved once per problem and shared by the
+checks: mass, energy, and the Frechet, duality and gradient bases read
+``ControlProblem.base``, duality and gradient its ``base_adjoint``, and
+Frechet and duality the seeded ``ControlProblem.sensitivity``.  Each check
+reports the same numbers whether it runs alone or after the others.
 """
 
 from __future__ import annotations
@@ -28,18 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import solve_adjoint
 from .control import ControlField, ControlProblem, evaluate_cost, reduced_gradient
-from .control import random_smooth_facefield, smooth_control_series  # the first re-exported
+from .control import random_smooth_facefield, smooth_control_series  # re-exported
 from .grid import ScalarField, face_inner, scalar_inner
-from .linearized import solve_linearized
-from .state import TimeSpec, Trajectory, energy_balance_residual, simulate, trapezoid_weights
+from .state import Trajectory, energy_balance_residual, simulate, trapezoid_weights
 
 FRECHET_EPSILONS = (1e-1, 5e-2, 2.5e-2)
 FRECHET_FLOOR_EPSILON = 1e-3
 GRADIENT_DIRECTIONS = 3
 GRADIENT_EPSILON = 1e-2
-DIRECTION_AMPLITUDE = 1.0  # sup norm of the seeded perturbation directions
 
 
 @dataclass
@@ -74,8 +77,7 @@ def phi_l2q_norm(fields: list[ScalarField], dt: float) -> float:
 
 
 def verify_mass(problem: ControlProblem) -> VerifyReport:
-    traj = problem.simulate(None)
-    means = np.array([s.phi.mean() for s in traj.states])
+    means = np.array([s.phi.mean() for s in problem.base.states])
     dev = float(np.abs(means - means[0]).max())
     passed = dev <= 1e-12
     return VerifyReport(
@@ -86,14 +88,16 @@ def verify_mass(problem: ControlProblem) -> VerifyReport:
 
 def verify_energy(problem: ControlProblem) -> VerifyReport:
     """Unforced decay of kinetic + free energy, and O(dt) balance defect."""
-    def run(ts: TimeSpec) -> tuple[Trajectory, float, float]:
-        traj = simulate(problem.v0, problem.phi0, None, ts, problem.params)
+    def measure(traj: Trajectory) -> tuple[float, float]:
         total = traj.diagnostics["kinetic"] + traj.diagnostics["energy"]
         max_increase = float(np.diff(total).max(initial=-np.inf))
-        return traj, max_increase, energy_balance_residual(traj)
+        return max_increase, energy_balance_residual(traj)
 
-    traj1, inc1, res1 = run(problem.time)
-    _, inc2, res2 = run(problem.time.refine())
+    traj1 = problem.base
+    inc1, res1 = measure(traj1)
+    inc2, res2 = measure(
+        simulate(problem.v0, problem.phi0, None, problem.time.refine(), problem.params)
+    )
     scale = abs(traj1.diagnostics["energy"][0]) + abs(traj1.diagnostics["kinetic"][0])
     mono_tol = 1e-11 * max(scale, 1.0)
     ratio = abs(res1) / max(abs(res2), 1e-300)
@@ -110,11 +114,9 @@ def verify_energy(problem: ControlProblem) -> VerifyReport:
 
 def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     """Linear shrink of the first-order Taylor defect of the state map."""
-    grid, time, params = problem.grid, problem.time, problem.params
+    grid, time, base = problem.grid, problem.time, problem.base
     u0 = ControlField.zeros(grid, time.n_steps)
-    base = problem.simulate(u0)
-    h = smooth_control_series(grid, time, seed, DIRECTION_AMPLITUDE)
-    lin = solve_linearized(base, h.fields, params)
+    h, lin = problem.sensitivity(seed)
 
     def defect(eps: float) -> float:
         pert = problem.simulate(u0.axpy(eps, h))
@@ -144,11 +146,8 @@ def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
 
 def duality_gap(problem: ControlProblem, seed: int = 0) -> dict:
     """Both sides of the adjoint/sensitivity pairing for a seeded direction."""
-    grid, time, params, cost = problem.grid, problem.time, problem.params, problem.cost
-    base = problem.simulate(None)
-    adj = solve_adjoint(base, cost, params)
-    h = smooth_control_series(grid, time, seed, DIRECTION_AMPLITUDE)
-    lin = solve_linearized(base, h.fields, params)
+    time, cost, base, adj = problem.time, problem.cost, problem.base, problem.base_adjoint
+    h, lin = problem.sensitivity(seed)
     dt = time.dt
 
     lhs = sum(
@@ -189,19 +188,18 @@ def verify_duality(
 
 def verify_gradient(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     """Adjoint gradient against central finite differences of the reduced cost."""
-    grid, time, params, cost = problem.grid, problem.time, problem.params, problem.cost
+    grid, time, cost = problem.grid, problem.time, problem.cost
     u0 = ControlField.zeros(grid, time.n_steps)
-    base = problem.simulate(u0)
-    adj = solve_adjoint(base, cost, params)
-    g = reduced_gradient(u0, adj, cost)
+    g = reduced_gradient(u0, problem.base_adjoint, cost)
     dt, eps = time.dt, GRADIENT_EPSILON
+
+    def reduced_cost(u: ControlField) -> float:
+        return evaluate_cost(problem.simulate(u), u, cost)[0]
 
     adj_dirs, fd_dirs, rel_errors = [], [], []
     for i in range(GRADIENT_DIRECTIONS):
-        h = smooth_control_series(grid, time, seed + 1000 * i + 7, DIRECTION_AMPLITUDE)
-        jp, _ = evaluate_cost(problem.simulate(u0.axpy(eps, h)), u0.axpy(eps, h), cost)
-        jm, _ = evaluate_cost(problem.simulate(u0.axpy(-eps, h)), u0.axpy(-eps, h), cost)
-        fd = (jp - jm) / (2.0 * eps)
+        h = smooth_control_series(grid, time, seed + 1000 * i + 7)
+        fd = (reduced_cost(u0.axpy(eps, h)) - reduced_cost(u0.axpy(-eps, h))) / (2.0 * eps)
         ad = g.inner_q(h, dt)
         adj_dirs.append(ad)
         fd_dirs.append(fd)

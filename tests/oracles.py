@@ -117,6 +117,31 @@ def loop_face_laplacian(vx, vy, hx, hy):
     return outx, outy
 
 
+def face_laplacian(vx, vy, hx, hy):
+    """Slice form of :func:`loop_face_laplacian`: the component-wise
+    Laplacian whose inverse ``mac.solve_face_helmholtz`` applies."""
+    nx, ny = vx.shape[0] - 1, vx.shape[1]
+    hx2, hy2 = hx**2, hy**2
+    outx, outy = np.zeros_like(vx), np.zeros_like(vy)
+
+    gx = np.empty((nx + 1, ny + 2))
+    gx[:, 1:-1] = vx
+    gx[:, 0] = -vx[:, 0]
+    gx[:, -1] = -vx[:, -1]
+    outx[1:-1, :] = (gx[:-2, 1:-1] - 2.0 * gx[1:-1, 1:-1] + gx[2:, 1:-1]) / hx2 + (
+        gx[1:-1, :-2] - 2.0 * gx[1:-1, 1:-1] + gx[1:-1, 2:]
+    ) / hy2
+
+    gy = np.empty((nx + 2, ny + 1))
+    gy[1:-1, :] = vy
+    gy[0, :] = -vy[0, :]
+    gy[-1, :] = -vy[-1, :]
+    outy[:, 1:-1] = (gy[:-2, 1:-1] - 2.0 * gy[1:-1, 1:-1] + gy[2:, 1:-1]) / hx2 + (
+        gy[1:-1, :-2] - 2.0 * gy[1:-1, 1:-1] + gy[1:-1, 2:]
+    ) / hy2
+    return outx, outy
+
+
 def loop_corner_shear(vx, vy, hx, hy):
     """(d vx / dy + d vy / dx) at the (nx+1, ny+1) grid nodes."""
     nx, ny = vx.shape[0] - 1, vx.shape[1]

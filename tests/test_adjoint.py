@@ -112,12 +112,6 @@ class TestStoredConsistency:
         for a in adj:
             assert divergence_of_faces(a.va).max_abs() < 1e-8
 
-    def test_pa_zero_mean(self, base_small, params):
-        cost = tracking_cost(base_small)
-        adj = solve_adjoint(base_small, cost, params)
-        for a in adj[:-1]:
-            assert abs(a.pa.mean()) < 1e-12 * max(1.0, a.pa.max_abs())
-
 
 class TestRestStateDecoupling:
     def test_constant_base_keeps_va_zero(self, params):
@@ -282,8 +276,8 @@ class TestMergedStep:
                         bubble_phase(grid) + random_scalar(grid, rng, 0.1), t, params)
             for t in (0.0, dt)
         )
-        adj1 = AdjointState(va=random_solenoidal(grid, rng), pa=ScalarField.zeros(grid),
-                            phia=random_scalar(grid, rng), time=dt, base=b1, params=params)
+        adj1 = AdjointState(va=random_solenoidal(grid, rng), phia=random_scalar(grid, rng),
+                            time=dt, base=b1, params=params)
         return b0, b1, adj1, random_scalar(grid, rng), dt
 
     def test_matches_term_by_term_formula(self, random_step, params):

@@ -299,7 +299,10 @@ class TestCli:
          ("simulate", {"init.radius": "-2"}, "init.radius"),
          ("simulate", {"init.preset": "stripe", "init.width": "-3"}, "init.width"),
          ("optimize", {"cost.target": "stripe", "init.width": "-3"}, "init.width"),
-         ("simulate", {"grid.lx": "1e-300"}, "grid: cell size lx/nx")],
+         ("simulate", {"grid.lx": "1e-300"}, "grid: cell size lx/nx"),
+         ("simulate", {"run.workers": "0"}, "run.workers must be at least 1, got 0"),
+         ("simulate", {"run.workers": "-3"}, "run.workers must be at least 1, got -3"),
+         ("simulate", {"output.snapshot_stride": "-1"}, "output.snapshot_stride must be nonnegative")],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, values, name):
         text = "\n".join(ln for ln in SMALL.splitlines() if ln.split(" =")[0] not in values)
@@ -403,6 +406,15 @@ class TestCli:
         assert [cfg["cost.target"] for cfg in built] == ["stripe"] * builds
         assert [cfg["grid.nx"] for cfg in built] == [12, 24][:builds]
 
+    def test_simulate_on_tiny_cells(self, tmp_path, capsys):
+        # the sixth-order phase symbol spans ~14 decades here; its constant
+        # mode must not be taken for a singular one
+        text = "grid.nx = 8\ngrid.ny = 8\ngrid.lx = 0.03\ngrid.ly = 0.03\ntime.T = 0.004\n"
+        rc = main(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        drift = re.search(r"mass drift (\S+),", capsys.readouterr().out)
+        assert float(drift.group(1)) <= 1e-12
+
     def test_reproducible_diagnostics(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL)
         rc1 = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o1")])
@@ -436,3 +448,58 @@ class TestConfigProperty:
         for value in cfg.values.values():
             if isinstance(value, float):
                 assert np.isfinite(value)
+
+
+def count_solves(monkeypatch) -> dict:
+    """Count the forward, adjoint and sensitivity solves, in every nsch
+    module that holds a binding of the solver."""
+    import nsch.adjoint
+    import nsch.linearized
+    import nsch.state
+
+    counts = {}
+    for owner, name in ((nsch.state, "simulate"), (nsch.adjoint, "solve_adjoint"),
+                        (nsch.linearized, "solve_linearized")):
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name == "nsch" or mod_name.startswith("nsch."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+class TestSharedBase:
+    @pytest.mark.parametrize(
+        "which, solves",
+        [("all", (13, 2, 2)), ("mass", (1, 0, 0)), ("energy", (2, 0, 0)),
+         ("frechet", (5, 0, 1)), ("duality", (2, 2, 2)), ("gradient", (7, 1, 0))],
+    )
+    def test_solve_counts(self, tmp_path, monkeypatch, which, solves):
+        counts = count_solves(monkeypatch)
+        assert main(["verify", which, "--config", write_cfg(tmp_path, SMALL)]) == 0
+        got = (counts["simulate"], counts["solve_adjoint"], counts["solve_linearized"])
+        assert got == solves
+
+    def test_shared_problem_gives_the_fresh_values(self, tmp_path):
+        cfg = RunConfig({**parse_config(write_cfg(tmp_path, SMALL)).values, "cost.target": "stripe"})
+        fine = refine_config(cfg)
+
+        def run(problem, which):
+            return verify(problem, which, seed=3, refined_problem=build_problem(fine)).values
+
+        fresh = {which: run(build_problem(cfg), which) for which in CHECKS}
+        for order in (tuple(CHECKS), tuple(reversed(CHECKS))):
+            shared = build_problem(cfg)
+            assert {which: run(shared, which) for which in order} == fresh
+
+    def test_problem_is_frozen(self, tmp_path):
+        problem = build_problem(parse_config(write_cfg(tmp_path, SMALL)))
+        with pytest.raises(AttributeError):
+            problem.cost = None
