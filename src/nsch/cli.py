@@ -43,7 +43,10 @@ def _load(args) -> cfgmod.RunConfig:
 
 def _outdir(cfg) -> str:
     path = cfg["output.dir"]
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.dir '{path}' cannot be used as a directory: {exc}") from exc
     return path
 
 

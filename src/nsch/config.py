@@ -125,20 +125,24 @@ def _coerce(key: str, val):
 
 def parse_config(path) -> RunConfig:
     """Read a ``section.key = value`` file; report line numbers on errors."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config file: {exc}") from exc
     raw: dict[str, object] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'section.key = value'")
-            key, val = (part.strip() for part in text.split("=", 1))
-            if "." not in key:
-                raise ConfigError(f"{path}:{lineno}: key '{key}' lacks a section prefix")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-            raw[key] = val
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'section.key = value'")
+        key, val = (part.strip() for part in text.split("=", 1))
+        if "." not in key:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' lacks a section prefix")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
+        raw[key] = val
     try:
         return RunConfig(raw)
     except ConfigError as exc:
@@ -205,7 +209,7 @@ def _read_snapshot(reader, key: str, path: str, grid: GridSpec):
         f = reader(path)[0]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{key} '{path}' is not a readable snapshot: {exc}") from exc
-    if (f.grid.nx, f.grid.ny) != (grid.nx, grid.ny):
+    if f.grid != grid:
         raise ConfigError(f"{key}: snapshot grid does not match configured grid")
     return f
 
@@ -231,9 +235,7 @@ def build_initial(cfg: RunConfig, grid: GridSpec) -> tuple[FaceField, ScalarFiel
 
 
 def build_bounds(cfg: RunConfig) -> ControlBounds:
-    bounds = ControlBounds(cfg["bounds.u_min"], cfg["bounds.u_max"])
-    bounds.validate()
-    return bounds
+    return ControlBounds(cfg["bounds.u_min"], cfg["bounds.u_max"])
 
 
 def build_optimizer_options(cfg: RunConfig) -> OptimizerOptions:
@@ -248,7 +250,6 @@ def build_optimizer_options(cfg: RunConfig) -> OptimizerOptions:
 def reference_control(cfg: RunConfig, grid: GridSpec, time: TimeSpec, bounds: ControlBounds) -> ControlField:
     """Seeded smooth admissible control used to manufacture tracking targets."""
     u = smooth_control_series(grid, time, cfg["cost.target_seed"], cfg["cost.target_amplitude"])
-    u.bounds = bounds
     return project_admissible(u, bounds)
 
 

@@ -14,10 +14,11 @@ step (t_n, t_{n+1}) on which u_n acts, so the left-endpoint value is the
 consistent representative of int h . va over the step (checked against
 per-face derivatives of the discrete cost in the test suite).
 
-The admissible set is a componentwise box; its L2 projection is the
-pointwise clamp (boundary normal faces are not control degrees of freedom
-and stay pinned at zero).  First-order stationarity is monitored through
-the fixed-point residual ||u - P(u - step*g)||_{L2(Q)}.
+The admissible set is a componentwise box owned by the ``ControlProblem``
+(a control field carries no bounds); its L2 projection is the pointwise
+clamp (boundary normal faces are not control degrees of freedom and stay
+pinned at zero).  First-order stationarity is monitored through the
+unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}.
 
 The seeded smooth control series (tracking targets, verification
 directions) are built here too, and a ``ControlProblem`` keeps its
@@ -42,45 +43,37 @@ from .linearized import LinearizedState, solve_linearized
 from .state import TimeSpec, Trajectory, simulate, trapezoid_weights
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlBounds:
     """Box bounds u_min <= u <= u_max, the same scalars for both components
-    at every face and step."""
+    at every face and step; an empty or NaN box is rejected here."""
 
     u_min: float = -1.0
     u_max: float = 1.0
 
-    def validate(self) -> None:
-        if self.u_min > self.u_max:
-            raise ConfigError("admissible set is empty: u_min exceeds u_max")
+    def __post_init__(self):
+        if not self.u_min <= self.u_max:
+            raise ConfigError(f"admissible set is empty: u_min exceeds u_max or is NaN ({self})")
 
 
 @dataclass
 class ControlField:
-    """Time series of face forces, one per step, with a bounds reference."""
+    """Time series of face forces, one per step."""
 
     grid: GridSpec
     fields: list[FaceField]
-    bounds: ControlBounds | None = None
 
     @classmethod
-    def zeros(cls, grid: GridSpec, n_steps: int, bounds: ControlBounds | None = None):
-        return cls(grid, [FaceField.zeros(grid) for _ in range(n_steps)], bounds)
+    def zeros(cls, grid: GridSpec, n_steps: int):
+        return cls(grid, [FaceField.zeros(grid) for _ in range(n_steps)])
 
     @property
     def n_steps(self) -> int:
         return len(self.fields)
 
-    def copy(self) -> "ControlField":
-        return ControlField(self.grid, [f.copy() for f in self.fields], self.bounds)
-
     def axpy(self, a: float, other: "ControlField") -> "ControlField":
         """Return self + a * other."""
-        return ControlField(
-            self.grid,
-            [f + a * g for f, g in zip(self.fields, other.fields)],
-            self.bounds,
-        )
+        return ControlField(self.grid, [f + a * g for f, g in zip(self.fields, other.fields)])
 
     def inner_q(self, other: "ControlField", dt: float) -> float:
         return dt * sum(face_inner(f, g) for f, g in zip(self.fields, other.fields))
@@ -155,7 +148,6 @@ class OptimizerOptions:
     max_iter: int = 50
     armijo_c1: float = 1e-4
     backtrack_max: int = 30
-    step0: float | None = None  # default 1/alpha3 if alpha3 > 0 else 1
 
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol >= 0):
@@ -287,10 +279,7 @@ def reduced_gradient(
         raise ConfigError(
             f"adjoint trajectory has {len(adj)} nodes, control has {u.n_steps} steps"
         )
-    fields = [
-        cost.alpha3 * u.fields[n] + adj[n].va for n in range(u.n_steps)
-    ]
-    return ControlField(u.grid, fields, u.bounds)
+    return ControlField(u.grid, [cost.alpha3 * u.fields[n] + adj[n].va for n in range(u.n_steps)])
 
 
 def project_admissible(u: ControlField, bounds: ControlBounds) -> ControlField:
@@ -304,16 +293,14 @@ def project_admissible(u: ControlField, bounds: ControlBounds) -> ControlField:
         FaceField(u.grid, np.clip(f.x, lo, hi), np.clip(f.y, lo, hi)).zero_boundary_normal()
         for f in u.fields
     ]
-    return ControlField(u.grid, out_fields, bounds)
+    return ControlField(u.grid, out_fields)
 
 
 def stationarity_residual(
-    u: ControlField, g: ControlField, bounds: ControlBounds, step: float, dt: float
+    u: ControlField, g: ControlField, bounds: ControlBounds, dt: float
 ) -> float:
-    """Fixed-point residual ||u - P(u - step*g)||_{L2(Q)}."""
-    if step <= 0:
-        raise ConfigError("stationarity step must be positive")
-    trial = project_admissible(u.axpy(-step, g), bounds)
+    """Unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}."""
+    trial = project_admissible(u.axpy(-1.0, g), bounds)
     return u.axpy(-1.0, trial).norm_q(dt)
 
 
@@ -335,81 +322,66 @@ def optimize(
     u0: ControlField | None = None,
     options: OptimizerOptions | None = None,
 ) -> tuple[ControlField, OptimReport]:
-    """Projected gradient descent with Armijo backtracking.
+    """Projected gradient descent with Armijo backtracking in the problem's box.
 
-    Accepts a trial step s when J(P(u - s g)) <= J(u) - c1 s ||g||^2;
-    stops (``OptimReport.reason``) when the unit-step fixed-point residual
-    falls below tol * ||g_0||, after max_iter accepted iterations, or when
+    Each line search starts from twice the last accepted step, capped at
+    the first trial step 1/alpha3 (1 when alpha3 = 0), and halves it until
+    J(P(u - s g)) <= J(u) - c1 s ||g||^2.  The loop stops
+    (``OptimReport.reason``) when the unit-step fixed-point residual falls
+    below tol * ||g_0||, after max_iter accepted iterations, or when
     backtrack_max halvings find no acceptable step.
     """
     opts = options or OptimizerOptions()
     cost, bounds, dt = problem.cost, problem.bounds, problem.time.dt
     require_unit_mobility(problem.params, "the optimizer")
-    bounds.validate()
+    report = OptimReport()
+
+    def evaluate(u: ControlField):
+        traj = problem.simulate(u)
+        report.n_simulations += 1
+        return (traj, *evaluate_cost(traj, u, cost))
 
     if u0 is None:
-        u0 = ControlField.zeros(problem.grid, problem.time.n_steps, bounds)
+        u0 = ControlField.zeros(problem.grid, problem.time.n_steps)
     u = project_admissible(u0, bounds)
-
-    report = OptimReport()
     report.max_bound_violation = bound_violation(u, bounds)
-    traj = problem.simulate(u)
-    report.n_simulations += 1
-    j, comps = evaluate_cost(traj, u, cost)
+    traj, j, comps = evaluate(u)
 
-    step0 = opts.step0
-    if step0 is None:
-        step0 = 1.0 / cost.alpha3 if cost.alpha3 > 0 else 1.0
-    s = step0
-
-    adj = solve_adjoint(traj, cost, problem.params)
-    g = reduced_gradient(u, adj, cost)
-    g_norm = g.norm_q(dt)
-    report.initial_grad_norm = g_norm
-    tol_abs = opts.tol * g_norm
-
-    last_step = 0.0
+    step0 = 1.0 / cost.alpha3 if cost.alpha3 > 0 else 1.0
+    s, last_step = step0, 0.0
     for it in range(opts.max_iter + 1):
-        residual = stationarity_residual(u, g, bounds, 1.0, dt)
+        g = reduced_gradient(u, solve_adjoint(traj, cost, problem.params), cost)
+        g_norm = g.norm_q(dt)
+        if it == 0:
+            report.initial_grad_norm = g_norm
+        residual = stationarity_residual(u, g, bounds, dt)
         report.add(
             iter=it, J=j, J_track=comps["track"], J_terminal=comps["terminal"],
             J_control=comps["control"], grad_norm=g_norm, stationarity=residual,
             step=last_step, accepted=1,
         )
-        if residual <= tol_abs:
+        if residual <= opts.tol * report.initial_grad_norm:
             report.reason = StopReason.CONVERGED
             return u, report
         if it == opts.max_iter:
             report.reason = StopReason.MAX_ITER
             return u, report
 
-        g_norm_sq = g_norm * g_norm
-        accepted = False
-        s_try = s
         for _ in range(opts.backtrack_max + 1):
-            u_trial = project_admissible(u.axpy(-s_try, g), bounds)
-            traj_trial = problem.simulate(u_trial)
-            report.n_simulations += 1
-            j_trial, comps_trial = evaluate_cost(traj_trial, u_trial, cost)
-            if j_trial <= j - opts.armijo_c1 * s_try * g_norm_sq:
-                accepted = True
+            u_trial = project_admissible(u.axpy(-s, g), bounds)
+            traj_trial, j_trial, comps_trial = evaluate(u_trial)
+            if j_trial <= j - opts.armijo_c1 * s * (g_norm * g_norm):
                 break
             report.add(
                 iter=it + 1, J=j_trial, J_track=comps_trial["track"],
                 J_terminal=comps_trial["terminal"], J_control=comps_trial["control"],
-                grad_norm=g_norm, stationarity=residual, step=s_try, accepted=0,
+                grad_norm=g_norm, stationarity=residual, step=s, accepted=0,
             )
-            s_try *= 0.5
-        if not accepted:
+            s *= 0.5
+        else:
             report.reason = StopReason.LINE_SEARCH_FAILED
             return u, report
 
         u, traj, j, comps = u_trial, traj_trial, j_trial, comps_trial
-        report.max_bound_violation = max(
-            report.max_bound_violation, bound_violation(u, bounds)
-        )
-        adj = solve_adjoint(traj, cost, problem.params)
-        g = reduced_gradient(u, adj, cost)
-        g_norm = g.norm_q(dt)
-        last_step = s_try
-        s = min(2.0 * s_try, step0)
+        report.max_bound_violation = max(report.max_bound_violation, bound_violation(u, bounds))
+        last_step, s = s, min(2.0 * s, step0)

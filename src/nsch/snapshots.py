@@ -11,6 +11,8 @@ x-faces ((nx+1)*ny values) then y-faces (nx*(ny+1) values).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .grid import FaceField, GridSpec, ScalarField
@@ -42,6 +44,14 @@ def _parse_header(line: bytes, expect_magic: str):
     return name, GridSpec(nx, ny, lx, ly), time
 
 
+def _read_payload(fh, count: int, kind: str) -> np.ndarray:
+    """The next ``count`` float64 values of ``fh``; the size the header
+    claims is checked against the bytes left before anything is read."""
+    if 8 * count > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"truncated {kind} snapshot payload")
+    return np.frombuffer(fh.read(8 * count), dtype="<f8")
+
+
 def write_scalar(path, f: ScalarField, name: str, time: float = 0.0) -> None:
     with open(path, "wb") as fh:
         fh.write(_header(_MAGIC_SCALAR, name, f.grid, time))
@@ -51,9 +61,7 @@ def write_scalar(path, f: ScalarField, name: str, time: float = 0.0) -> None:
 def read_scalar(path) -> tuple[ScalarField, str, float]:
     with open(path, "rb") as fh:
         name, grid, time = _parse_header(fh.readline(), _MAGIC_SCALAR)
-        data = np.frombuffer(fh.read(8 * grid.nx * grid.ny), dtype="<f8")
-        if data.size != grid.nx * grid.ny:
-            raise ValueError("truncated scalar snapshot payload")
+        data = _read_payload(fh, grid.nx * grid.ny, "scalar")
     return ScalarField(grid, data.reshape(grid.nx, grid.ny).copy()), name, time
 
 
@@ -69,9 +77,7 @@ def read_face(path) -> tuple[FaceField, str, float]:
         name, grid, time = _parse_header(fh.readline(), _MAGIC_FACE)
         nxf = (grid.nx + 1) * grid.ny
         nyf = grid.nx * (grid.ny + 1)
-        raw = np.frombuffer(fh.read(8 * (nxf + nyf)), dtype="<f8")
-        if raw.size != nxf + nyf:
-            raise ValueError("truncated face snapshot payload")
+        raw = _read_payload(fh, nxf + nyf, "face")
     x = raw[:nxf].reshape(grid.nx + 1, grid.ny).copy()
     y = raw[nxf:].reshape(grid.nx, grid.ny + 1).copy()
     return FaceField(grid, x, y), name, time
@@ -91,8 +97,6 @@ def write_diagnostics_csv(path, traj: Trajectory) -> None:
 
 def write_trajectory_snapshots(outdir, traj: Trajectory, stride: int = 1) -> list[str]:
     """Write per-node phi/velocity snapshots every ``stride`` nodes."""
-    import os
-
     paths = []
     for n, s in enumerate(traj.states):
         if n % stride:

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mac
-from .constitutive import PhysParams, constraint_integrals, mu_of_phi, omega_of_phi
+from .constitutive import PhysParams, free_energy, mu_of_phi, omega_of_phi
 from .errors import BlowUpError, ConfigError
 from .grid import (
     FaceField,
@@ -248,11 +248,8 @@ def _node_state(v, p, phi, t, params) -> State:
 def _node_diagnostics(state: State, params: PhysParams) -> tuple[float, ...]:
     phi, v = state.phi, state.v
     vol = phi.grid.cell_volume
-    # one gradient of phi: gl = eta * B(phi), bending from the stored omega
-    mass, area = constraint_integrals(phi)
-    willmore = 0.5 * (state.omega.values**2).sum() * vol
-    gl = params.eta * area
-    energy = willmore + gl
+    mass = float(phi.values.sum() * vol)
+    energy, willmore, gl = free_energy(phi, params)
     kinetic = 0.5 * face_inner(v, v)
     nu, _ = params.viscosity(phi.values)
     diss_v = (2.0 * nu * mac.strain_contraction(v, v)).sum() * vol

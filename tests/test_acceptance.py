@@ -204,7 +204,7 @@ def test_criterion_09_projection_properties(optimizer_run, rng):
     bounds = ControlBounds(-1.0, 1.0)
 
     # idempotence exact
-    u = ControlField(grid, [random_face(grid, rng, scale=3.0)], bounds)
+    u = ControlField(grid, [random_face(grid, rng, scale=3.0)])
     p1 = project_admissible(u, bounds)
     p2 = project_admissible(p1, bounds)
     idem = max(
@@ -217,8 +217,8 @@ def test_criterion_09_projection_properties(optimizer_run, rng):
     pair_rng = np.random.default_rng(2024)
     expansive = 0
     for _ in range(1000):
-        a = ControlField(small, [random_face(small, pair_rng, scale=2.0)], bounds)
-        b = ControlField(small, [random_face(small, pair_rng, scale=2.0)], bounds)
+        a = ControlField(small, [random_face(small, pair_rng, scale=2.0)])
+        b = ControlField(small, [random_face(small, pair_rng, scale=2.0)])
         pa = project_admissible(a, bounds)
         pb = project_admissible(b, bounds)
         if pa.axpy(-1.0, pb).norm_q(1.0) > a.axpy(-1.0, b).norm_q(1.0) + 1e-14:

@@ -7,13 +7,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsch.cli import build_parser, main
 from nsch.config import (
     _DEFAULTS,
     RunConfig,
+    _read_snapshot,
     build_initial,
     build_grid,
     build_params,
@@ -23,6 +24,7 @@ from nsch.config import (
     refine_config,
 )
 from nsch.errors import ConfigError
+from nsch.snapshots import read_face, read_scalar
 from nsch.verification import CHECKS, verify
 
 
@@ -311,6 +313,21 @@ class TestCli:
         assert rc == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "out_is_a_file"])
+    def test_bad_path_exit_2(self, tmp_path, capsys, case):
+        cfg, out = write_cfg(tmp_path, SMALL), str(tmp_path / "out")
+        if case == "missing":
+            cfg = str(tmp_path / "nonexistent.cfg")
+        elif case == "directory":
+            cfg = str(tmp_path)
+        elif case == "not_utf8":
+            (tmp_path / "run.cfg").write_bytes(SMALL.encode() + b"# \xff\n")
+        else:
+            out = cfg
+        rc = main(["simulate", "--config", cfg, "--out", out])
+        assert rc == 2
+        assert ("output.dir" if case == "out_is_a_file" else cfg) in capsys.readouterr().err
+
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL)
         rc = main(["verify", "frechet", "--config", cfg, "--seed", "-1"])
@@ -448,6 +465,46 @@ class TestConfigProperty:
         for value in cfg.values.values():
             if isinstance(value, float):
                 assert np.isfinite(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.sampled_from(["init.phi_path", "init.v_path"]),
+        header=st.one_of(
+            st.binary(max_size=48),
+            st.tuples(
+                st.sampled_from(["NSCHF", "NSCHV"]), st.sampled_from(["1", "2"]),
+                st.one_of(st.just(4), st.integers(-1, 10**7)),
+                st.one_of(st.just(4), st.integers(-1, 10**7)),
+                st.one_of(st.just(8.0), st.floats()),
+            ).map(lambda t: "{} {} f {} {} {!r} 8.0 0.0".format(*t).encode()),
+        ),
+        # 128 and 320 bytes are the scalar and face payloads on 4x4 cells
+        payload=st.one_of(
+            st.binary(max_size=512),
+            st.sampled_from([128, 320]).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+        ),
+    )
+    @example(key="init.phi_path", header=b"NSCHF 1 phi 1000000 1000000 1.0 1.0 0.0", payload=b"")
+    @example(key="init.v_path", header=b"NSCHV 1 v 1000000 1000000 1.0 1.0 0.0", payload=b"")
+    @example(key="init.phi_path", header=b"NSCHF 1 phi 4 4 8.0 8.0 0.0", payload=bytes(128))
+    @example(key="init.v_path", header=b"NSCHV 1 v 4 4 8.0 8.0 0.0", payload=bytes(320))
+    def test_snapshot_bytes_config_error_or_field(self, tmp_path_factory, key, header, payload):
+        """Any snapshot file is refused with a ConfigError, before a payload
+        larger than the file is read, or gives a field on the configured grid."""
+        grid = build_grid(RunConfig({"grid.nx": 4, "grid.ny": 4, "grid.lx": 8.0, "grid.ly": 8.0}))
+        path = tmp_path_factory.getbasetemp() / "fuzz.snapshot"
+        path.write_bytes(header + b"\n" + payload)
+        reader = read_scalar if key == "init.phi_path" else read_face
+        try:
+            f = _read_snapshot(reader, key, str(path), grid)
+        except ConfigError as exc:
+            assert key in str(exc)
+            return
+        assert f.grid == grid
+        if key == "init.phi_path":
+            assert f.values.shape == (4, 4)
+        else:
+            assert (f.x.shape, f.y.shape) == ((5, 4), (4, 5))
 
 
 def count_solves(monkeypatch) -> dict:

@@ -1,10 +1,11 @@
 """Cost, reduced gradient, projection and the projected-gradient loop."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from nsch import control
 from nsch import (
     ConfigError,
     ControlBounds,
@@ -179,17 +180,17 @@ class TestReducedGradient:
 class TestProjection:
     def test_componentwise_clamp(self, params):
         grid = GridSpec(6, 6, 1.0, 1.0)
-        u = ControlField.zeros(grid, 1, ControlBounds(-1.0, 1.0))
+        u = ControlField.zeros(grid, 1)
         u.fields[0].x[2, 2] = 1.5
         u.fields[0].y[2, 2] = -0.3
-        p = project_admissible(u, u.bounds)
+        p = project_admissible(u, ControlBounds(-1.0, 1.0))
         assert p.fields[0].x[2, 2] == 1.0
         assert p.fields[0].y[2, 2] == -0.3
 
     def test_idempotent(self, params, rng):
         grid = GridSpec(6, 6, 1.0, 1.0)
         bounds = ControlBounds(-0.5, 0.25)
-        u = ControlField(grid, [random_face(grid, rng, scale=2.0) for _ in range(3)], bounds)
+        u = ControlField(grid, [random_face(grid, rng, scale=2.0) for _ in range(3)])
         p1 = project_admissible(u, bounds)
         p2 = project_admissible(p1, bounds)
         for a, b in zip(p1.fields, p2.fields):
@@ -201,15 +202,23 @@ class TestProjection:
         bounds = ControlBounds(-0.7, 0.4)
         dt = 0.1
         for _ in range(200):
-            a = ControlField(grid, [random_face(grid, rng, scale=2.0)], bounds)
-            b = ControlField(grid, [random_face(grid, rng, scale=2.0)], bounds)
+            a = ControlField(grid, [random_face(grid, rng, scale=2.0)])
+            b = ControlField(grid, [random_face(grid, rng, scale=2.0)])
             pa = project_admissible(a, bounds)
             pb = project_admissible(b, bounds)
             assert pa.axpy(-1.0, pb).norm_q(dt) <= a.axpy(-1.0, b).norm_q(dt) + 1e-14
 
     def test_empty_box_rejected(self):
         with pytest.raises(ConfigError, match="u_min exceeds u_max"):
-            ControlBounds(1.0, -1.0).validate()
+            ControlBounds(1.0, -1.0)
+
+    def test_bounds_checked_at_construction_and_frozen(self):
+        for u_min, u_max in ((1.0, -1.0), (float("nan"), 1.0), (-1.0, float("nan"))):
+            with pytest.raises(ConfigError, match="admissible set is empty"):
+                ControlBounds(u_min, u_max)
+        bounds = ControlBounds(-0.5, 0.5)
+        with pytest.raises(FrozenInstanceError):
+            bounds.u_min = 1.0
 
 
 class TestStationarity:
@@ -217,16 +226,10 @@ class TestStationarity:
         grid = GridSpec(6, 6, 1.0, 1.0)
         bounds = ControlBounds(-1.0, 1.0)
         u = project_admissible(
-            ControlField(grid, [random_face(grid, rng, scale=0.5)], bounds), bounds
+            ControlField(grid, [random_face(grid, rng, scale=0.5)]), bounds
         )
         g = ControlField.zeros(grid, 1)
-        assert stationarity_residual(u, g, bounds, 1.0, 0.1) == 0.0
-
-    def test_positive_step_required(self, params):
-        grid = GridSpec(6, 6, 1.0, 1.0)
-        u = ControlField.zeros(grid, 1)
-        with pytest.raises(ConfigError):
-            stationarity_residual(u, u, ControlBounds(), 0.0, 0.1)
+        assert stationarity_residual(u, g, bounds, 0.1) == 0.0
 
 
 class TestOptimize:
@@ -235,7 +238,6 @@ class TestOptimize:
         u0 = ControlField(
             problem.grid,
             [random_face(problem.grid, rng, scale=0.3) for _ in range(problem.time.n_steps)],
-            problem.bounds,
         )
         u, rep = optimize(problem, u0, OptimizerOptions(tol=1e-10, max_iter=5))
         assert rep.reason is StopReason.CONVERGED
@@ -244,7 +246,7 @@ class TestOptimize:
 
     def test_stationary_start_returns_immediately(self, params):
         problem = small_problem(params, alpha1=0.0, alpha2=0.0, alpha3=1.0)
-        u0 = ControlField.zeros(problem.grid, problem.time.n_steps, problem.bounds)
+        u0 = ControlField.zeros(problem.grid, problem.time.n_steps)
         u, rep = optimize(problem, u0, OptimizerOptions(tol=1e-6, max_iter=5))
         assert rep.reason is StopReason.CONVERGED
         assert rep.n_simulations == 1
@@ -265,9 +267,33 @@ class TestOptimize:
 
     def test_line_search_failure_reported(self, params):
         problem = small_problem(params, alpha3=1e-6, T=0.004)
-        opts = OptimizerOptions(tol=1e-12, max_iter=3, backtrack_max=0, step0=1e12)
+        opts = OptimizerOptions(tol=1e-12, max_iter=3, backtrack_max=0)
         u, rep = optimize(problem, None, opts)
         assert rep.reason is StopReason.LINE_SEARCH_FAILED
+
+    @pytest.mark.parametrize(
+        "opts, reason",
+        [(OptimizerOptions(tol=1e-2, max_iter=20), StopReason.CONVERGED),
+         (OptimizerOptions(tol=1e-12, max_iter=1), StopReason.MAX_ITER),
+         (OptimizerOptions(tol=1e-12, max_iter=3, backtrack_max=0), StopReason.LINE_SEARCH_FAILED)],
+    )
+    def test_solve_counts(self, params, monkeypatch, opts, reason):
+        # one forward solve per trial, one adjoint per accepted iterate
+        calls = {"forward": 0, "adjoint": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(control, "simulate", counted("forward", control.simulate))
+        monkeypatch.setattr(control, "solve_adjoint", counted("adjoint", control.solve_adjoint))
+        _, rep = optimize(small_problem(params, alpha3=1e-6, T=0.004), None, opts)
+        accepted = len(rep.accepted_J()) - 1
+        assert rep.reason is reason
+        assert rep.n_simulations == calls["forward"] == len(rep.rows)
+        assert calls["adjoint"] == accepted + 1
 
     def test_mobility_guardrail(self):
         problem = replace(small_problem(PhysParams()), params=PhysParams(mob_amp=0.5))
