@@ -20,6 +20,15 @@ clamp (boundary normal faces are not control degrees of freedom and stay
 pinned at zero).  First-order stationarity is monitored through the
 unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}.
 
+The optimizer is spectral projected gradient (Barzilai & Borwein, IMA J.
+Numer. Anal. 8, 1988; Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000):
+each line search starts from the BB2 step <du, dg>_Q / <dg, dg>_Q of the
+last iterate pair, capped at step0 = 1/alpha3 (1 when alpha3 = 0).  The
+first line search starts from step0, and one after a pair with
+<du, dg>_Q <= 0 from twice the last accepted step, capped at step0.
+Trials are halved until the Armijo test on the projected step,
+J(u_s) <= J(u) - c1 <g, u - u_s>_Q, holds.
+
 The seeded smooth control series (tracking targets, verification
 directions) are built here too, and a ``ControlProblem`` keeps its
 unforced trajectory, its adjoint and its seeded sensitivities, each
@@ -322,14 +331,24 @@ def optimize(
     u0: ControlField | None = None,
     options: OptimizerOptions | None = None,
 ) -> tuple[ControlField, OptimReport]:
-    """Projected gradient descent with Armijo backtracking in the problem's box.
+    """Spectral projected gradient descent with Armijo backtracking in the
+    problem's box.
 
-    Each line search starts from twice the last accepted step, capped at
-    the first trial step 1/alpha3 (1 when alpha3 = 0), and halves it until
-    J(P(u - s g)) <= J(u) - c1 s ||g||^2.  The loop stops
-    (``OptimReport.reason``) when the unit-step fixed-point residual falls
-    below tol * ||g_0||, after max_iter accepted iterations, or when
-    backtrack_max halvings find no acceptable step.
+    Each line search starts from the Barzilai-Borwein (BB2) step
+    <du, dg>_Q / <dg, dg>_Q, with du = u_k - u_{k-1} and dg = g_k - g_{k-1},
+    capped at step0 = 1/alpha3 (1 when alpha3 = 0).  The first line search
+    starts from step0, and one after a pair with <du, dg>_Q <= 0 from twice
+    the last accepted step, capped at step0.  The step is halved until the
+    projected trial u_s = P(u - s g) passes the Armijo test
+    J(u_s) <= J(u) - c1 <g, u - u_s>_Q, which is J(u) - c1 s ||g||^2
+    where no bound is active.  The loop stops (``OptimReport.reason``) when
+    the unit-step fixed-point residual falls below tol * ||g_0||, after
+    max_iter accepted iterations, or when backtrack_max halvings find no
+    acceptable step.
+
+    A line search holds one trajectory at a time: the accepted trajectory
+    is released once its gradient is formed, a rejected trial before the
+    next one is simulated.
     """
     opts = options or OptimizerOptions()
     cost, bounds, dt = problem.cost, problem.bounds, problem.time.dt
@@ -349,8 +368,14 @@ def optimize(
 
     step0 = 1.0 / cost.alpha3 if cost.alpha3 > 0 else 1.0
     s, last_step = step0, 0.0
+    u_prev = g_prev = None
     for it in range(opts.max_iter + 1):
         g = reduced_gradient(u, solve_adjoint(traj, cost, problem.params), cost)
+        traj = None
+        if u_prev is not None:
+            bb = _bb2_step(u, u_prev, g, g_prev, dt)
+            u_prev = g_prev = None
+            s = min(2.0 * last_step if bb is None else bb, step0)
         g_norm = g.norm_q(dt)
         if it == 0:
             report.initial_grad_norm = g_norm
@@ -370,18 +395,30 @@ def optimize(
         for _ in range(opts.backtrack_max + 1):
             u_trial = project_admissible(u.axpy(-s, g), bounds)
             traj_trial, j_trial, comps_trial = evaluate(u_trial)
-            if j_trial <= j - opts.armijo_c1 * s * (g_norm * g_norm):
+            if j_trial <= j - opts.armijo_c1 * g.inner_q(u.axpy(-1.0, u_trial), dt):
                 break
             report.add(
                 iter=it + 1, J=j_trial, J_track=comps_trial["track"],
                 J_terminal=comps_trial["terminal"], J_control=comps_trial["control"],
                 grad_norm=g_norm, stationarity=residual, step=s, accepted=0,
             )
+            u_trial = traj_trial = None
             s *= 0.5
         else:
             report.reason = StopReason.LINE_SEARCH_FAILED
             return u, report
 
+        u_prev, g_prev, last_step = u, g, s
         u, traj, j, comps = u_trial, traj_trial, j_trial, comps_trial
+        u_trial = traj_trial = None
         report.max_bound_violation = max(report.max_bound_violation, bound_violation(u, bounds))
-        last_step, s = s, min(2.0 * s, step0)
+
+
+def _bb2_step(
+    u: ControlField, u_prev: ControlField, g: ControlField, g_prev: ControlField, dt: float
+) -> float | None:
+    """Barzilai-Borwein step <du, dg>_Q / <dg, dg>_Q of the last iterate pair,
+    or None when <du, dg>_Q <= 0 (no positive curvature along du)."""
+    du, dg = u.axpy(-1.0, u_prev), g.axpy(-1.0, g_prev)
+    curvature = du.inner_q(dg, dt)
+    return curvature / dg.inner_q(dg, dt) if curvature > 0 else None

@@ -26,6 +26,7 @@ from nsch.control import (
     ControlBounds,
     ControlField,
     OptimizerOptions,
+    StopReason,
     optimize,
     project_admissible,
 )
@@ -196,6 +197,14 @@ def test_criterion_08_optimizer(optimizer_run):
         f"residual {residual:.2e} <= 1e-3*|g0| = {target:.2e} "
         f"({rep.reason} after {len(accepted) - 1} accepted steps)",
     )
+
+
+def test_optimizer_forward_solve_budget(optimizer_run):
+    # the criterion-8 run, held to a forward-solve budget; it shares the
+    # module fixture because a second run would double the suite's cost
+    _, _, rep = optimizer_run
+    assert rep.reason is StopReason.CONVERGED
+    assert rep.n_simulations <= 60
 
 
 def test_criterion_09_projection_properties(optimizer_run, rng):

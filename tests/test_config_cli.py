@@ -274,7 +274,10 @@ class TestCli:
         assert name in capsys.readouterr().err
 
     def test_line_search_failure_exit_1(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SMALL + "optimizer.backtrack = 0\noptimizer.tol = 1e-12\n")
+        cfg = write_cfg(
+            tmp_path,
+            SMALL + "optimizer.backtrack = 0\noptimizer.tol = 1e-12\noptimizer.armijo_c1 = 0.999\n",
+        )
         rc = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
         out = capsys.readouterr().out

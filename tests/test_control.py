@@ -1,5 +1,6 @@
 """Cost, reduced gradient, projection and the projected-gradient loop."""
 
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -47,6 +48,29 @@ def small_problem(params, alpha1=1.0, alpha2=1.0, alpha3=0.1, n=8, T=0.004, dt=1
         cost=cost,
         bounds=ControlBounds(-1.0, 1.0),
     )
+
+
+def record_iterates(monkeypatch):
+    """Record the (u, g) pair of every gradient ``optimize`` forms."""
+    pairs = []
+
+    def recorded(u, adj, cost):
+        g = real(u, adj, cost)
+        pairs.append((u, g))
+        return g
+
+    real = control.reduced_gradient
+    monkeypatch.setattr(control, "reduced_gradient", recorded)
+    return pairs
+
+
+def first_trial_steps(rep):
+    """The first trial step of each line search, in order."""
+    first = {}
+    for row in rep.rows:
+        if row[0] > 0:
+            first.setdefault(row[0] - 1, row[7])
+    return [first[k] for k in sorted(first)]
 
 
 class TestEvaluateCost:
@@ -267,7 +291,7 @@ class TestOptimize:
 
     def test_line_search_failure_reported(self, params):
         problem = small_problem(params, alpha3=1e-6, T=0.004)
-        opts = OptimizerOptions(tol=1e-12, max_iter=3, backtrack_max=0)
+        opts = OptimizerOptions(tol=1e-12, max_iter=3, backtrack_max=0, armijo_c1=0.999)
         u, rep = optimize(problem, None, opts)
         assert rep.reason is StopReason.LINE_SEARCH_FAILED
 
@@ -275,7 +299,8 @@ class TestOptimize:
         "opts, reason",
         [(OptimizerOptions(tol=1e-2, max_iter=20), StopReason.CONVERGED),
          (OptimizerOptions(tol=1e-12, max_iter=1), StopReason.MAX_ITER),
-         (OptimizerOptions(tol=1e-12, max_iter=3, backtrack_max=0), StopReason.LINE_SEARCH_FAILED)],
+         (OptimizerOptions(tol=1e-12, max_iter=3, backtrack_max=0, armijo_c1=0.999),
+          StopReason.LINE_SEARCH_FAILED)],
     )
     def test_solve_counts(self, params, monkeypatch, opts, reason):
         # one forward solve per trial, one adjoint per accepted iterate
@@ -294,6 +319,69 @@ class TestOptimize:
         assert rep.reason is reason
         assert rep.n_simulations == calls["forward"] == len(rep.rows)
         assert calls["adjoint"] == accepted + 1
+
+    def test_armijo_on_the_projected_step(self, params):
+        # after one step the iterate is stationary with active bounds: the
+        # projected step is tiny while |g| is not, so only a decrease
+        # measured on the projected step can be met
+        problem = small_problem(params, alpha3=1e-6, T=0.006)
+        _, rep = optimize(problem, None, OptimizerOptions(tol=1e-6, max_iter=4))
+        assert rep.reason is StopReason.CONVERGED
+        assert rep.n_simulations == 3
+
+    def test_doubling_fallback_without_positive_curvature(self, params, monkeypatch):
+        # a long horizon and a wide box reach iterate pairs with <du, dg> < 0
+        problem = small_problem(params, alpha1=0.0, alpha3=1e-6, T=1.0, dt=0.05)
+        problem = replace(problem, bounds=ControlBounds(-10.0, 10.0))
+        iterates = record_iterates(monkeypatch)
+        _, rep = optimize(problem, None, OptimizerOptions(tol=1e-5, max_iter=6))
+        dt, step0 = problem.time.dt, 1.0 / problem.cost.alpha3
+        first = first_trial_steps(rep)
+        accepted = {row[0]: row[7] for row in rep.rows if row[8]}
+        assert first[0] == step0
+        fallbacks = 0
+        for k in range(1, len(first)):
+            (u0, g0), (u1, g1) = iterates[k - 1], iterates[k]
+            du, dg = u1.axpy(-1.0, u0), g1.axpy(-1.0, g0)
+            curvature = du.inner_q(dg, dt)
+            if curvature > 0:
+                bb = curvature / dg.inner_q(dg, dt)
+                assert first[k] == pytest.approx(min(bb, step0), rel=1e-12)
+            else:
+                fallbacks += 1
+                assert first[k] == min(2.0 * accepted[k], step0)
+        assert fallbacks >= 1
+
+    def test_trial_steps_capped_at_step0(self, params, monkeypatch):
+        # with alpha3 = 0 the tracking curvature is tiny, so the BB steps are
+        # far above step0 = 1
+        problem = small_problem(params, alpha3=0.0)
+        iterates = record_iterates(monkeypatch)
+        _, rep = optimize(problem, None, OptimizerOptions(tol=1e-8, max_iter=3))
+        dt = problem.time.dt
+        (u0, g0), (u1, g1) = iterates[:2]
+        du, dg = u1.axpy(-1.0, u0), g1.axpy(-1.0, g0)
+        assert du.inner_q(dg, dt) / dg.inner_q(dg, dt) > 1.0
+        assert max(row[7] for row in rep.rows) == 1.0
+
+    def test_one_trajectory_alive_per_forward_solve(self, params, monkeypatch):
+        # the accepted trajectory and every rejected trial are released
+        # before the next forward solve starts
+        refs, alive_at_start = [], []
+
+        def tracked(*args, **kwargs):
+            alive_at_start.append(sum(ref() is not None for ref in refs))
+            traj = real(*args, **kwargs)
+            refs.append(weakref.ref(traj))
+            return traj
+
+        real = control.simulate
+        monkeypatch.setattr(control, "simulate", tracked)
+        problem = small_problem(params, alpha3=0.1)
+        _, rep = optimize(problem, None, OptimizerOptions(tol=1e-8, max_iter=4))
+        assert any(row[8] == 0 for row in rep.rows)
+        assert len(alive_at_start) == rep.n_simulations > 2
+        assert alive_at_start == [0] * rep.n_simulations
 
     def test_mobility_guardrail(self):
         problem = replace(small_problem(PhysParams()), params=PhysParams(mob_amp=0.5))
