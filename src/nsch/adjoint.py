@@ -39,11 +39,10 @@ with the trapezoid weight of the cost quadrature (the half-weighted final
 node rides along with the terminal data during the first backward step;
 the stored terminal state carries the plain terminal condition).
 
-Each node stores (va, phia) and its base state; mua and omegaa are built
-on first read, and the adjoint pressure pa, which no reader needs, is not
-kept (the two projections' pressures are dropped).  The step never needs
-mua or omegaa, and it takes each Laplacian once (linearity merges the
-terms that share z and Lap(z)).
+Each node stores only (va, phia): no reader needs mua, omegaa or the
+adjoint pressure pa (the two projections' pressures are dropped).  The step
+never forms mua or omegaa, and it takes each Laplacian once (linearity
+merges the terms that share z and Lap(z)).
 
 This realizes the continuous adjoint system rather than the exact
 transpose of the discrete forward map: the velocity advection stencils are
@@ -53,8 +52,7 @@ up to discretization error, which the verification suite measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 from . import mac
 from .constitutive import CostSpec, PhysParams, potential_fp, potential_fpp
@@ -65,21 +63,11 @@ from .state import State, Trajectory, check_finite, phase_solve, trapezoid_weigh
 
 @dataclass
 class AdjointState:
-    """Adjoint tuple at one time node: va and phia are stored with the node's
-    base state; mua and omegaa are computed on first read and cached."""
+    """Adjoint velocity and phase field at one time node."""
 
     va: FaceField
     phia: ScalarField
     time: float
-    base: State = field(repr=False)
-    params: PhysParams = field(repr=False)
-
-    @cached_property
-    def _potentials(self) -> tuple[ScalarField, ScalarField]:
-        return _adjoint_potentials(self.phia, self.va, self.base, self.params)
-
-    mua = property(lambda self: self._potentials[0])
-    omegaa = property(lambda self: self._potentials[1])
 
 
 def require_unit_mobility(params: PhysParams, context: str) -> None:
@@ -92,27 +80,11 @@ def require_unit_mobility(params: PhysParams, context: str) -> None:
         )
 
 
-def _adjoint_potentials(
-    phia: ScalarField, va: FaceField, base: State, params: PhysParams
-) -> tuple[ScalarField, ScalarField]:
-    grid = phia.grid
-    grad_phi_va = advect_scalar(va, base.phi)
-    mua = ScalarField(grid, -laplacian(phia).values - grad_phi_va.values)
-    omegaa = ScalarField(
-        grid,
-        -laplacian(mua).values + (potential_fp(base.phi.values) + params.eta) * mua.values,
-    )
-    return mua, omegaa
-
-
-def adjoint_terminal(
-    phi_t: ScalarField, cost: CostSpec, base_final: State, params: PhysParams
-) -> AdjointState:
+def adjoint_terminal(phi_t: ScalarField, cost: CostSpec, time: float) -> AdjointState:
     """Terminal condition: va(T) = 0, phia(T) = alpha2 (phi(T) - phi_Omega)."""
     grid = phi_t.grid
-    va = FaceField.zeros(grid)
     phia = ScalarField(grid, cost.alpha2 * (phi_t.values - cost.phi_omega.values))
-    return AdjointState(va=va, phia=phia, time=base_final.time, base=base_final, params=params)
+    return AdjointState(va=FaceField.zeros(grid), phia=phia, time=time)
 
 
 def _chain_transpose(chi: ScalarField, base: State, params: PhysParams) -> ScalarField:
@@ -186,7 +158,7 @@ def adjoint_step(
     adv = mac.momentum_advection(v_n, y)
     stretch = mac.transpose_gradient_term(v_n, y)
     va_n, _ = project_divergence_free(y + dt * (visc + adv - stretch), dt)
-    return AdjointState(va=va_n, phia=phia_n, time=base_n.time, base=base_n, params=params)
+    return AdjointState(va=va_n, phia=phia_n, time=base_n.time)
 
 
 def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[AdjointState]:
@@ -208,10 +180,10 @@ def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[
     def source(n: int) -> ScalarField | None:
         if cost.alpha1 == 0.0:
             return None
-        misfit = base.states[n].phi - cost.phi_q_at(n)
+        misfit = base.states[n].phi - cost.phi_q[n]
         return ScalarField(base.grid, cost.alpha1 * weights[n] * misfit.values)
 
-    terminal = adjoint_terminal(base.final.phi, cost, base.final, params)
+    terminal = adjoint_terminal(base.final.phi, cost, base.final.time)
     out = [terminal]
 
     # the half-weighted final tracking node rides along with the terminal

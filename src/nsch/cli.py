@@ -33,9 +33,9 @@ from .snapshots import write_diagnostics_csv, write_face, write_trajectory_snaps
 from .verification import CHECKS, verify
 
 
-def _load(args) -> cfgmod.RunConfig:
+def _load(args, seed: int | None = None) -> cfgmod.RunConfig:
     cfg = cfgmod.parse_config(args.config)
-    overrides = {"run.seed": args.seed, "output.dir": args.out}
+    overrides = {"run.seed": seed, "output.dir": args.out}
     cfg = cfgmod.RunConfig({**cfg.values, **{k: v for k, v in overrides.items() if v is not None}})
     set_fft_workers(workers_from_env(cfg["run.workers"]))
     return cfg
@@ -108,7 +108,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, args.seed)
     if cfg["cost.target"] == "tracking":
         # identity checks need a non-degenerate misfit; self-generated
         # tracking targets make both sides of the pairing nearly zero.  Mass
@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.set_defaults(fn=fn)
     pv = sub.add_parser("verify")
     pv.add_argument("which", choices=(*CHECKS, "all"))

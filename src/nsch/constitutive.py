@@ -199,9 +199,6 @@ class CostSpec:
                 "A6 violated: tracking weights are nonnegative and not all zeros"
             )
 
-    def phi_q_at(self, n: int) -> ScalarField:
-        return self.phi_q[n]
-
     @classmethod
     def uniform_target(
         cls,

@@ -265,7 +265,7 @@ def evaluate_cost(
     j_track = 0.0
     if cost.alpha1 > 0:
         for k, (state, w) in enumerate(zip(traj.states, trapezoid_weights(n))):
-            diff = state.phi - cost.phi_q_at(k)
+            diff = state.phi - cost.phi_q[k]
             j_track += 0.5 * cost.alpha1 * w * dt * scalar_inner(diff, diff)
 
     diff_t = traj.final.phi - cost.phi_omega

@@ -1,14 +1,25 @@
 """Uniform-grid discrete calculus on a rectangle.
 
 The domain is a rectangle [0, lx] x [0, ly] covered by nx*ny equal cells in
-a marker-and-cell (MAC) layout:
+a marker-and-cell (MAC) layout: scalars (phase field, chemical potentials,
+pressure, ...) live at cell centers ((i+1/2)hx, (j+1/2)hy); vector fields
+(velocity, controls, body forces) live on cell faces, x-components at
+(i*hx, (j+1/2)hy) and y-components at ((i+1/2)hx, j*hy).  The walls obey
+three rules:
 
-* scalars (phase field, chemical potentials, pressure, ...) live at cell
-  centers ((i+1/2)hx, (j+1/2)hy) and carry homogeneous Neumann conditions,
-  realized by mirror ghost cells;
-* vector fields (velocity, controls, body forces) live on cell faces:
-  x-components at (i*hx, (j+1/2)hy), y-components at ((i+1/2)hx, j*hy),
-  with no-slip walls (zero normal face values, reflected tangential ghosts).
+* cell scalars are mirrored (homogeneous Neumann: ghost = inside value);
+* normal face values are pinned to zero;
+* tangential velocity is reflected (no-slip: ghost = -inside value).
+
+Every cell/face/node stencil here and in :mod:`nsch.mac` is built from
+three primitives that take the axis (0 = x, 1 = y) and slice only the two
+trailing axes, so a leading batch axis passes through untouched:
+:func:`mid` (neighbour average) and :func:`diff` (neighbour difference)
+map n points to the n-1 between them, and :func:`to_walls` extends either
+onto the n+1 points that include the two walls, where the mirror or
+reflection ghost gives the wall value.  Only :func:`laplacian` and
+``mac.center_to_corners`` spell out their ghosts, to keep the operation
+order of their tuned sums.
 
 With this layout the 5-point Laplacian factors exactly as
 ``laplacian = divergence_of_faces o gradient_to_faces`` and those two
@@ -258,6 +269,51 @@ def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     return lam
 
 
+# Low / high / inner / first / last points along the x (0) or y (1) axis,
+# indexed from the end so that leading batch axes pass through; plain
+# slices keep every stencil output C-contiguous.
+_LO = (np.s_[..., :-1, :], np.s_[..., :-1])
+_HI = (np.s_[..., 1:, :], np.s_[..., 1:])
+_INNER = (np.s_[..., 1:-1, :], np.s_[..., 1:-1])
+_FIRST = (np.s_[..., 0, :], np.s_[..., 0])
+_LAST = (np.s_[..., -1, :], np.s_[..., -1])
+
+
+def mid(a: np.ndarray, axis: int) -> np.ndarray:
+    """Neighbour average along ``axis``: n points to the n-1 between them."""
+    return 0.5 * (a[_HI[axis]] + a[_LO[axis]])
+
+
+def diff(a: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Neighbour difference over ``h`` along ``axis``: n points to n-1."""
+    return (a[_HI[axis]] - a[_LO[axis]]) / h
+
+
+def to_walls(a: np.ndarray, axis: int, ghost: int, h: float | None = None) -> np.ndarray:
+    """:func:`mid` (``h`` None) or :func:`diff` of ``a`` along ``axis`` onto
+    the n+1 points between and beyond its n values, with the ghost value
+    ``ghost * a`` past each end: +1 mirrors, -1 reflects.
+
+    The wall values are exact: a mirrored mean is the end value, a reflected
+    mean and a mirrored difference are zero, and a reflected difference is
+    2a/h at the low wall and -2a/h at the high one.
+    """
+    shape = list(a.shape)
+    shape[axis - 2] += 1
+    out = np.empty(shape)
+    inner, first, last = out[_INNER[axis]], _FIRST[axis], _LAST[axis]
+    if h is None:
+        np.add(a[_HI[axis]], a[_LO[axis]], out=inner)
+        inner *= 0.5
+        walls = (a[first], a[last]) if ghost > 0 else (0.0, 0.0)
+    else:
+        np.subtract(a[_HI[axis]], a[_LO[axis]], out=inner)
+        inner /= h
+        walls = (0.0, 0.0) if ghost > 0 else (2.0 * a[first] / h, -2.0 * a[last] / h)
+    out[first], out[last] = walls
+    return out
+
+
 def _second_difference(u: np.ndarray, two_u: np.ndarray, h2: float) -> np.ndarray:
     # (u[i-1] - 2u[i] + u[i+1]) / h2 along axis 0 with mirror ghosts
     # u[-1] = u[0], u[n] = u[n-1], in the operation order of a padded stencil
@@ -282,18 +338,13 @@ def laplacian(f: ScalarField) -> ScalarField:
 def gradient_to_faces(f: ScalarField) -> FaceField:
     """Centered face differences; boundary-face normal components are zero."""
     grid = f.grid
-    gx = np.zeros((grid.nx + 1, grid.ny))
-    gy = np.zeros((grid.nx, grid.ny + 1))
-    gx[1:-1, :] = (f.values[1:, :] - f.values[:-1, :]) / grid.hx
-    gy[:, 1:-1] = (f.values[:, 1:] - f.values[:, :-1]) / grid.hy
-    return FaceField(grid, gx, gy)
+    return FaceField(grid, to_walls(f.values, 0, 1, grid.hx), to_walls(f.values, 1, 1, grid.hy))
 
 
 def divergence_of_faces(w: FaceField) -> ScalarField:
     """Per-cell net flux divided by the cell volume."""
     grid = w.grid
-    div = (w.x[1:, :] - w.x[:-1, :]) / grid.hx + (w.y[:, 1:] - w.y[:, :-1]) / grid.hy
-    return ScalarField(grid, div)
+    return ScalarField(grid, diff(w.x, 0, grid.hx) + diff(w.y, 1, grid.hy))
 
 
 def apply_poly_laplacian(a0: float, a1: float, a2: float, a3: float, f: ScalarField) -> ScalarField:
@@ -373,12 +424,12 @@ def advect_scalar(v: FaceField, f: ScalarField) -> ScalarField:
     exactly zero for any no-slip v; with div v = 0 this is the discrete
     form of v . grad f.
     """
-    grid = f.grid
-    fx = np.zeros((grid.nx + 1, grid.ny))
-    fy = np.zeros((grid.nx, grid.ny + 1))
-    fx[1:-1, :] = v.x[1:-1, :] * 0.5 * (f.values[1:, :] + f.values[:-1, :])
-    fy[:, 1:-1] = v.y[:, 1:-1] * 0.5 * (f.values[:, 1:] + f.values[:, :-1])
-    return divergence_of_faces(FaceField(grid, fx, fy))
+    # the reflected mean is zero on the wall faces, so they carry no flux
+    fx = to_walls(f.values, 0, -1)
+    fx *= v.x
+    fy = to_walls(f.values, 1, -1)
+    fy *= v.y
+    return divergence_of_faces(FaceField(f.grid, fx, fy))
 
 
 def project_divergence_free(v: FaceField, dt: float) -> tuple[FaceField, ScalarField]:

@@ -1,15 +1,8 @@
 """Staggered (MAC) velocity calculus for no-slip boxes.
 
-Everything here operates on :class:`~nsch.grid.FaceField` velocity layouts:
-x-components on vertical faces, y-components on horizontal faces, walls at
-the rectangle boundary.  No-slip enters through two conventions:
-
-* normal face values on the boundary are genuine unknowns pinned to zero;
-* tangential ghost values are reflections (ghost = -first interior value),
-  so the interpolated wall velocity vanishes.
-
-Cell-centered quantities (viscosity, phase field) reach faces and corners
-by arithmetic averaging with mirror ghosts.
+Everything here operates on :class:`~nsch.grid.FaceField` velocity layouts
+and follows the three wall rules stated in :mod:`nsch.grid`, through its
+stencil primitives ``mid``, ``diff`` and ``to_walls``.
 
 The per-component Helmholtz solves (I - c*Lap) used by the semi-implicit
 viscous step are diagonalized exactly: sine transforms of type I along the
@@ -23,103 +16,32 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft
 
-from .grid import FaceField, GridSpec, ScalarField, cached_symbol, eigenvalues_1d
-from .grid import fft_workers, gradient_to_faces
+from .grid import FaceField, GridSpec, ScalarField, cached_symbol, diff, eigenvalues_1d, mid
+from .grid import fft_workers, gradient_to_faces, to_walls
 
 
 # ---------------------------------------------------------------------------
-# interpolation helpers
+# node averages and products
 
 
-def center_to_xface(c: np.ndarray) -> np.ndarray:
-    """Average cell values to x-faces; mirror ghosts at the walls."""
-    nx, ny = c.shape
-    out = np.empty((nx + 1, ny))
-    out[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
-    out[0, :] = c[0, :]
-    out[-1, :] = c[-1, :]
-    return out
-
-
-def center_to_yface(c: np.ndarray) -> np.ndarray:
-    nx, ny = c.shape
-    out = np.empty((nx, ny + 1))
-    out[:, 1:-1] = 0.5 * (c[:, 1:] + c[:, :-1])
-    out[:, 0] = c[:, 0]
-    out[:, -1] = c[:, -1]
-    return out
-
-
-def xface_to_center(vx: np.ndarray) -> np.ndarray:
-    return 0.5 * (vx[1:, :] + vx[:-1, :])
-
-
-def yface_to_center(vy: np.ndarray) -> np.ndarray:
-    return 0.5 * (vy[:, 1:] + vy[:, :-1])
+def _quad_mean(g: np.ndarray) -> np.ndarray:
+    # mean of each 2x2 block, (m, n) -> (m-1, n-1), in one fixed sum order
+    return 0.25 * (g[..., :-1, :-1] + g[..., 1:, :-1] + g[..., :-1, 1:] + g[..., 1:, 1:])
 
 
 def center_to_corners(c: np.ndarray) -> np.ndarray:
     """Average cell values to grid nodes; mirror ghosts outside the walls."""
-    g = np.pad(c, 1, mode="edge")
-    return 0.25 * (g[:-1, :-1] + g[1:, :-1] + g[:-1, 1:] + g[1:, 1:])
-
-
-def xcomp_at_corners(vx: np.ndarray) -> np.ndarray:
-    """x-velocity at grid nodes; tangential reflection makes wall rows zero."""
-    nx1, ny = vx.shape
-    out = np.zeros((nx1, ny + 1))
-    out[:, 1:-1] = 0.5 * (vx[:, 1:] + vx[:, :-1])
-    # reflection ghost: 0.5*(vx - vx) = 0 on the walls
-    return out
-
-
-def ycomp_at_corners(vy: np.ndarray) -> np.ndarray:
-    nx, ny1 = vy.shape
-    out = np.zeros((nx + 1, ny1))
-    out[1:-1, :] = 0.5 * (vy[1:, :] + vy[:-1, :])
-    return out
+    return _quad_mean(np.pad(c, 1, mode="edge"))
 
 
 def face_dot_to_cells(a: FaceField, b: FaceField) -> ScalarField:
     """Cell-centered a . b, averaging each face product to its two cells."""
-    px = a.x * b.x
-    py = a.y * b.y
-    vals = 0.5 * (px[1:, :] + px[:-1, :]) + 0.5 * (py[:, 1:] + py[:, :-1])
-    return ScalarField(a.grid, vals)
+    return ScalarField(a.grid, mid(a.x * b.x, 0) + mid(a.y * b.y, 1))
 
 
-# ---------------------------------------------------------------------------
-# first derivatives of velocity components
-
-
-def _dvx_dx(v: FaceField) -> np.ndarray:
-    # at cell centers
-    return (v.x[1:, :] - v.x[:-1, :]) / v.grid.hx
-
-
-def _dvy_dy(v: FaceField) -> np.ndarray:
-    return (v.y[:, 1:] - v.y[:, :-1]) / v.grid.hy
-
-
-def _dvx_dy_corners(v: FaceField) -> np.ndarray:
-    # at grid nodes, with no-slip reflection ghosts above/below the walls
-    nx1, ny = v.x.shape
-    hy = v.grid.hy
-    out = np.empty((nx1, ny + 1))
-    out[:, 1:-1] = (v.x[:, 1:] - v.x[:, :-1]) / hy
-    out[:, 0] = 2.0 * v.x[:, 0] / hy
-    out[:, -1] = -2.0 * v.x[:, -1] / hy
-    return out
-
-
-def _dvy_dx_corners(v: FaceField) -> np.ndarray:
-    nx, ny1 = v.y.shape
-    hx = v.grid.hx
-    out = np.empty((nx + 1, ny1))
-    out[1:-1, :] = (v.y[1:, :] - v.y[:-1, :]) / hx
-    out[0, :] = 2.0 * v.y[0, :] / hx
-    out[-1, :] = -2.0 * v.y[-1, :] / hx
-    return out
+def _corner_shear(v: FaceField) -> np.ndarray:
+    # d(vx)/dy + d(vy)/dx at the grid nodes, reflected tangential ghosts
+    return to_walls(v.x, 1, -1, v.grid.hy) + to_walls(v.y, 0, -1, v.grid.hx)
 
 
 # ---------------------------------------------------------------------------
@@ -132,71 +54,66 @@ def momentum_advection(carrier: FaceField, q: FaceField) -> FaceField:
     grid = carrier.grid
     hx, hy = grid.hx, grid.hy
 
-    cx_c = xface_to_center(carrier.x)
-    cy_c = yface_to_center(carrier.y)
-    cx_n = xcomp_at_corners(carrier.x)
-    cy_n = ycomp_at_corners(carrier.y)
+    # components at cell centers, and at grid nodes where reflection zeroes
+    # them on the walls they run along
+    cx_c, cy_c = mid(carrier.x, 0), mid(carrier.y, 1)
+    cx_n, cy_n = to_walls(carrier.x, 1, -1), to_walls(carrier.y, 0, -1)
     if q is carrier:
         qx_c, qy_c, qx_n, qy_n = cx_c, cy_c, cx_n, cy_n
     else:
-        qx_c, qy_c = xface_to_center(q.x), yface_to_center(q.y)
-        qx_n, qy_n = xcomp_at_corners(q.x), ycomp_at_corners(q.y)
+        qx_c, qy_c = mid(q.x, 0), mid(q.y, 1)
+        qx_n, qy_n = to_walls(q.x, 1, -1), to_walls(q.y, 0, -1)
 
-    out = FaceField.zeros(grid)
-    fxx = cx_c * qx_c  # (nx, ny) at centers
-    fxy = cy_n * qx_n  # (nx+1, ny+1) at nodes
-    out.x[1:-1, :] = (fxx[1:, :] - fxx[:-1, :]) / hx + (fxy[1:-1, 1:] - fxy[1:-1, :-1]) / hy
-
-    fyx = cx_n * qy_n
-    fyy = cy_c * qy_c
-    out.y[:, 1:-1] = (fyx[1:, 1:-1] - fyx[:-1, 1:-1]) / hx + (fyy[:, 1:] - fyy[:, :-1]) / hy
-    return out
+    # the mirrored differences of the center fluxes pin the wall faces to
+    # zero, and the node fluxes vanish along those walls
+    out_x = to_walls(cx_c * qx_c, 0, 1, hx)
+    out_x += diff(cy_n * qx_n, 1, hy)
+    out_y = to_walls(cy_c * qy_c, 1, 1, hy)
+    out_y += diff(cx_n * qy_n, 0, hx)
+    return FaceField(grid, out_x, out_y)
 
 
 def transpose_gradient_term(v: FaceField, a: FaceField) -> FaceField:
     """(a . grad^T) v, i.e. component i equals sum_j (d_i v_j) a_j."""
-    grid = v.grid
-    dvxdx = _dvx_dx(v)
-    dvydy = _dvy_dy(v)
-    dvxdy_n = _dvx_dy_corners(v)
-    dvydx_n = _dvy_dx_corners(v)
-    ax_n = xcomp_at_corners(a.x)
-    ay_n = ycomp_at_corners(a.y)
-
-    out = FaceField.zeros(grid)
-    # x-component: (dx vx) ax + (dx vy) ay on x-faces
-    t1 = center_to_xface(dvxdx) * a.x
-    t2 = 0.5 * (dvydx_n[:, 1:] + dvydx_n[:, :-1]) * 0.5 * (ay_n[:, 1:] + ay_n[:, :-1])
-    out.x[1:-1, :] = t1[1:-1, :] + t2[1:-1, :]
-    # y-component: (dy vx) ax + (dy vy) ay on y-faces
-    t3 = 0.5 * (dvxdy_n[1:, :] + dvxdy_n[:-1, :]) * 0.5 * (ax_n[1:, :] + ax_n[:-1, :])
-    t4 = center_to_yface(dvydy) * a.y
-    out.y[:, 1:-1] = t3[:, 1:-1] + t4[:, 1:-1]
-    return out
+    hx, hy = v.grid.hx, v.grid.hy
+    # x-component (dx vx) ax + (dx vy) ay on x-faces, y-component
+    # (dy vx) ax + (dy vy) ay on y-faces; the reflected means of the cell
+    # derivative and of a's node values zero both products on the wall faces
+    out_x = to_walls(diff(v.x, 0, hx), 0, -1)
+    out_x *= a.x
+    out_x += mid(to_walls(v.y, 0, -1, hx), 1) * mid(to_walls(a.y, 0, -1), 1)
+    out_y = to_walls(diff(v.y, 1, hy), 1, -1)
+    out_y *= a.y
+    out_y += mid(to_walls(v.x, 1, -1, hy), 0) * mid(to_walls(a.x, 1, -1), 0)
+    return FaceField(v.grid, out_x, out_y)
 
 
 def viscous_stress_divergence(coeff: np.ndarray, v: FaceField) -> FaceField:
     """div(2 c D(v)) for a cell-centered coefficient c and symmetric D(v)."""
     grid = v.grid
     hx, hy = grid.hx, grid.hy
-    txx = 2.0 * coeff * _dvx_dx(v)
-    tyy = 2.0 * coeff * _dvy_dy(v)
-    txy = center_to_corners(coeff) * (_dvx_dy_corners(v) + _dvy_dx_corners(v))
+    txx = 2.0 * coeff * diff(v.x, 0, hx)
+    tyy = 2.0 * coeff * diff(v.y, 1, hy)
+    txy = center_to_corners(coeff) * _corner_shear(v)
 
-    out = FaceField.zeros(grid)
-    out.x[1:-1, :] = (txx[1:, :] - txx[:-1, :]) / hx + (txy[1:-1, 1:] - txy[1:-1, :-1]) / hy
-    out.y[:, 1:-1] = (txy[1:, 1:-1] - txy[:-1, 1:-1]) / hx + (tyy[:, 1:] - tyy[:, :-1]) / hy
-    return out
+    # the mirrored differences pin the wall faces to zero; the shear stress,
+    # nonzero on the walls, enters the interior faces only
+    out_x = to_walls(txx, 0, 1, hx)
+    out_x[..., 1:-1, :] += diff(txy[..., 1:-1, :], 1, hy)
+    out_y = to_walls(tyy, 1, 1, hy)
+    out_y[..., 1:-1] += diff(txy[..., 1:-1], 0, hx)
+    return FaceField(grid, out_x, out_y)
 
 
 def strain_contraction(v: FaceField, w: FaceField) -> np.ndarray:
     """Cell-centered D(v) : D(w) (full tensor contraction)."""
-    diag = _dvx_dx(v) * _dvx_dx(w) + _dvy_dy(v) * _dvy_dy(w)
-    ev = 0.5 * (_dvx_dy_corners(v) + _dvy_dx_corners(v))
-    ew = ev if w is v else 0.5 * (_dvx_dy_corners(w) + _dvy_dx_corners(w))
-    prod = ev * ew
-    off = 0.25 * (prod[:-1, :-1] + prod[1:, :-1] + prod[:-1, 1:] + prod[1:, 1:])
-    return diag + 2.0 * off
+    hx, hy = v.grid.hx, v.grid.hy
+    vxx, vyy, ev = diff(v.x, 0, hx), diff(v.y, 1, hy), 0.5 * _corner_shear(v)
+    if w is v:
+        wxx, wyy, ew = vxx, vyy, ev
+    else:
+        wxx, wyy, ew = diff(w.x, 0, hx), diff(w.y, 1, hy), 0.5 * _corner_shear(w)
+    return vxx * wxx + vyy * wyy + 2.0 * _quad_mean(ev * ew)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +162,8 @@ def solve_face_helmholtz(rhs: FaceField, c: float) -> FaceField:
 def gradient_force(coeff_cells: np.ndarray, f: ScalarField) -> FaceField:
     """Face force (avg coeff) * grad f, e.g. the capillary term mu grad phi."""
     g = gradient_to_faces(f)
-    g.x[1:-1, :] *= 0.5 * (coeff_cells[1:, :] + coeff_cells[:-1, :])
-    g.y[:, 1:-1] *= 0.5 * (coeff_cells[:, 1:] + coeff_cells[:, :-1])
+    g.x *= to_walls(coeff_cells, 0, 1)
+    g.y *= to_walls(coeff_cells, 1, 1)
     return g
 
 
@@ -258,6 +175,4 @@ def stream_function_velocity(grid: GridSpec, psi_nodes: np.ndarray) -> FaceField
     """
     if psi_nodes.shape != (grid.nx + 1, grid.ny + 1):
         raise ValueError("stream function must live on grid nodes")
-    vx = (psi_nodes[:, 1:] - psi_nodes[:, :-1]) / grid.hy
-    vy = -(psi_nodes[1:, :] - psi_nodes[:-1, :]) / grid.hx
-    return FaceField(grid, vx, vy)
+    return FaceField(grid, diff(psi_nodes, 1, grid.hy), -diff(psi_nodes, 0, grid.hx))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ControlField, ControlProblem, evaluate_cost, reduced_gradient
-from .control import random_smooth_facefield, smooth_control_series  # re-exported
+from .control import smooth_control_series
 from .grid import ScalarField, face_inner, scalar_inner
 from .state import Trajectory, energy_balance_residual, simulate, trapezoid_weights
 
@@ -158,7 +158,7 @@ def duality_gap(problem: ControlProblem, seed: int = 0) -> dict:
         base.final.phi - cost.phi_omega, lin[-1].psi
     )
     for k, w in enumerate(trapezoid_weights(time.n_steps)[1:], start=1):
-        diff = base.states[k].phi - cost.phi_q_at(k)
+        diff = base.states[k].phi - cost.phi_q[k]
         rhs += cost.alpha1 * w * dt * scalar_inner(diff, lin[k].psi)
     mism = abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "mismatch": mism}

@@ -42,21 +42,20 @@ def tracking_cost(base, alpha1=1.0, alpha2=1.0, alpha3=0.1, target=None):
 class TestTerminal:
     def test_alpha2_zero_gives_zero_state(self, base_small, params):
         cost = tracking_cost(base_small, alpha2=0.0)
-        adj = adjoint_terminal(base_small.final.phi, cost, base_small.final, params)
+        adj = adjoint_terminal(base_small.final.phi, cost, base_small.final.time)
         assert adj.phia.max_abs() == 0.0
         assert adj.va.max_abs() == 0.0
-        assert adj.mua.max_abs() == 0.0
 
     def test_matched_target_gives_zero(self, base_small, params):
         cost = tracking_cost(base_small, target=base_small.final.phi)
-        adj = adjoint_terminal(base_small.final.phi, cost, base_small.final, params)
+        adj = adjoint_terminal(base_small.final.phi, cost, base_small.final.time)
         assert adj.phia.max_abs() < 1e-14
 
     def test_scaling(self, base_small, params):
         grid = base_small.grid
         tgt = ScalarField(grid, base_small.final.phi.values - 0.5)
         cost = tracking_cost(base_small, alpha2=2.0, target=tgt)
-        adj = adjoint_terminal(base_small.final.phi, cost, base_small.final, params)
+        adj = adjoint_terminal(base_small.final.phi, cost, base_small.final.time)
         assert np.abs(adj.phia.values - 1.0).max() < 1e-13
 
 
@@ -91,21 +90,6 @@ class TestHomogeneity:
 
 
 class TestStoredConsistency:
-    def test_chain_recomputation(self, base_small, params):
-        # mua = -Lap(phia) - grad(phi).va and omegaa = -Lap(mua) + (f'+eta)mua
-        from nsch.adjoint import _adjoint_potentials
-
-        cost = tracking_cost(base_small)
-        adj = solve_adjoint(base_small, cost, params)
-        for a, b in zip(adj, base_small.states):
-            mua, omegaa = _adjoint_potentials(a.phia, a.va, b, params)
-            assert np.abs(a.mua.values - mua.values).max() <= 1e-12 * max(
-                1.0, mua.max_abs()
-            )
-            assert np.abs(a.omegaa.values - omegaa.values).max() <= 1e-12 * max(
-                1.0, omegaa.max_abs()
-            )
-
     def test_divergence_free_at_every_node(self, base_small, params):
         cost = tracking_cost(base_small)
         adj = solve_adjoint(base_small, cost, params)
@@ -224,7 +208,7 @@ class TestDenseOracle:
         dt = base_small.time.dt
         b0, b1 = base_small.states[0], base_small.states[1]
         cost = tracking_cost(base_small)
-        adj1 = adjoint_terminal(b1.phi, cost, b1, params)
+        adj1 = adjoint_terminal(b1.phi, cost, b1.time)
         source = ScalarField(grid, random_scalar(grid, rng).values)
 
         out = adjoint_step(b0, b1, adj1, source, dt, params)
@@ -276,8 +260,7 @@ class TestMergedStep:
                         bubble_phase(grid) + random_scalar(grid, rng, 0.1), t, params)
             for t in (0.0, dt)
         )
-        adj1 = AdjointState(va=random_solenoidal(grid, rng), phia=random_scalar(grid, rng),
-                            time=dt, base=b1, params=params)
+        adj1 = AdjointState(va=random_solenoidal(grid, rng), phia=random_scalar(grid, rng), time=dt)
         return b0, b1, adj1, random_scalar(grid, rng), dt
 
     def test_matches_term_by_term_formula(self, random_step, params):
@@ -300,13 +283,8 @@ class TestMergedStep:
         for module in (nsch.adjoint, nsch.constitutive):
             monkeypatch.setattr(module, "laplacian", counting)
         b0, b1, adj1, source, dt = random_step
-        out = adjoint_step(b0, b1, adj1, source, dt, params)
+        adjoint_step(b0, b1, adj1, source, dt, params)
         assert len(calls) == 6
-        # the potentials cost 2 Laplacians on first read and none after
-        first = (out.mua, out.omegaa)
-        assert len(calls) == 8
-        assert out.mua is first[0] and out.omegaa is first[1]
-        assert len(calls) == 8
 
 
 class TestBlowUp:

@@ -337,6 +337,17 @@ class TestCli:
         assert rc == 2
         assert "run.seed must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_seed_flag_rejected_outside_verify(self, tmp_path, capsys, command):
+        # only the verification directions read run.seed; the optimize
+        # target is seeded by cost.target_seed
+        cfg = write_cfg(tmp_path, SMALL)
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, "--seed", "3", "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_snapshot_grid_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.nschf"
         path.write_bytes(b"NSCHF 1 phi 12 12 1e-300 8.0 0.0\n" + bytes(8 * 144))

@@ -219,4 +219,4 @@ class TestCostSpec:
 
     def test_valid(self, grid6):
         spec = CostSpec.uniform_target(grid6, 3, 1.0, 0.0, 0.0)
-        assert spec.phi_q_at(2).max_abs() == 0.0
+        assert spec.phi_q[2].max_abs() == 0.0

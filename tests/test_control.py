@@ -185,7 +185,7 @@ class TestReducedGradient:
             )
             for k in range(1, n_steps + 1):
                 w = 0.5 if k == n_steps else 1.0
-                diff = base.states[k].phi - cost.phi_q_at(k)
+                diff = base.states[k].phi - cost.phi_q[k]
                 val += cost.alpha1 * w * ts.dt * scalar_inner(diff, lin[k].psi)
             return val
 

@@ -20,7 +20,7 @@ from nsch import (
     project_divergence_free,
     scalar_inner,
 )
-from nsch.grid import MIN_CELL_SIZE, apply_poly_laplacian
+from nsch.grid import MIN_CELL_SIZE, apply_poly_laplacian, diff, mid, to_walls
 
 from conftest import random_face, random_scalar, random_solenoidal
 import oracles
@@ -126,6 +126,69 @@ class TestGradDiv:
         expect[0, :] = 1.0 / h
         expect[-1, :] = -1.0 / h
         assert np.abs(div.values - expect).max() < 1e-13
+
+
+def loop_stencil(g, axis, h=None):
+    """Loop-coded mean (h None) or difference over h of neighbouring values
+    of the ghost-extended array g along axis."""
+    g = np.moveaxis(g, axis, 0)
+    out = np.empty((g.shape[0] - 1,) + g.shape[1:])
+    for i in range(out.shape[0]):
+        out[i] = 0.5 * (g[i + 1] + g[i]) if h is None else (g[i + 1] - g[i]) / h
+    return np.moveaxis(out, 0, axis)
+
+
+class TestStencilPrimitives:
+    # the ghost-extended arrays of the independent oracles, per wall rule and
+    # axis: cell scalars are mirrored, tangential velocities reflected
+    @staticmethod
+    def ghosted(grid, rng, ghost, axis):
+        nx, ny = grid.nx, grid.ny
+        if ghost > 0:
+            a = rng.standard_normal((nx, ny))
+            g = oracles.cell_ghost(a)
+            return a, g[:, 1:-1] if axis == 0 else g[1:-1, :]
+        if axis == 0:
+            a = rng.standard_normal((nx, ny + 1))  # y-velocity across x-walls
+            return a, oracles.yghost(a)
+        a = rng.standard_normal((nx + 1, ny))  # x-velocity across y-walls
+        return a, oracles.xghost(a)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("ghost", [1, -1])
+    @pytest.mark.parametrize("stencil", ["mid", "diff"])
+    def test_to_walls_matches_ghost_oracle(self, grid65, rng, stencil, ghost, axis):
+        a, g = self.ghosted(grid65, rng, ghost, axis)
+        h = None if stencil == "mid" else (grid65.hx, grid65.hy)[axis]
+        out = to_walls(a, axis, ghost, h)
+        assert out.flags.c_contiguous
+        # exact, wall values included: a, 0 or +-2a/h
+        assert np.array_equal(out, loop_stencil(g, axis, h))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_mid_and_diff_are_the_interior(self, grid65, rng, axis):
+        a = rng.standard_normal((grid65.nx, grid65.ny))
+        h = (grid65.hx, grid65.hy)[axis]
+        inner = np.s_[1:-1, :] if axis == 0 else np.s_[:, 1:-1]
+        for out, step in ((mid(a, axis), None), (diff(a, axis, h), h)):
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, loop_stencil(a, axis, step))
+            assert np.array_equal(out, to_walls(a, axis, 1, step)[inner])
+
+    @pytest.mark.parametrize("ghost", [1, -1])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_leading_batch_axis(self, grid65, rng, axis, ghost):
+        batch = rng.standard_normal((3, grid65.nx, grid65.ny))
+        h = (grid65.hx, grid65.hy)[axis]
+        for op in (
+            lambda a: mid(a, axis),
+            lambda a: diff(a, axis, h),
+            lambda a: to_walls(a, axis, ghost),
+            lambda a: to_walls(a, axis, ghost, h),
+        ):
+            out = op(batch)
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, np.stack([op(a) for a in batch]))
 
 
 class TestHelmholtzPolySolve:

@@ -5,6 +5,7 @@ import pytest
 
 from nsch import FaceField, GridSpec, ScalarField, divergence_of_faces, face_inner
 from nsch import mac
+from nsch.grid import to_walls
 
 from conftest import random_face, random_scalar, random_solenoidal
 import oracles
@@ -13,18 +14,18 @@ import oracles
 class TestInterpolation:
     def test_center_to_faces_mirror(self, grid65, rng):
         c = random_scalar(grid65, rng).values
-        fx = mac.center_to_xface(c)
+        fx = to_walls(c, 0, 1)
         assert np.abs(fx[0, :] - c[0, :]).max() == 0.0
         assert np.abs(fx[3, :] - 0.5 * (c[2, :] + c[3, :])).max() < 1e-15
-        fy = mac.center_to_yface(c)
+        fy = to_walls(c, 1, 1)
         assert np.abs(fy[:, -1] - c[:, -1]).max() == 0.0
 
     def test_corner_values_vanish_on_walls(self, grid65, rng):
         v = random_face(grid65, rng)
-        xc = mac.xcomp_at_corners(v.x)
+        xc = to_walls(v.x, 1, -1)
         assert np.abs(xc[:, 0]).max() == 0.0
         assert np.abs(xc[:, -1]).max() == 0.0
-        yc = mac.ycomp_at_corners(v.y)
+        yc = to_walls(v.y, 0, -1)
         assert np.abs(yc[0, :]).max() == 0.0
 
     def test_face_dot_consistent_with_face_inner(self, grid65, rng):
