@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridSpec, ScalarField, gradient_to_faces, laplacian
+from .grid import ScalarField, gradient_to_faces, laplacian
 
 
 @dataclass(frozen=True)
@@ -198,17 +198,3 @@ class CostSpec:
             raise ConfigError(
                 "A6 violated: tracking weights are nonnegative and not all zeros"
             )
-
-    @classmethod
-    def uniform_target(
-        cls,
-        grid: GridSpec,
-        n_nodes: int,
-        alpha1: float,
-        alpha2: float,
-        alpha3: float,
-        target: ScalarField | None = None,
-    ) -> "CostSpec":
-        """Cost with a time-constant running target (default zero field)."""
-        tgt = target if target is not None else ScalarField.zeros(grid)
-        return cls(alpha1, alpha2, alpha3, [tgt] * n_nodes, tgt)

@@ -49,7 +49,7 @@ from .constitutive import CostSpec, PhysParams
 from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
 from .linearized import LinearizedState, solve_linearized
-from .state import TimeSpec, Trajectory, simulate, trapezoid_weights
+from .state import State, TimeSpec, Trajectory, simulate, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,7 @@ class StopReason(Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
     LINE_SEARCH_FAILED = "line search failed"
+    ROUNDOFF = "decrease below J roundoff"
 
 
 @dataclass
@@ -231,6 +232,19 @@ class ControlProblem:
     def simulate(self, u: ControlField | None) -> Trajectory:
         fields = u.fields if u is not None else None
         return simulate(self.v0, self.phi0, fields, self.time, self.params)
+
+    def simulate_many(self, controls: Sequence[ControlField]) -> list[Trajectory]:
+        """``[self.simulate(u) for u in controls]`` bit for bit, as one forward
+        sweep with a leading batch axis; the trajectories are views into it."""
+        grid, b = self.grid, len(controls)
+        u = [FaceField(grid, np.stack([f.x for f in fs]), np.stack([f.y for f in fs]))
+             for fs in zip(*(c.fields for c in controls), strict=True)]
+        v0 = FaceField(grid, np.stack([self.v0.x] * b), np.stack([self.v0.y] * b))
+        phi0 = ScalarField(grid, np.stack([self.phi0.values] * b))
+        batch = simulate(v0, phi0, u, self.time, self.params).states
+        return [Trajectory(grid, self.time, self.params,
+                           [State(s.v[m], s.p[m], s.phi[m], s.mu[m], s.time) for s in batch])
+                for m in range(b)]
 
     @cached_property
     def base(self) -> Trajectory:
@@ -343,8 +357,9 @@ def optimize(
     J(u_s) <= J(u) - c1 <g, u - u_s>_Q, which is J(u) - c1 s ||g||^2
     where no bound is active.  The loop stops (``OptimReport.reason``) when
     the unit-step fixed-point residual falls below tol * ||g_0||, after
-    max_iter accepted iterations, or when backtrack_max halvings find no
-    acceptable step.
+    max_iter accepted iterations, when backtrack_max halvings find no
+    acceptable step, or when a rejected trial's Armijo decrease is below
+    what J resolves (J minus it rounds to J).
 
     A line search holds one trajectory at a time: the accepted trajectory
     is released once its gradient is formed, a rejected trial before the
@@ -395,13 +410,17 @@ def optimize(
         for _ in range(opts.backtrack_max + 1):
             u_trial = project_admissible(u.axpy(-s, g), bounds)
             traj_trial, j_trial, comps_trial = evaluate(u_trial)
-            if j_trial <= j - opts.armijo_c1 * g.inner_q(u.axpy(-1.0, u_trial), dt):
+            target = j - opts.armijo_c1 * g.inner_q(u.axpy(-1.0, u_trial), dt)
+            if j_trial <= target:
                 break
             report.add(
                 iter=it + 1, J=j_trial, J_track=comps_trial["track"],
                 J_terminal=comps_trial["terminal"], J_control=comps_trial["control"],
                 grad_norm=g_norm, stationarity=residual, step=s, accepted=0,
             )
+            if target == j:  # shorter steps decrease J even less
+                report.reason = StopReason.ROUNDOFF
+                return u, report
             u_trial = traj_trial = None
             s *= 0.5
         else:

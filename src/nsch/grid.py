@@ -19,7 +19,7 @@ map n points to the n-1 between them, and :func:`to_walls` extends either
 onto the n+1 points that include the two walls, where the mirror or
 reflection ghost gives the wall value.  Only :func:`laplacian` and
 ``mac.center_to_corners`` spell out their ghosts, to keep the operation
-order of their tuned sums.
+order of their tuned sums.  The solves also act on the trailing axes only.
 
 With this layout the 5-point Laplacian factors exactly as
 ``laplacian = divergence_of_faces o gradient_to_faces`` and those two
@@ -127,14 +127,14 @@ class GridSpec:
 
 @dataclass
 class ScalarField:
-    """Cell-centered scalar field; ``values`` has shape (nx, ny)."""
+    """Cell-centered scalar field; ``values`` has shape (..., nx, ny), batch axes first."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.nx, self.grid.ny):
+        if self.values.shape[-2:] != (self.grid.nx, self.grid.ny):
             raise ValueError(
                 f"scalar field shape {self.values.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny})"
@@ -150,6 +150,9 @@ class ScalarField:
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
+
+    def __getitem__(self, m) -> "ScalarField":  # member m of a batch, a view
+        return ScalarField(self.grid, self.values[m])
 
     def mean(self) -> float:
         return float(self.values.mean())
@@ -183,7 +186,7 @@ class ScalarField:
 
 @dataclass
 class FaceField:
-    """Staggered vector field: x on (nx+1, ny) x-faces, y on (nx, ny+1) y-faces."""
+    """Staggered vector field: x on (..., nx+1, ny) x-faces, y on (..., nx, ny+1) y-faces."""
 
     grid: GridSpec
     x: np.ndarray
@@ -192,9 +195,9 @@ class FaceField:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
-        if self.x.shape != (self.grid.nx + 1, self.grid.ny):
+        if self.x.shape[-2:] != (self.grid.nx + 1, self.grid.ny):
             raise ValueError(f"x-face shape {self.x.shape} does not match grid")
-        if self.y.shape != (self.grid.nx, self.grid.ny + 1):
+        if self.y.shape[-2:] != (self.grid.nx, self.grid.ny + 1):
             raise ValueError(f"y-face shape {self.y.shape} does not match grid")
 
     @classmethod
@@ -204,13 +207,14 @@ class FaceField:
     def copy(self) -> "FaceField":
         return FaceField(self.grid, self.x.copy(), self.y.copy())
 
+    def __getitem__(self, m) -> "FaceField":  # member m of a batch, a view
+        return FaceField(self.grid, self.x[m], self.y[m])
+
     def zero_boundary_normal(self) -> "FaceField":
         """Return a copy with vanishing normal components on the walls."""
         out = self.copy()
-        out.x[0, :] = 0.0
-        out.x[-1, :] = 0.0
-        out.y[:, 0] = 0.0
-        out.y[:, -1] = 0.0
+        out.x[_FIRST[0]] = out.x[_LAST[0]] = 0.0
+        out.y[_FIRST[1]] = out.y[_LAST[1]] = 0.0
         return out
 
     def norm_l2(self) -> float:
@@ -276,6 +280,8 @@ _LO = (np.s_[..., :-1, :], np.s_[..., :-1])
 _HI = (np.s_[..., 1:, :], np.s_[..., 1:])
 _INNER = (np.s_[..., 1:-1, :], np.s_[..., 1:-1])
 _FIRST = (np.s_[..., 0, :], np.s_[..., 0])
+_SECOND = (np.s_[..., 1, :], np.s_[..., 1])
+_PENULT = (np.s_[..., -2, :], np.s_[..., -2])
 _LAST = (np.s_[..., -1, :], np.s_[..., -1])
 
 
@@ -314,14 +320,19 @@ def to_walls(a: np.ndarray, axis: int, ghost: int, h: float | None = None) -> np
     return out
 
 
-def _second_difference(u: np.ndarray, two_u: np.ndarray, h2: float) -> np.ndarray:
-    # (u[i-1] - 2u[i] + u[i+1]) / h2 along axis 0 with mirror ghosts
-    # u[-1] = u[0], u[n] = u[n-1], in the operation order of a padded stencil
-    out = np.empty_like(u)
-    np.subtract(u[:-2], two_u[1:-1], out=out[1:-1])
-    out[1:-1] += u[2:]
-    out[0] = u[0] - two_u[0] + u[1]
-    out[-1] = u[-2] - two_u[-1] + u[-1]
+def _second_difference(u: np.ndarray, two_u: np.ndarray, axis: int, h2: float) -> np.ndarray:
+    # (u[i-1] - 2u[i] + u[i+1]) / h2 along ``axis`` with mirror ghosts
+    # u[-1] = u[0], u[n] = u[n-1], in the operation order of a padded stencil;
+    # one flat pass (neighbours ``step`` apart) covers the inner points, and
+    # the ghost rule overwrites the ends, where that pass mixes rows or members
+    step = u.shape[-1] if axis == 0 else 1
+    out = np.empty(u.shape)
+    flat_u, flat_2u, flat_out = u.ravel(), two_u.ravel(), out.ravel()
+    np.subtract(flat_u[: -2 * step], flat_2u[step:-step], out=flat_out[step:-step])
+    flat_out[step:-step] += flat_u[2 * step:]
+    first, last = _FIRST[axis], _LAST[axis]
+    out[first] = u[first] - two_u[first] + u[_SECOND[axis]]
+    out[last] = u[_PENULT[axis]] - two_u[last] + u[last]
     out /= h2
     return out
 
@@ -330,8 +341,8 @@ def laplacian(f: ScalarField) -> ScalarField:
     """5-point Laplacian with mirror ghost cells; output has zero mean."""
     u = f.values
     two_u = 2.0 * u
-    lap = _second_difference(u, two_u, f.grid.hx**2)
-    lap += _second_difference(u.T, two_u.T, f.grid.hy**2).T
+    lap = _second_difference(u, two_u, 0, f.grid.hx**2)
+    lap += _second_difference(u, two_u, 1, f.grid.hy**2)
     return ScalarField(f.grid, lap)
 
 
@@ -347,31 +358,17 @@ def divergence_of_faces(w: FaceField) -> ScalarField:
     return ScalarField(grid, diff(w.x, 0, grid.hx) + diff(w.y, 1, grid.hy))
 
 
-def apply_poly_laplacian(a0: float, a1: float, a2: float, a3: float, f: ScalarField) -> ScalarField:
-    """Apply a0*I + a1*(-Lap) + a2*Lap^2 + a3*(-Lap)^3 by repeated stencils."""
-    out = a0 * f.values
-    if a1 or a2 or a3:
-        l1 = laplacian(f)
-        out = out - a1 * l1.values
-        if a2 or a3:
-            l2 = laplacian(l1)
-            out = out + a2 * l2.values
-            if a3:
-                l3 = laplacian(l2)
-                out = out - a3 * l3.values
-    return ScalarField(f.grid, out)
-
-
 def helmholtz_poly_solve(
     a0: float, a1: float, a2: float, a3: float, rhs: ScalarField, check_mean: bool = True
 ) -> ScalarField:
     """Solve (a0*I + a1*(-Lap) + a2*Lap^2 + a3*(-Lap)^3) x = rhs spectrally.
 
     The symbol must be nonzero on every nonconstant mode.  If it vanishes on
-    the constant mode the right-hand side must have (numerically) zero mean
-    and the zero-mean solution is returned.  ``check_mean=False`` silently
-    drops the gauge mode instead (for callers that guarantee compatibility
-    analytically and only feed roundoff into the mean).
+    the constant mode each batch member of the right-hand side must have
+    (numerically) zero mean against its own L2 norm and the zero-mean
+    solution is returned.  ``check_mean=False`` silently drops the gauge
+    mode instead (for callers that guarantee compatibility analytically
+    and only feed roundoff into the mean).
 
     Raises
     ------
@@ -383,15 +380,20 @@ def helmholtz_poly_solve(
     grid = rhs.grid
     inv_symbol, gauge = _poly_inverse_symbol(grid, a0, a1, a2, a3)
     workers = fft_workers()
-    d = fft.dctn(rhs.values, type=2, norm="ortho", workers=workers)
-    mean = d[0, 0] / np.sqrt(grid.nx * grid.ny)
-    if gauge and check_mean and abs(mean) > 1e-10 * max(rhs.norm_l2(), 1e-300):
-        raise IncompatibleMeanError(
-            f"incompatible mean: |mean(rhs)|={abs(mean):.3e} with a "
-            "pure-derivative operator; right-hand side must have zero mean"
-        )
+    axes = (-2, -1)
+    d = fft.dctn(rhs.values, type=2, norm="ortho", axes=axes, workers=workers)
+    if gauge and check_mean:
+        mean = np.abs(d[..., 0, 0]) / np.sqrt(grid.nx * grid.ny)
+        norm = np.sqrt((rhs.values**2).sum(axis=axes) * grid.cell_volume)
+        bad = mean[mean > 1e-10 * np.maximum(norm, 1e-300)]
+        if bad.size:
+            raise IncompatibleMeanError(
+                f"incompatible mean: |mean(rhs)|={bad.max():.3e} with a "
+                "pure-derivative operator; right-hand side must have zero mean"
+            )
     d *= inv_symbol
-    return ScalarField(grid, fft.idctn(d, type=2, norm="ortho", workers=workers, overwrite_x=True))
+    out = fft.idctn(d, type=2, norm="ortho", axes=axes, workers=workers, overwrite_x=True)
+    return ScalarField(grid, out)
 
 
 @cached_symbol

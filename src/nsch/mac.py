@@ -31,7 +31,11 @@ def _quad_mean(g: np.ndarray) -> np.ndarray:
 
 def center_to_corners(c: np.ndarray) -> np.ndarray:
     """Average cell values to grid nodes; mirror ghosts outside the walls."""
-    return _quad_mean(np.pad(c, 1, mode="edge"))
+    g = np.empty(c.shape[:-2] + (c.shape[-2] + 2, c.shape[-1] + 2))
+    g[..., 1:-1, 1:-1] = c
+    g[..., 0, 1:-1], g[..., -1, 1:-1] = c[..., 0, :], c[..., -1, :]
+    g[..., 0], g[..., -1] = g[..., 1], g[..., -2]  # the corners copy their edge rows
+    return _quad_mean(g)
 
 
 def face_dot_to_cells(a: FaceField, b: FaceField) -> ScalarField:
@@ -143,12 +147,12 @@ def solve_face_helmholtz(rhs: FaceField, c: float) -> FaceField:
     diagonalized exactly by sine transforms, so the solve is direct.
     """
     inv_x, inv_y = _face_inverse_symbols(rhs.grid, c)
-    out = FaceField.zeros(rhs.grid)
+    out = FaceField(rhs.grid, np.zeros(rhs.x.shape), np.zeros(rhs.y.shape))
     workers = fft_workers()
     # DST-I along the component's own axis (wall faces), DST-II across it
     for b, target, inv, (wall, across) in (
-        (rhs.x[1:-1, :], out.x[1:-1, :], inv_x, (0, 1)),
-        (rhs.y[:, 1:-1], out.y[:, 1:-1], inv_y, (1, 0)),
+        (rhs.x[..., 1:-1, :], out.x[..., 1:-1, :], inv_x, (-2, -1)),
+        (rhs.y[..., 1:-1], out.y[..., 1:-1], inv_y, (-1, -2)),
     ):
         b = fft.dst(b, type=1, axis=wall, norm="ortho", workers=workers)
         b = fft.dst(b, type=2, axis=across, norm="ortho", workers=workers, overwrite_x=True)

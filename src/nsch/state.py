@@ -150,13 +150,18 @@ class Trajectory:
 
 
 def check_finite(step: int, bounded: dict, unbounded: dict | None = None) -> None:
-    """Raise a BlowUpError naming ``step`` and the first field that is not
-    finite or, for the ``bounded`` ones, exceeds PHI_BLOWUP_LIMIT in magnitude."""
+    """Raise a BlowUpError naming ``step``, the first field (and batch member)
+    that is not finite or, for the ``bounded`` ones, exceeds PHI_BLOWUP_LIMIT."""
+    def blown(name, arr):
+        return not np.isfinite(arr).all() or (
+            name in bounded and np.abs(arr).max() > PHI_BLOWUP_LIMIT)
+
     for name, arr in {**bounded, **(unbounded or {})}.items():
-        if not np.isfinite(arr).all() or (
-            name in bounded and np.abs(arr).max() > PHI_BLOWUP_LIMIT
-        ):
-            raise BlowUpError(f"blow-up detected at step {step} in {name}", step=step)
+        if blown(name, arr):
+            where = f"step {step} in {name}"
+            if arr.ndim > 2:  # a batch: name its first blown member
+                where += f" of batch member {next(m for m, a in enumerate(arr) if blown(name, a))}"
+            raise BlowUpError(f"blow-up detected at {where}", step=step)
 
 
 def trapezoid_weights(n_steps: int) -> list[float]:
@@ -272,7 +277,8 @@ def simulate(
 
     ``u`` is the body-force series, one face field per step (or None for an
     unforced run).  The initial velocity is projected once so the stored
-    v(0) is discretely divergence-free.
+    v(0) is discretely divergence-free.  Fields with a leading batch axis
+    run one problem per member in one sweep (``ControlProblem.simulate_many``).
     """
     grid = phi0.grid
     n_steps = time.n_steps
@@ -280,7 +286,8 @@ def simulate(
         raise ConfigError(f"control series has {len(u)} entries, need {n_steps}")
 
     v0p, _ = project_divergence_free(v0.zero_boundary_normal(), 1.0)
-    states = [_node_state(v0p, ScalarField.zeros(grid), phi0.copy(), 0.0, params)]
+    p0 = ScalarField(grid, np.zeros_like(phi0.values))
+    states = [_node_state(v0p, p0, phi0.copy(), 0.0, params)]
 
     v, phi = v0p, phi0
     for n in range(n_steps):

@@ -26,6 +26,8 @@ checks: mass, energy, and the Frechet, duality and gradient bases read
 ``ControlProblem.base``, duality and gradient its ``base_adjoint``, and
 Frechet and duality the seeded ``ControlProblem.sensitivity``.  Each check
 reports the same numbers whether it runs alone or after the others.
+Frechet and gradient each batch their perturbed solves into one forward
+sweep (``ControlProblem.simulate_many``).
 """
 
 from __future__ import annotations
@@ -118,8 +120,7 @@ def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     u0 = ControlField.zeros(grid, time.n_steps)
     h, lin = problem.sensitivity(seed)
 
-    def defect(eps: float) -> float:
-        pert = problem.simulate(u0.axpy(eps, h))
+    def defect(eps: float, pert: Trajectory) -> float:
         diffs = [
             ScalarField(grid, p.phi.values - b.phi.values - eps * l.psi.values)
             for p, b, l in zip(pert.states, base.states, lin)
@@ -127,8 +128,8 @@ def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
         return phi_l2q_norm(diffs, time.dt) / eps
 
     eps_list = list(FRECHET_EPSILONS)
-    errors = [defect(e) for e in eps_list]
-    floor = defect(FRECHET_FLOOR_EPSILON)
+    all_eps = eps_list + [FRECHET_FLOOR_EPSILON]
+    *errors, floor = map(defect, all_eps, problem.simulate_many([u0.axpy(e, h) for e in all_eps]))
     ratios = [errors[i] / max(errors[i + 1], 1e-300) for i in range(len(errors) - 1)]
     ok = all(
         r >= 1.8 or errors[i + 1] <= 5.0 * floor for i, r in enumerate(ratios)
@@ -193,13 +194,14 @@ def verify_gradient(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     g = reduced_gradient(u0, problem.base_adjoint, cost)
     dt, eps = time.dt, GRADIENT_EPSILON
 
-    def reduced_cost(u: ControlField) -> float:
-        return evaluate_cost(problem.simulate(u), u, cost)[0]
+    dirs = [smooth_control_series(grid, time, seed + 1000 * i + 7)
+            for i in range(GRADIENT_DIRECTIONS)]
+    pm = [u0.axpy(s, h) for h in dirs for s in (eps, -eps)]  # u0 +- eps h, one batch
+    costs = [evaluate_cost(traj, u, cost)[0] for traj, u in zip(problem.simulate_many(pm), pm)]
 
     adj_dirs, fd_dirs, rel_errors = [], [], []
-    for i in range(GRADIENT_DIRECTIONS):
-        h = smooth_control_series(grid, time, seed + 1000 * i + 7)
-        fd = (reduced_cost(u0.axpy(eps, h)) - reduced_cost(u0.axpy(-eps, h))) / (2.0 * eps)
+    for i, h in enumerate(dirs):
+        fd = (costs[2 * i] - costs[2 * i + 1]) / (2.0 * eps)
         ad = g.inner_q(h, dt)
         adj_dirs.append(ad)
         fd_dirs.append(fd)

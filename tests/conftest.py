@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsch import FaceField, GridSpec, PhysParams, ScalarField
+from nsch import FaceField, GridSpec, PhysParams, ScalarField, laplacian
 
 
 @pytest.fixture
@@ -45,3 +45,19 @@ def random_solenoidal(grid, rng, scale=1.0):
     psi = np.zeros((grid.nx + 1, grid.ny + 1))
     psi[1:-1, 1:-1] = scale * rng.standard_normal((grid.nx - 1, grid.ny - 1))
     return stream_function_velocity(grid, psi)
+
+
+def stack_faces(faces):
+    """One batched face field whose members are ``faces``."""
+    return FaceField(faces[0].grid, np.stack([f.x for f in faces]), np.stack([f.y for f in faces]))
+
+
+def apply_poly_laplacian(a0, a1, a2, a3, f):
+    """Apply a0*I + a1*(-Lap) + a2*Lap^2 + a3*(-Lap)^3 by repeated stencils,
+    the residual check of the spectral polynomial solves."""
+    out = a0 * f.values
+    lap = f
+    for sign, a in ((-1.0, a1), (1.0, a2), (-1.0, a3)):
+        lap = laplacian(lap)
+        out = out + sign * a * lap.values
+    return ScalarField(f.grid, out)

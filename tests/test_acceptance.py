@@ -30,11 +30,10 @@ from nsch.control import (
     optimize,
     project_admissible,
 )
-from nsch.grid import apply_poly_laplacian
 import nsch.verification as verification
 
 import oracles
-from conftest import random_face
+from conftest import apply_poly_laplacian, random_face
 
 GRID_N = 64
 BOX = 16.0

@@ -523,12 +523,13 @@ class TestConfigProperty:
 
 def count_solves(monkeypatch) -> dict:
     """Count the forward, adjoint and sensitivity solves, in every nsch
-    module that holds a binding of the solver."""
+    module that holds a binding of the solver, and the forward trajectories
+    (``members``: a batched ``simulate`` solves one per batch member)."""
     import nsch.adjoint
     import nsch.linearized
     import nsch.state
 
-    counts = {}
+    counts = {"members": 0}
     for owner, name in ((nsch.state, "simulate"), (nsch.adjoint, "solve_adjoint"),
                         (nsch.linearized, "solve_linearized")):
         original = getattr(owner, name)
@@ -536,7 +537,10 @@ def count_solves(monkeypatch) -> dict:
 
         def counted(*args, _fn=original, _name=name, **kwargs):
             counts[_name] += 1
-            return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            if _name == "simulate":
+                counts["members"] += int(np.prod(out.final.phi.values.shape[:-2]))
+            return out
 
         for mod_name, module in list(sys.modules.items()):
             if mod_name == "nsch" or mod_name.startswith("nsch."):
@@ -547,15 +551,17 @@ def count_solves(monkeypatch) -> dict:
 
 
 class TestSharedBase:
+    # (simulate calls, adjoint solves, sensitivity solves, forward trajectories):
+    # the Frechet and gradient checks each batch their perturbed solves
     @pytest.mark.parametrize(
         "which, solves",
-        [("all", (13, 2, 2)), ("mass", (1, 0, 0)), ("energy", (2, 0, 0)),
-         ("frechet", (5, 0, 1)), ("duality", (2, 2, 2)), ("gradient", (7, 1, 0))],
+        [("all", (5, 2, 2, 13)), ("mass", (1, 0, 0, 1)), ("energy", (2, 0, 0, 2)),
+         ("frechet", (2, 0, 1, 5)), ("duality", (2, 2, 2, 2)), ("gradient", (2, 1, 0, 7))],
     )
     def test_solve_counts(self, tmp_path, monkeypatch, which, solves):
         counts = count_solves(monkeypatch)
         assert main(["verify", which, "--config", write_cfg(tmp_path, SMALL)]) == 0
-        got = (counts["simulate"], counts["solve_adjoint"], counts["solve_linearized"])
+        got = tuple(counts[k] for k in ("simulate", "solve_adjoint", "solve_linearized", "members"))
         assert got == solves
 
     def test_shared_problem_gives_the_fresh_values(self, tmp_path):

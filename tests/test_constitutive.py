@@ -208,15 +208,20 @@ class TestEnergy:
         assert b1 == pytest.approx(0.0, abs=1e-14)
 
 
+def zero_target_cost(grid, alpha1, alpha2, alpha3):
+    zero = ScalarField.zeros(grid)
+    return CostSpec(alpha1, alpha2, alpha3, [zero] * 3, zero)
+
+
 class TestCostSpec:
     def test_all_zero_weights_rejected(self, grid6):
         with pytest.raises(ConfigError, match="A6"):
-            CostSpec.uniform_target(grid6, 3, 0.0, 0.0, 0.0)
+            zero_target_cost(grid6, 0.0, 0.0, 0.0)
 
     def test_negative_weight_rejected(self, grid6):
         with pytest.raises(ConfigError, match="A6"):
-            CostSpec.uniform_target(grid6, 3, -1.0, 0.0, 1.0)
+            zero_target_cost(grid6, -1.0, 0.0, 1.0)
 
     def test_valid(self, grid6):
-        spec = CostSpec.uniform_target(grid6, 3, 1.0, 0.0, 0.0)
+        spec = zero_target_cost(grid6, 1.0, 0.0, 0.0)
         assert spec.phi_q[2].max_abs() == 0.0

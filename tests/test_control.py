@@ -8,6 +8,7 @@ import pytest
 
 from nsch import control
 from nsch import (
+    BlowUpError,
     ConfigError,
     ControlBounds,
     ControlField,
@@ -140,7 +141,8 @@ class TestEvaluateCost:
         grid = GridSpec(8, 8, 4.0, 4.0)
         ts = TimeSpec(0.004, 1e-3)
         traj = simulate(FaceField.zeros(grid), bubble_phase(grid), None, ts, params)
-        cost = CostSpec.uniform_target(grid, ts.n_steps + 1, 1.0, 0.0, 0.0)
+        zero = ScalarField.zeros(grid)
+        cost = CostSpec(1.0, 0.0, 0.0, [zero] * (ts.n_steps + 1), zero)
         with pytest.raises(ConfigError):
             evaluate_cost(traj, ControlField.zeros(grid, 2), cost)
 
@@ -320,6 +322,17 @@ class TestOptimize:
         assert rep.n_simulations == calls["forward"] == len(rep.rows)
         assert calls["adjoint"] == accepted + 1
 
+    def test_stops_at_the_roundoff_of_J(self, params):
+        # after one step the bounds pin the iterate: the projected step's
+        # Armijo decrease is far below one ulp of J, so a rejected trial ends
+        # the loop instead of a halving through roundoff-level differences
+        problem = replace(small_problem(params, alpha3=1e-3, T=0.004),
+                          bounds=ControlBounds(-0.05, 0.05))
+        _, rep = optimize(problem, None, OptimizerOptions(tol=1e-8, max_iter=10))
+        assert rep.reason is StopReason.ROUNDOFF
+        assert rep.n_simulations <= 40
+        assert rep.rows[-1][6] <= 1e-6 * rep.initial_grad_norm
+
     def test_armijo_on_the_projected_step(self, params):
         # after one step the iterate is stationary with active bounds: the
         # projected step is tiny while |g| is not, so only a decrease
@@ -430,3 +443,31 @@ class TestQuadratureAndOptions:
         _, rep = optimize(problem, None, OptimizerOptions(max_iter=0, backtrack_max=0))
         assert rep.reason in (StopReason.CONVERGED, StopReason.MAX_ITER)
         assert rep.n_simulations == 1
+
+
+class TestSimulateMany:
+    def controls(self, problem, rng, members=3):
+        return [ControlField(problem.grid, [random_face(problem.grid, rng, scale=0.5)
+                                            for _ in range(problem.time.n_steps)])
+                for _ in range(members)]
+
+    def test_members_equal_sequential_solves(self, params, rng):
+        problem = small_problem(params, n=10, T=0.005)
+        controls = self.controls(problem, rng)
+        for u, traj in zip(controls, problem.simulate_many(controls)):
+            ref = problem.simulate(u)
+            assert len(traj) == len(ref) == problem.time.n_steps + 1
+            for a, b in zip(ref.states, traj.states):
+                assert a.time == b.time
+                for x, y in ((a.v.x, b.v.x), (a.v.y, b.v.y), (a.p.values, b.p.values),
+                             (a.phi.values, b.phi.values), (a.mu.values, b.mu.values)):
+                    assert np.array_equal(x, y)
+            assert evaluate_cost(traj, u, problem.cost) == evaluate_cost(ref, u, problem.cost)
+
+    def test_blow_up_names_the_member(self, params, rng):
+        problem = small_problem(params)
+        controls = self.controls(problem, rng)
+        controls[1] = controls[1].axpy(1e12, controls[1])
+        with pytest.raises(BlowUpError, match=r"at step 1 in v\.x of batch member 1$") as err:
+            problem.simulate_many(controls)
+        assert err.value.step == 1

@@ -20,9 +20,10 @@ from nsch import (
     project_divergence_free,
     scalar_inner,
 )
-from nsch.grid import MIN_CELL_SIZE, apply_poly_laplacian, diff, mid, to_walls
+from nsch.grid import MIN_CELL_SIZE, diff, mid, to_walls
 
-from conftest import random_face, random_scalar, random_solenoidal
+from conftest import apply_poly_laplacian, random_face, random_scalar, random_solenoidal
+from conftest import stack_faces
 import oracles
 
 
@@ -72,7 +73,8 @@ class TestLaplacian:
         g = np.pad(f.values, 1, mode="edge")
         ref = (g[:-2, 1:-1] - 2.0 * g[1:-1, 1:-1] + g[2:, 1:-1]) / grid.hx**2
         ref += (g[1:-1, :-2] - 2.0 * g[1:-1, 1:-1] + g[1:-1, 2:]) / grid.hy**2
-        assert np.abs(laplacian(f).values - ref).max() <= 1e-14 * np.abs(ref).max()
+        # same operations in the same order: equal, not merely close
+        assert np.array_equal(laplacian(f).values, ref)
 
     def test_factors_through_grad_div(self, grid65, rng):
         f = random_scalar(grid65, rng)
@@ -301,3 +303,61 @@ class TestProjection:
             v = random_face(grid65, rng)
             w, _ = project_divergence_free(v, 0.7)
             assert face_inner(w, w) <= face_inner(v, v) * (1 + 1e-12)
+
+
+class TestBatchedKernels:
+    # a leading batch axis gives every member's own result bit for bit, on
+    # a non-square grid so an axis mix-up shows
+    grid = GridSpec(12, 9, 3.0, 2.0)
+
+    def test_laplacian(self, rng):
+        f = ScalarField(self.grid, rng.standard_normal((3, 12, 9)))
+        out = laplacian(f).values
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, np.stack([laplacian(f[m]).values for m in range(3)]))
+        # a strided view gives the result of its contiguous copy
+        view = ScalarField(self.grid, np.asfortranarray(f.values[1]))
+        assert np.array_equal(laplacian(view).values, out[1])
+
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 2e-3, 1e-3), (0.0, 1.0, 0.0, 0.0)])
+    def test_helmholtz_poly_solve(self, rng, coeffs):
+        values = rng.standard_normal((3, 12, 9))
+        rhs = ScalarField(self.grid, values - values.mean(axis=(-2, -1), keepdims=True))
+        out = helmholtz_poly_solve(*coeffs, rhs).values
+        assert np.array_equal(out, np.stack([helmholtz_poly_solve(*coeffs, rhs[m]).values
+                                             for m in range(3)]))
+
+    def test_incompatible_mean_judged_per_member(self, rng):
+        # member 1's mean is far below the batch's norm but not its own
+        values = rng.standard_normal((3, 12, 9))
+        values -= values.mean(axis=(-2, -1), keepdims=True)
+        values[0] *= 1e12
+        values[1] += 1e-3
+        rhs = ScalarField(self.grid, values)
+        with pytest.raises(IncompatibleMeanError, match="incompatible mean"):
+            poisson_neumann(rhs)
+        with pytest.raises(IncompatibleMeanError):
+            poisson_neumann(rhs[1])
+        poisson_neumann(rhs[[0, 2]])
+
+    def test_project_divergence_free(self, rng):
+        faces = [random_face(self.grid, rng, noslip=False) for _ in range(3)]
+        w, p = project_divergence_free(stack_faces(faces), 0.3)
+        single = [project_divergence_free(f, 0.3) for f in faces]
+        assert np.array_equal(w.x, np.stack([s[0].x for s in single]))
+        assert np.array_equal(w.y, np.stack([s[0].y for s in single]))
+        assert np.array_equal(p.values, np.stack([s[1].values for s in single]))
+
+    def test_zero_boundary_normal(self, rng):
+        faces = [random_face(self.grid, rng, noslip=False) for _ in range(3)]
+        out = stack_faces(faces).zero_boundary_normal()
+        single = stack_faces([f.zero_boundary_normal() for f in faces])
+        assert np.array_equal(out.x, single.x) and np.array_equal(out.y, single.y)
+
+    def test_shape_checks_read_the_trailing_axes(self):
+        ScalarField(self.grid, np.zeros((2, 12, 9)))
+        FaceField(self.grid, np.zeros((2, 13, 9)), np.zeros((2, 12, 10)))
+        with pytest.raises(ValueError, match="does not match grid"):
+            ScalarField(self.grid, np.zeros((2, 9, 12)))
+        with pytest.raises(ValueError, match="does not match grid"):
+            FaceField(self.grid, np.zeros((2, 12, 10)), np.zeros((2, 13, 9)))

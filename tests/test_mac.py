@@ -7,7 +7,7 @@ from nsch import FaceField, GridSpec, ScalarField, divergence_of_faces, face_inn
 from nsch import mac
 from nsch.grid import to_walls
 
-from conftest import random_face, random_scalar, random_solenoidal
+from conftest import random_face, random_scalar, random_solenoidal, stack_faces
 import oracles
 
 
@@ -189,3 +189,24 @@ class TestGradientForce:
         rhs = gradient_to_faces(a * b)
         assert np.abs(lhs.x - rhs.x).max() < 1e-12
         assert np.abs(lhs.y - rhs.y).max() < 1e-12
+
+
+class TestBatchedKernels:
+    # a leading batch axis gives every member's own result bit for bit, on
+    # a non-square grid so an axis mix-up shows
+    grid = GridSpec(12, 9, 3.0, 2.0)
+
+    def test_solve_face_helmholtz(self, rng):
+        faces = [random_face(self.grid, rng) for _ in range(3)]
+        out = mac.solve_face_helmholtz(stack_faces(faces), 0.37)
+        single = stack_faces([mac.solve_face_helmholtz(f, 0.37) for f in faces])
+        assert np.array_equal(out.x, single.x) and np.array_equal(out.y, single.y)
+
+    def test_center_to_corners(self, rng):
+        cells = rng.standard_normal((3, 12, 9))
+        out = mac.center_to_corners(cells)
+        assert out.shape == (3, 13, 10)
+        assert np.array_equal(out, np.stack([mac.center_to_corners(c) for c in cells]))
+        # the 2x2 mean of the edge-padded cells, in the same sum order
+        g = np.pad(cells[1], 1, mode="edge")
+        assert np.array_equal(out[1], 0.25 * (g[:-1, :-1] + g[1:, :-1] + g[:-1, 1:] + g[1:, 1:]))
