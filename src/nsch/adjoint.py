@@ -134,6 +134,17 @@ def adjoint_step(
     y_proj, _ = project_divergence_free(y_pre, dt)
     y = mac.solve_face_helmholtz(y_proj, dt * params.nu_bar)
 
+    # the strain coupling and the velocity couplings, coefficients at t_n,
+    # read one stencil block of v_n and y, dropped before the scalar couplings
+    vs, ys = mac.Stencils(v_n), mac.Stencils(y)
+    strain = mac.strain_contraction(vs, ys)
+    velocity_couplings = (
+        mac.viscous_stress_divergence(nu - params.nu_bar, ys)
+        + mac.momentum_advection(vs, ys)
+        - mac.transpose_gradient_term(vs, ys)
+    )
+    del vs, ys
+
     # scalar couplings on the smoothed fields, coefficients at t_n; by
     # linearity Lap^2(g1) + s Lap^2(z) = Lap(Lap(g1) + s Lap(z)) and
     # H^T(g1) + H^T(Lap z) = H^T(g1 + Lap z)
@@ -144,20 +155,17 @@ def adjoint_step(
         + _chain_transpose(g1 + lap_z, base_n, params).values
         + advect_scalar(base_np1.v, z).values
         - advect_scalar(y, mu_n).values
-        - 2.0 * nu_p * mac.strain_contraction(v_n, y)
+        - 2.0 * nu_p * strain
     )
     phia_vals = z.values + dt * rest
     if tracking_source is not None:
         phia_vals = phia_vals + dt * tracking_source.values
     phia_n = ScalarField(grid, phia_vals)
 
-    # velocity couplings on the smoothed field, coefficients at t_n; the
-    # trailing projection restores the solenoidal invariant and is
-    # transparent to the recursion (the next step projects again)
-    visc = mac.viscous_stress_divergence(nu - params.nu_bar, y)
-    adv = mac.momentum_advection(v_n, y)
-    stretch = mac.transpose_gradient_term(v_n, y)
-    va_n, _ = project_divergence_free(y + dt * (visc + adv - stretch), dt)
+    # velocity update on the smoothed field; the trailing projection restores
+    # the solenoidal invariant and is transparent to the recursion (the next
+    # step projects again)
+    va_n, _ = project_divergence_free(y + dt * velocity_couplings, dt)
     return AdjointState(va=va_n, phia=phia_n, time=base_n.time)
 
 

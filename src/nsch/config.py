@@ -46,8 +46,8 @@ run.workers           1          FFT worker threads (>= 1; NSCH_THREADS wins)
 Validation messages name the violated model assumption (A1, A2, A6) or
 the solver precondition so misconfigurations are actionable; a non-finite
 number, a negative seed, radius, width or snapshot stride, a worker count
-below one, and a grid cell so small that h**-6 overflows are rejected
-under their keys.
+below one, a grid cell so small that h**-6 overflows and a cost.alpha3 so
+small that 1/alpha3 overflows are rejected under their keys.
 """
 
 from __future__ import annotations

@@ -92,9 +92,6 @@ class PhysParams:
 
     def mobility(self, s):
         """Return (m(s), m'(s)) for scalar or array s."""
-        if self.constant_mobility:
-            s = np.asarray(s, dtype=float)
-            return self.mob_const + 0.0 * s, 0.0 * s
         t = np.tanh(s)
         return self.mob_const + self.mob_amp * t * t, 2.0 * self.mob_amp * t * (1.0 - t * t)
 
@@ -197,4 +194,9 @@ class CostSpec:
         if self.alpha1 == 0 and self.alpha2 == 0 and self.alpha3 == 0:
             raise ConfigError(
                 "A6 violated: tracking weights are nonnegative and not all zeros"
+            )
+        if self.alpha3 > 0 and 1.0 / float(self.alpha3) == np.inf:
+            raise ConfigError(
+                f"cost.alpha3 = {self.alpha3} is too small: the optimizer's first "
+                "step 1/alpha3 overflows"
             )

@@ -157,9 +157,6 @@ class ScalarField:
     def mean(self) -> float:
         return float(self.values.mean())
 
-    def integral(self) -> float:
-        return float(self.values.sum() * self.grid.cell_volume)
-
     def norm_l2(self) -> float:
         """Discrete L2 norm, sqrt(sum f^2 * cell_volume)."""
         return float(np.sqrt((self.values**2).sum() * self.grid.cell_volume))

@@ -72,10 +72,14 @@ def linearized_step(
     theta_n = lin_n.theta  # built by _lin_node at this base state
 
     nu, nu_p = params.viscosity(phi_n.values)
-    adv = mac.momentum_advection(w_n, v_n) + mac.momentum_advection(v_n, w_n)
+    # the advection pair shares the stencils of w_n and v_n, dropped before
+    # the viscous pair, which reads other pieces of them
+    ws, vs = mac.Stencils(w_n), mac.Stencils(v_n)
+    adv = mac.momentum_advection(ws, vs) + mac.momentum_advection(vs, ws)
+    del ws, vs
     visc = mac.viscous_stress_divergence(
-        nu - params.nu_bar, w_n
-    ) + mac.viscous_stress_divergence(nu_p * psi_n.values, v_n)
+        nu - params.nu_bar, mac.Stencils(w_n)
+    ) + mac.viscous_stress_divergence(nu_p * psi_n.values, mac.Stencils(v_n))
     force = mac.gradient_force(theta_n.values, phi_n) + mac.gradient_force(
         mu_n.values, psi_n
     )

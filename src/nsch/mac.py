@@ -4,6 +4,13 @@ Everything here operates on :class:`~nsch.grid.FaceField` velocity layouts
 and follows the three wall rules stated in :mod:`nsch.grid`, through its
 stencil primitives ``mid``, ``diff`` and ``to_walls``.
 
+The momentum terms read each field through a :class:`Stencils` bundle,
+whose cell/node values and first differences are each built once, on first
+read; a term of a field with itself takes one bundle twice.  A step builds a
+bundle just before the terms that share it and drops it as soon as they are
+formed, before any solve, and nothing stores one: on large grids a temporary
+held past its terms slows the allocations that follow it.
+
 The per-component Helmholtz solves (I - c*Lap) used by the semi-implicit
 viscous step are diagonalized exactly: sine transforms of type I along the
 component's own direction (Dirichlet at wall faces) and of type II along
@@ -43,81 +50,109 @@ def face_dot_to_cells(a: FaceField, b: FaceField) -> ScalarField:
     return ScalarField(a.grid, mid(a.x * b.x, 0) + mid(a.y * b.y, 1))
 
 
-def _corner_shear(v: FaceField) -> np.ndarray:
-    # d(vx)/dy + d(vy)/dx at the grid nodes, reflected tangential ghosts
-    return to_walls(v.x, 1, -1, v.grid.hy) + to_walls(v.y, 0, -1, v.grid.hx)
-
-
 # ---------------------------------------------------------------------------
 # nonlinear / variable-coefficient momentum terms
 
 
-def momentum_advection(carrier: FaceField, q: FaceField) -> FaceField:
+class _piece:
+    # a bundle piece: built on first read, then a plain attribute (before
+    # Python 3.12 functools.cached_property takes a lock on each first read)
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, bundle, owner=None):
+        value = bundle.__dict__[self.name] = self.build(bundle)
+        return value
+
+
+class Stencils:
+    """The cell and node values and the first differences of one face field,
+    each built on first read (see the module docstring for its lifetime)."""
+
+    def __init__(self, v: FaceField):
+        self.field = v
+        self.grid = v.grid
+
+    @_piece
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        # both components at the cell centers
+        return mid(self.field.x, 0), mid(self.field.y, 1)
+
+    @_piece
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        # both components at the grid nodes, where reflection zeroes them on
+        # the walls they run along
+        return to_walls(self.field.x, 1, -1), to_walls(self.field.y, 0, -1)
+
+    @_piece
+    def normal(self) -> tuple[np.ndarray, np.ndarray]:
+        # d(vx)/dx and d(vy)/dy at the cell centers
+        return diff(self.field.x, 0, self.grid.hx), diff(self.field.y, 1, self.grid.hy)
+
+    @_piece
+    def cross(self) -> tuple[np.ndarray, np.ndarray]:
+        # d(vx)/dy and d(vy)/dx at the grid nodes, reflected tangential ghosts
+        v, grid = self.field, self.grid
+        return to_walls(v.x, 1, -1, grid.hy), to_walls(v.y, 0, -1, grid.hx)
+
+    @_piece
+    def shear(self) -> np.ndarray:
+        # d(vx)/dy + d(vy)/dx at the grid nodes
+        dxy, dyx = self.cross
+        return dxy + dyx
+
+
+def momentum_advection(carrier: Stencils, q: Stencils) -> FaceField:
     """Conservative div(carrier (x) q); equals (carrier . grad) q when
     carrier is discretely divergence-free."""
     grid = carrier.grid
-    hx, hy = grid.hx, grid.hy
-
-    # components at cell centers, and at grid nodes where reflection zeroes
-    # them on the walls they run along
-    cx_c, cy_c = mid(carrier.x, 0), mid(carrier.y, 1)
-    cx_n, cy_n = to_walls(carrier.x, 1, -1), to_walls(carrier.y, 0, -1)
-    if q is carrier:
-        qx_c, qy_c, qx_n, qy_n = cx_c, cy_c, cx_n, cy_n
-    else:
-        qx_c, qy_c = mid(q.x, 0), mid(q.y, 1)
-        qx_n, qy_n = to_walls(q.x, 1, -1), to_walls(q.y, 0, -1)
+    (cx_c, cy_c), (cx_n, cy_n) = carrier.cells, carrier.nodes
+    (qx_c, qy_c), (qx_n, qy_n) = q.cells, q.nodes
 
     # the mirrored differences of the center fluxes pin the wall faces to
     # zero, and the node fluxes vanish along those walls
-    out_x = to_walls(cx_c * qx_c, 0, 1, hx)
-    out_x += diff(cy_n * qx_n, 1, hy)
-    out_y = to_walls(cy_c * qy_c, 1, 1, hy)
-    out_y += diff(cx_n * qy_n, 0, hx)
+    out_x = to_walls(cx_c * qx_c, 0, 1, grid.hx)
+    out_x += diff(cy_n * qx_n, 1, grid.hy)
+    out_y = to_walls(cy_c * qy_c, 1, 1, grid.hy)
+    out_y += diff(cx_n * qy_n, 0, grid.hx)
     return FaceField(grid, out_x, out_y)
 
 
-def transpose_gradient_term(v: FaceField, a: FaceField) -> FaceField:
+def transpose_gradient_term(v: Stencils, a: Stencils) -> FaceField:
     """(a . grad^T) v, i.e. component i equals sum_j (d_i v_j) a_j."""
-    hx, hy = v.grid.hx, v.grid.hy
+    (vxx, vyy), (vxy, vyx), (ax_n, ay_n) = v.normal, v.cross, a.nodes
     # x-component (dx vx) ax + (dx vy) ay on x-faces, y-component
     # (dy vx) ax + (dy vy) ay on y-faces; the reflected means of the cell
     # derivative and of a's node values zero both products on the wall faces
-    out_x = to_walls(diff(v.x, 0, hx), 0, -1)
-    out_x *= a.x
-    out_x += mid(to_walls(v.y, 0, -1, hx), 1) * mid(to_walls(a.y, 0, -1), 1)
-    out_y = to_walls(diff(v.y, 1, hy), 1, -1)
-    out_y *= a.y
-    out_y += mid(to_walls(v.x, 1, -1, hy), 0) * mid(to_walls(a.x, 1, -1), 0)
+    out_x = to_walls(vxx, 0, -1)
+    out_x *= a.field.x
+    out_x += mid(vyx, 1) * mid(ay_n, 1)
+    out_y = to_walls(vyy, 1, -1)
+    out_y *= a.field.y
+    out_y += mid(vxy, 0) * mid(ax_n, 0)
     return FaceField(v.grid, out_x, out_y)
 
 
-def viscous_stress_divergence(coeff: np.ndarray, v: FaceField) -> FaceField:
+def viscous_stress_divergence(coeff: np.ndarray, v: Stencils) -> FaceField:
     """div(2 c D(v)) for a cell-centered coefficient c and symmetric D(v)."""
     grid = v.grid
-    hx, hy = grid.hx, grid.hy
-    txx = 2.0 * coeff * diff(v.x, 0, hx)
-    tyy = 2.0 * coeff * diff(v.y, 1, hy)
-    txy = center_to_corners(coeff) * _corner_shear(v)
-
+    vxx, vyy = v.normal
     # the mirrored differences pin the wall faces to zero; the shear stress,
-    # nonzero on the walls, enters the interior faces only
-    out_x = to_walls(txx, 0, 1, hx)
-    out_x[..., 1:-1, :] += diff(txy[..., 1:-1, :], 1, hy)
-    out_y = to_walls(tyy, 1, 1, hy)
-    out_y[..., 1:-1] += diff(txy[..., 1:-1], 0, hx)
+    # nonzero on the walls, enters the interior faces only (read last, so
+    # its pieces are held for the shortest stretch)
+    out_x = to_walls(2.0 * coeff * vxx, 0, 1, grid.hx)
+    out_y = to_walls(2.0 * coeff * vyy, 1, 1, grid.hy)
+    txy = center_to_corners(coeff)
+    txy *= v.shear
+    out_x[..., 1:-1, :] += diff(txy[..., 1:-1, :], 1, grid.hy)
+    out_y[..., 1:-1] += diff(txy[..., 1:-1], 0, grid.hx)
     return FaceField(grid, out_x, out_y)
 
 
-def strain_contraction(v: FaceField, w: FaceField) -> np.ndarray:
+def strain_contraction(v: Stencils, w: Stencils) -> np.ndarray:
     """Cell-centered D(v) : D(w) (full tensor contraction)."""
-    hx, hy = v.grid.hx, v.grid.hy
-    vxx, vyy, ev = diff(v.x, 0, hx), diff(v.y, 1, hy), 0.5 * _corner_shear(v)
-    if w is v:
-        wxx, wyy, ew = vxx, vyy, ev
-    else:
-        wxx, wyy, ew = diff(w.x, 0, hx), diff(w.y, 1, hy), 0.5 * _corner_shear(w)
-    return vxx * wxx + vyy * wyy + 2.0 * _quad_mean(ev * ew)
+    (vxx, vyy), (wxx, wyy) = v.normal, w.normal
+    return vxx * wxx + vyy * wyy + 2.0 * _quad_mean((0.5 * v.shear) * (0.5 * w.shear))
 
 
 # ---------------------------------------------------------------------------

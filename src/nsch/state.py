@@ -240,8 +240,13 @@ def ns_step(
 ) -> tuple[FaceField, ScalarField]:
     """One momentum step; returns the projected velocity and its pressure."""
     nu, _ = params.viscosity(phi_n.values)
-    adv = mac.momentum_advection(v_n, v_n)
-    visc = mac.viscous_stress_divergence(nu - params.nu_bar, v_n)
+    # one stencil bundle per term, each dropped once its term is formed; the
+    # viscous term, whose bundle holds the most pieces, goes first, while no
+    # other term's output is held
+    visc = mac.viscous_stress_divergence(nu - params.nu_bar, mac.Stencils(v_n))
+    vs = mac.Stencils(v_n)
+    adv = mac.momentum_advection(vs, vs)
+    del vs
     force = mac.gradient_force(mu_n.values, phi_n)
     return momentum_update(v_n, adv, visc, force, u_n, dt, params)
 
@@ -257,7 +262,9 @@ def _node_diagnostics(state: State, params: PhysParams) -> tuple[float, ...]:
     energy, willmore, gl = free_energy(phi, params)
     kinetic = 0.5 * face_inner(v, v)
     nu, _ = params.viscosity(phi.values)
-    diss_v = (2.0 * nu * mac.strain_contraction(v, v)).sum() * vol
+    vs = mac.Stencils(v)
+    diss_v = (2.0 * nu * mac.strain_contraction(vs, vs)).sum() * vol
+    del vs
     mval, _ = params.mobility(phi.values)
     gmu = gradient_to_faces(state.mu)
     gmu_sq = mac.face_dot_to_cells(gmu, gmu)

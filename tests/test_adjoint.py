@@ -242,7 +242,7 @@ def term_by_term_phia(b0, b1, adj1, source, dt, params):
         + s * laplacian(laplacian(z)).values
         + advect_scalar(b1.v, z).values
         - advect_scalar(y, b0.mu).values
-        - 2.0 * nu_p * mac.strain_contraction(b0.v, y)
+        - 2.0 * nu_p * mac.strain_contraction(mac.Stencils(b0.v), mac.Stencils(y))
     )
     return z.values + dt * rest + dt * source.values
 
@@ -285,6 +285,40 @@ class TestMergedStep:
         b0, b1, adj1, source, dt = random_step
         adjoint_step(b0, b1, adj1, source, dt, params)
         assert len(calls) == 6
+
+    @pytest.mark.parametrize(
+        "step, most", [("forward", 25), ("sensitivity", 54), ("adjoint", 56)]
+    )
+    def test_stencil_primitives_per_step(self, random_step, params, rng, monkeypatch, step, most):
+        # each interpolation and difference is built once per step: the
+        # duplicate passes of the sensitivity and adjoint steps cost 62 and 66
+        import nsch.grid
+        import nsch.mac
+        from nsch.linearized import _lin_node, linearized_step
+        from nsch.state import ns_step
+
+        b0, b1, adj1, source, dt = random_step
+        lin = _lin_node(random_solenoidal(b0.phi.grid, rng), random_scalar(b0.phi.grid, rng, 0.1),
+                        b0, params, b0.time)
+        run = {
+            "forward": lambda: ns_step(b0.v, b0.phi, b0.mu, None, dt, params),
+            "sensitivity": lambda: linearized_step(b0, b1, lin, None, dt, params),
+            "adjoint": lambda: adjoint_step(b0, b1, adj1, source, dt, params),
+        }[step]
+        calls = []
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (nsch.grid, nsch.mac):
+            for name in ("mid", "diff", "to_walls"):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        monkeypatch.setattr(nsch.mac, "_quad_mean", counting(nsch.mac._quad_mean))
+        run()
+        assert 0 < len(calls) <= most
 
 
 class TestBlowUp:

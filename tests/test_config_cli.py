@@ -307,7 +307,8 @@ class TestCli:
          ("simulate", {"grid.lx": "1e-300"}, "grid: cell size lx/nx"),
          ("simulate", {"run.workers": "0"}, "run.workers must be at least 1, got 0"),
          ("simulate", {"run.workers": "-3"}, "run.workers must be at least 1, got -3"),
-         ("simulate", {"output.snapshot_stride": "-1"}, "output.snapshot_stride must be nonnegative")],
+         ("simulate", {"output.snapshot_stride": "-1"}, "output.snapshot_stride must be nonnegative"),
+         ("optimize", {"cost.alpha3": "5e-324"}, "cost.alpha3")],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, values, name):
         text = "\n".join(ln for ln in SMALL.splitlines() if ln.split(" =")[0] not in values)

@@ -331,10 +331,12 @@ def written_out_step(base_n, base_np1, lin_n, h_n, dt, params):
     w_n, psi_n, theta_n = lin_n.w, lin_n.psi, lin_n.theta
     phi_n, v_n, mu_n = base_n.phi, base_n.v, base_n.mu
     nu, nu_p = params.viscosity(phi_n.values)
-    adv = mac.momentum_advection(w_n, v_n) + mac.momentum_advection(v_n, w_n)
+    # a fresh stencil bundle per operand, where the stepper shares them
+    S = mac.Stencils
+    adv = mac.momentum_advection(S(w_n), S(v_n)) + mac.momentum_advection(S(v_n), S(w_n))
     visc = mac.viscous_stress_divergence(
-        nu - params.nu_bar, w_n
-    ) + mac.viscous_stress_divergence(nu_p * psi_n.values, v_n)
+        nu - params.nu_bar, S(w_n)
+    ) + mac.viscous_stress_divergence(nu_p * psi_n.values, S(v_n))
     force = mac.gradient_force(theta_n.values, phi_n) + mac.gradient_force(
         mu_n.values, psi_n
     )
