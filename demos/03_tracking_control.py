@@ -24,6 +24,7 @@ import numpy as np
 
 import nsch
 from nsch.config import RunConfig, build_problem, reference_control, build_grid, build_time, build_bounds
+from nsch.control import norm_q
 
 OUT = "demo_output"
 os.makedirs(OUT, exist_ok=True)
@@ -57,8 +58,7 @@ print(f"wrote {csv_path}")
 
 # how much of the reference force was recovered (relative L2(Q) error)
 dt = problem.time.dt
-diff = u_opt.axpy(-1.0, u_ref)
-print(f"relative control recovery error: {diff.norm_q(dt) / u_ref.norm_q(dt):.2f} "
+print(f"relative control recovery error: {norm_q(u_opt - u_ref, dt) / norm_q(u_ref, dt):.2f} "
       "(1.0 would mean nothing recovered)")
 
 try:
@@ -69,10 +69,10 @@ try:
 
     mid = problem.time.n_steps // 2
     fig, axes = plt.subplots(1, 3, figsize=(13, 3.6))
-    im0 = axes[0].imshow(u_ref.fields[mid].x.T, origin="lower", cmap="coolwarm")
+    im0 = axes[0].imshow(u_ref[mid].x.T, origin="lower", cmap="coolwarm")
     axes[0].set_title("reference force, x-component (mid-time)")
     fig.colorbar(im0, ax=axes[0])
-    im1 = axes[1].imshow(u_opt.fields[mid].x.T, origin="lower", cmap="coolwarm",
+    im1 = axes[1].imshow(u_opt[mid].x.T, origin="lower", cmap="coolwarm",
                          vmin=im0.get_clim()[0], vmax=im0.get_clim()[1])
     axes[1].set_title("recovered force")
     fig.colorbar(im1, ax=axes[1])

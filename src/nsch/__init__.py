@@ -28,7 +28,6 @@ from .constitutive import (
 )
 from .control import (
     ControlBounds,
-    ControlField,
     ControlProblem,
     OptimReport,
     OptimizerOptions,

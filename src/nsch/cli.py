@@ -86,10 +86,10 @@ def cmd_optimize(args) -> int:
     report.to_csv(csv_path)
     stride = cfg["output.snapshot_stride"]
     if stride > 0:
-        for n in range(0, u_opt.n_steps, stride):
+        for n in range(0, problem.time.n_steps, stride):
             write_face(
                 os.path.join(outdir, f"u_{n:06d}.nschv"),
-                u_opt.fields[n], "u", n * problem.time.dt,
+                u_opt[n], "u", n * problem.time.dt,
             )
     accepted = report.accepted_J()
     failed = report.reason is StopReason.LINE_SEARCH_FAILED

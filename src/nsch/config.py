@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import CostSpec, PhysParams
-from .control import ControlBounds, ControlField, ControlProblem, OptimizerOptions
+from .control import ControlBounds, ControlProblem, OptimizerOptions
 from .control import project_admissible, smooth_control_series
 from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField
@@ -247,7 +247,7 @@ def build_optimizer_options(cfg: RunConfig) -> OptimizerOptions:
     )
 
 
-def reference_control(cfg: RunConfig, grid: GridSpec, time: TimeSpec, bounds: ControlBounds) -> ControlField:
+def reference_control(cfg: RunConfig, grid: GridSpec, time: TimeSpec, bounds: ControlBounds) -> FaceField:
     """Seeded smooth admissible control used to manufacture tracking targets."""
     u = smooth_control_series(grid, time, cfg["cost.target_seed"], cfg["cost.target_amplitude"])
     return project_admissible(u, bounds)
@@ -271,7 +271,7 @@ def build_problem(cfg: RunConfig) -> ControlProblem:
     n_nodes = time.n_steps + 1
     if target == "tracking":
         u_ref = reference_control(cfg, grid, time, bounds)
-        ref = simulate(v0, phi0, u_ref.fields, time, params)
+        ref = simulate(v0, phi0, u_ref, time, params)
         cost = CostSpec(a1, a2, a3, ref.phi_series(), ref.final.phi)
     elif target == "initial":
         cost = CostSpec(a1, a2, a3, [phi0] * n_nodes, phi0)

@@ -133,12 +133,10 @@ def mu_of_phi(phi: ScalarField, params: PhysParams) -> tuple[ScalarField, Scalar
 
 def linearized_chemical_potentials(
     psi: ScalarField, phi: ScalarField, omega: ScalarField, params: PhysParams
-) -> tuple[ScalarField, ScalarField]:
-    """Directional derivative of the (mu, omega) chain at phi in direction psi.
+) -> ScalarField:
+    """Directional derivative theta of mu at phi in direction psi:
 
-    Returns (theta, w_aux) with
-
-        w_aux = -Lap(psi) + f'(phi) psi,
+        w_aux = -Lap(psi) + f'(phi) psi        (the derivative of omega),
         theta = -Lap(w_aux) + f''(phi) psi omega + (f'(phi) + eta) w_aux.
     """
     fp = potential_fp(phi.values)
@@ -148,7 +146,7 @@ def linearized_chemical_potentials(
         + potential_fpp(phi.values) * psi.values * omega.values
         + (fp + params.eta) * w_aux.values
     )
-    return ScalarField(psi.grid, theta), w_aux
+    return ScalarField(psi.grid, theta)
 
 
 def free_energy(phi: ScalarField, params: PhysParams) -> tuple[float, float, float]:

@@ -8,7 +8,9 @@ The cost is
 
 with trapezoid-in-time, cell-sum-in-space quadrature for the tracking term
 and the exact integral of the piecewise-constant control for the control
-term.  The reduced gradient is the face field alpha3*u_n + va(t_n): the
+term.  A control, like each direction and gradient, is one ``FaceField``
+whose leading axis is the step: ``u[n]`` acts on (t_n, t_{n+1}).  The
+reduced gradient is the series alpha3*u_n + va(t_n): the
 backward state at t_n already accounts for the transposed dynamics of the
 step (t_n, t_{n+1}) on which u_n acts, so the left-endpoint value is the
 consistent representative of int h . va over the step (checked against
@@ -40,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from .constitutive import CostSpec, PhysParams
 from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
 from .linearized import LinearizedState, solve_linearized
-from .state import State, TimeSpec, Trajectory, simulate, trapezoid_weights
+from .state import State, TimeSpec, Trajectory, check_steps, simulate, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -65,35 +67,16 @@ class ControlBounds:
             raise ConfigError(f"admissible set is empty: u_min exceeds u_max or is NaN ({self})")
 
 
-@dataclass
-class ControlField:
-    """Time series of face forces, one per step."""
+def inner_q(a: Iterable[FaceField], b: Iterable[FaceField], dt: float) -> float:
+    """dt times the sum over steps of the L2(Omega) products of two series, or
+    of any iterables of step fields: a difference is reduced one step at a
+    time, since a freed whole-series temporary leaves a heap hole that the
+    solvers' per-step arrays fragment (it raised the optimizer's peak RSS)."""
+    return dt * sum(face_inner(a_n, b_n) for a_n, b_n in zip(a, b))
 
-    grid: GridSpec
-    fields: list[FaceField]
 
-    @classmethod
-    def zeros(cls, grid: GridSpec, n_steps: int):
-        return cls(grid, [FaceField.zeros(grid) for _ in range(n_steps)])
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.fields)
-
-    def axpy(self, a: float, other: "ControlField") -> "ControlField":
-        """Return self + a * other."""
-        return ControlField(self.grid, [f + a * g for f, g in zip(self.fields, other.fields)])
-
-    def inner_q(self, other: "ControlField", dt: float) -> float:
-        return dt * sum(face_inner(f, g) for f, g in zip(self.fields, other.fields))
-
-    def norm_q(self, dt: float) -> float:
-        return float(np.sqrt(self.inner_q(self, dt)))
-
-    def max_abs(self) -> float:
-        if not self.fields:
-            return 0.0
-        return max(f.max_abs() for f in self.fields)
+def norm_q(a: FaceField, dt: float) -> float:
+    return float(np.sqrt(inner_q(a, a, dt)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +120,12 @@ def random_smooth_facefield(grid: GridSpec, seed: int, amplitude: float = 1.0) -
 
 def smooth_control_series(
     grid: GridSpec, time: TimeSpec, seed: int, amplitude: float = 1.0
-) -> ControlField:
-    """Seeded smooth space profile modulated smoothly in time, one per step."""
+) -> FaceField:
+    """Seeded smooth space profile modulated smoothly in time, one step each."""
     profile = random_smooth_facefield(grid, seed, amplitude)
     t_mid = (np.arange(time.n_steps) + 0.5) * time.dt
     mod = 1.0 + 0.5 * np.sin(2.0 * np.pi * t_mid / max(time.T, 1e-30))
-    return ControlField(grid, [float(m) * profile for m in mod])
+    return profile * mod[:, None, None]
 
 
 @dataclass
@@ -229,16 +212,16 @@ class ControlProblem:
     def grid(self) -> GridSpec:
         return self.phi0.grid
 
-    def simulate(self, u: ControlField | None) -> Trajectory:
-        fields = u.fields if u is not None else None
-        return simulate(self.v0, self.phi0, fields, self.time, self.params)
+    def simulate(self, u: FaceField | None) -> Trajectory:
+        return simulate(self.v0, self.phi0, u, self.time, self.params)
 
-    def simulate_many(self, controls: Sequence[ControlField]) -> list[Trajectory]:
+    def simulate_many(self, controls: Sequence[FaceField]) -> list[Trajectory]:
         """``[self.simulate(u) for u in controls]`` bit for bit, as one forward
-        sweep with a leading batch axis; the trajectories are views into it."""
+        sweep with a batch axis after the step axis, so that step n of the
+        stacked control is the batched force; the trajectories are views."""
         grid, b = self.grid, len(controls)
-        u = [FaceField(grid, np.stack([f.x for f in fs]), np.stack([f.y for f in fs]))
-             for fs in zip(*(c.fields for c in controls), strict=True)]
+        u = FaceField(grid, np.stack([c.x for c in controls], axis=1),
+                      np.stack([c.y for c in controls], axis=1))
         v0 = FaceField(grid, np.stack([self.v0.x] * b), np.stack([self.v0.y] * b))
         phi0 = ScalarField(grid, np.stack([self.phi0.values] * b))
         batch = simulate(v0, phi0, u, self.time, self.params).states
@@ -256,22 +239,21 @@ class ControlProblem:
         """The adjoint of the cost along ``base``."""
         return solve_adjoint(self.base, self.cost, self.params)
 
-    def sensitivity(self, seed: int) -> tuple[ControlField, list[LinearizedState]]:
+    def sensitivity(self, seed: int) -> tuple[FaceField, list[LinearizedState]]:
         """The unit seeded direction ``smooth_control_series(grid, time, seed)``
         and its sensitivity along ``base``."""
         if seed not in self._sensitivities:
             h = smooth_control_series(self.grid, self.time, seed)
-            self._sensitivities[seed] = (h, solve_linearized(self.base, h.fields, self.params))
+            self._sensitivities[seed] = (h, solve_linearized(self.base, h, self.params))
         return self._sensitivities[seed]
 
 
 def evaluate_cost(
-    traj: Trajectory, u: ControlField | None, cost: CostSpec
+    traj: Trajectory, u: FaceField | None, cost: CostSpec
 ) -> tuple[float, dict]:
     """Evaluate J and its three components on a trajectory/control pair."""
     n = traj.time.n_steps
-    if u is not None and u.n_steps != n:
-        raise ConfigError(f"control series has {u.n_steps} entries, need {n}")
+    check_steps(u, n, "control")
     if len(cost.phi_q) != n + 1:
         raise ConfigError(f"running target has {len(cost.phi_q)} nodes, need {n + 1}")
     dt = traj.time.dt
@@ -287,64 +269,61 @@ def evaluate_cost(
 
     j_ctrl = 0.0
     if u is not None and cost.alpha3 > 0:
-        for f in u.fields:
-            j_ctrl += 0.5 * cost.alpha3 * dt * face_inner(f, f)
+        for u_n in u:
+            j_ctrl += 0.5 * cost.alpha3 * dt * face_inner(u_n, u_n)
 
     total = j_track + j_term + j_ctrl
     return total, {"track": j_track, "terminal": j_term, "control": j_ctrl}
 
 
 def reduced_gradient(
-    u: ControlField, adj: Sequence[AdjointState], cost: CostSpec
-) -> ControlField:
-    """Gradient field alpha3*u_n + va(t_n) of the reduced cost."""
-    if len(adj) != u.n_steps + 1:
+    u: FaceField, adj: Sequence[AdjointState], cost: CostSpec
+) -> FaceField:
+    """Gradient series alpha3*u_n + va(t_n) of the reduced cost."""
+    if len(adj) != len(u.x) + 1:
         raise ConfigError(
-            f"adjoint trajectory has {len(adj)} nodes, control has {u.n_steps} steps"
+            f"adjoint trajectory has {len(adj)} nodes, control has {len(u.x)} steps"
         )
-    return ControlField(u.grid, [cost.alpha3 * u.fields[n] + adj[n].va for n in range(u.n_steps)])
+    g = cost.alpha3 * u
+    for g_n, a in zip(g, adj):  # in place: stacking the va would allocate a second series
+        g_n.x += a.va.x
+        g_n.y += a.va.y
+    return g
 
 
-def project_admissible(u: ControlField, bounds: ControlBounds) -> ControlField:
+def project_admissible(u: FaceField, bounds: ControlBounds) -> FaceField:
     """Componentwise clamp onto the box (the L2-orthogonal projection).
 
     Boundary normal faces are not control degrees of freedom and are kept
     at zero after clamping.
     """
-    lo, hi = bounds.u_min, bounds.u_max
-    out_fields = [
-        FaceField(u.grid, np.clip(f.x, lo, hi), np.clip(f.y, lo, hi)).zero_boundary_normal()
-        for f in u.fields
-    ]
-    return ControlField(u.grid, out_fields)
+    out = FaceField(u.grid, np.clip(u.x, bounds.u_min, bounds.u_max),
+                    np.clip(u.y, bounds.u_min, bounds.u_max))
+    out.x[..., [0, -1], :] = 0.0
+    out.y[..., [0, -1]] = 0.0
+    return out
 
 
 def stationarity_residual(
-    u: ControlField, g: ControlField, bounds: ControlBounds, dt: float
+    u: FaceField, g: FaceField, bounds: ControlBounds, dt: float
 ) -> float:
     """Unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}."""
-    trial = project_admissible(u.axpy(-1.0, g), bounds)
-    return u.axpy(-1.0, trial).norm_q(dt)
+    return norm_q(u - project_admissible(u - g, bounds), dt)
 
 
-def bound_violation(u: ControlField, bounds: ControlBounds) -> float:
-    """Largest componentwise excursion of u outside the admissible box."""
-    worst = 0.0
-    for f in u.fields:
-        for arr in (f.x, f.y):
-            worst = max(
-                worst,
-                float(np.maximum(arr - bounds.u_max, 0.0).max()),
-                float(np.maximum(bounds.u_min - arr, 0.0).max()),
-            )
-    return worst
+def bound_violation(u: FaceField, bounds: ControlBounds) -> float:
+    """Largest componentwise excursion of u outside the admissible box, over
+    the control degrees of freedom (the pinned boundary normal faces are not)."""
+    free = (u.x[..., 1:-1, :], u.y[..., 1:-1])
+    return max(0.0, *(float(a.max()) - bounds.u_max for a in free),
+               *(bounds.u_min - float(a.min()) for a in free))
 
 
 def optimize(
     problem: ControlProblem,
-    u0: ControlField | None = None,
+    u0: FaceField | None = None,
     options: OptimizerOptions | None = None,
-) -> tuple[ControlField, OptimReport]:
+) -> tuple[FaceField, OptimReport]:
     """Spectral projected gradient descent with Armijo backtracking in the
     problem's box.
 
@@ -370,14 +349,15 @@ def optimize(
     require_unit_mobility(problem.params, "the optimizer")
     report = OptimReport()
 
-    def evaluate(u: ControlField):
+    def evaluate(u: FaceField):
         traj = problem.simulate(u)
         report.n_simulations += 1
         return (traj, *evaluate_cost(traj, u, cost))
 
     if u0 is None:
-        u0 = ControlField.zeros(problem.grid, problem.time.n_steps)
+        u0 = FaceField.zeros(problem.grid, problem.time.n_steps)
     u = project_admissible(u0, bounds)
+    u0 = None  # not held through the run: only its projection is read
     report.max_bound_violation = bound_violation(u, bounds)
     traj, j, comps = evaluate(u)
 
@@ -391,7 +371,7 @@ def optimize(
             bb = _bb2_step(u, u_prev, g, g_prev, dt)
             u_prev = g_prev = None
             s = min(2.0 * last_step if bb is None else bb, step0)
-        g_norm = g.norm_q(dt)
+        g_norm = norm_q(g, dt)
         if it == 0:
             report.initial_grad_norm = g_norm
         residual = stationarity_residual(u, g, bounds, dt)
@@ -408,9 +388,9 @@ def optimize(
             return u, report
 
         for _ in range(opts.backtrack_max + 1):
-            u_trial = project_admissible(u.axpy(-s, g), bounds)
+            u_trial = project_admissible(u - s * g, bounds)
             traj_trial, j_trial, comps_trial = evaluate(u_trial)
-            target = j - opts.armijo_c1 * g.inner_q(u.axpy(-1.0, u_trial), dt)
+            target = j - opts.armijo_c1 * inner_q(g, (a - b for a, b in zip(u, u_trial)), dt)
             if j_trial <= target:
                 break
             report.add(
@@ -434,10 +414,10 @@ def optimize(
 
 
 def _bb2_step(
-    u: ControlField, u_prev: ControlField, g: ControlField, g_prev: ControlField, dt: float
+    u: FaceField, u_prev: FaceField, g: FaceField, g_prev: FaceField, dt: float
 ) -> float | None:
     """Barzilai-Borwein step <du, dg>_Q / <dg, dg>_Q of the last iterate pair,
     or None when <du, dg>_Q <= 0 (no positive curvature along du)."""
-    du, dg = u.axpy(-1.0, u_prev), g.axpy(-1.0, g_prev)
-    curvature = du.inner_q(dg, dt)
-    return curvature / dg.inner_q(dg, dt) if curvature > 0 else None
+    dg = [a - b for a, b in zip(g, g_prev)]
+    curvature = inner_q((a - b for a, b in zip(u, u_prev)), dg, dt)
+    return curvature / inner_q(dg, dg, dt) if curvature > 0 else None

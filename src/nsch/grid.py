@@ -183,7 +183,8 @@ class ScalarField:
 
 @dataclass
 class FaceField:
-    """Staggered vector field: x on (..., nx+1, ny) x-faces, y on (..., nx, ny+1) y-faces."""
+    """Staggered vector field: x on (..., nx+1, ny) x-faces, y on (..., nx, ny+1) y-faces;
+    leading axes hold batch members or the steps of a force series."""
 
     grid: GridSpec
     x: np.ndarray
@@ -198,13 +199,14 @@ class FaceField:
             raise ValueError(f"y-face shape {self.y.shape} does not match grid")
 
     @classmethod
-    def zeros(cls, grid: GridSpec) -> "FaceField":
-        return cls(grid, np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
+    def zeros(cls, grid: GridSpec, *lead: int) -> "FaceField":
+        return cls(grid, np.zeros((*lead, grid.nx + 1, grid.ny)),
+                   np.zeros((*lead, grid.nx, grid.ny + 1)))
 
     def copy(self) -> "FaceField":
         return FaceField(self.grid, self.x.copy(), self.y.copy())
 
-    def __getitem__(self, m) -> "FaceField":  # member m of a batch, a view
+    def __getitem__(self, m) -> "FaceField":  # member or step m, a view; iterating walks them
         return FaceField(self.grid, self.x[m], self.y[m])
 
     def zero_boundary_normal(self) -> "FaceField":
@@ -230,8 +232,8 @@ class FaceField:
     def __neg__(self) -> "FaceField":
         return FaceField(self.grid, -self.x, -self.y)
 
-    def __mul__(self, scalar) -> "FaceField":
-        return FaceField(self.grid, self.x * float(scalar), self.y * float(scalar))
+    def __mul__(self, scale) -> "FaceField":  # a number, or an array over the leading axes
+        return FaceField(self.grid, self.x * scale, self.y * scale)
 
     __rmul__ = __mul__
 
@@ -449,18 +451,25 @@ def project_divergence_free(v: FaceField, dt: float) -> tuple[FaceField, ScalarF
     return out, p
 
 
+def _require_single(*arrays: np.ndarray) -> None:  # a sum over a leading axis mixes members
+    if any(a.ndim > 2 for a in arrays):
+        raise ValueError("inner products take single fields; index the batch member or step first")
+
+
 def scalar_inner(f: ScalarField, g: ScalarField) -> float:
-    """Discrete L2(Omega) inner product of cell fields."""
+    """Discrete L2(Omega) inner product of cell fields without leading axes."""
+    _require_single(f.values, g.values)
     return float((f.values * g.values).sum() * f.grid.cell_volume)
 
 
 def face_inner(a: FaceField, b: FaceField) -> float:
-    """Discrete L2(Omega) inner product of face fields.
+    """Discrete L2(Omega) inner product of face fields without leading axes.
 
     Faces carry weight hx*hy except the boundary normal faces, which carry
     half of it (each borders only one cell).  Fields with no-slip walls are
     insensitive to the boundary weight; constant fields integrate exactly.
     """
+    _require_single(a.x, b.x)
     vol = a.grid.cell_volume
     px = a.x * b.x
     py = a.y * b.y

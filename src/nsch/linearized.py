@@ -2,7 +2,7 @@
 stored trajectory.
 
 For a base trajectory (v, p, phi, mu, omega) and a force perturbation h,
-the sensitivity (w, q, psi, theta, w_aux) solves the linear system obtained
+the sensitivity (w, q, psi, theta) solves the linear system obtained
 by differentiating the state system: w is transported by and against the
 base flow, sees the variable-viscosity couplings through nu and nu', and is
 forced by theta*grad(phi) + mu*grad(psi) + h; psi is transported by the
@@ -22,9 +22,9 @@ end-of-step velocities exactly as the forward splitting does.  This makes
 superposition exact to roundoff and pushes the defect of the sensitivity
 against forward differencing down to the quadratic remainder.
 
-Each node stores (w, psi, theta): theta is what the next step reads, and
-the pressure q and the auxiliary w_aux are dropped (w_aux is rebuilt with
-theta by ``constitutive.linearized_chemical_potentials`` when wanted).
+Each node stores (w, psi, theta): theta is what the next step reads
+(``constitutive.linearized_chemical_potentials``), and the pressure q is
+dropped.
 
 Zero initial data and a divergence-free w imply that the mean of psi stays
 exactly zero along the evolution.
@@ -33,13 +33,13 @@ exactly zero along the evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from . import mac
 from .constitutive import PhysParams, linearized_chemical_potentials
-from .errors import ConfigError
 from .grid import FaceField, ScalarField, advect_scalar
-from .state import State, Trajectory, check_finite, momentum_update, phase_update
+from .state import State, Trajectory, check_finite, check_steps, momentum_update, phase_update
 
 
 @dataclass
@@ -54,7 +54,7 @@ class LinearizedState:
 
 
 def _lin_node(w, psi, base: State, params, t) -> LinearizedState:
-    theta, _ = linearized_chemical_potentials(psi, base.phi, base.omega, params)
+    theta = linearized_chemical_potentials(psi, base.phi, base.omega, params)
     return LinearizedState(w=w, psi=psi, theta=theta, time=t)
 
 
@@ -100,16 +100,17 @@ def linearized_step(
 
 def solve_linearized(
     base: Trajectory,
-    h: Sequence[FaceField] | None,
+    h: FaceField | None,
     params: PhysParams,
 ) -> list[LinearizedState]:
-    """Solve the sensitivity system with zero initial data along ``base``."""
+    """Solve the sensitivity system with zero initial data along ``base``, for
+    the force perturbation series ``h`` (step axis first, as in ``simulate``)."""
     n_steps = base.time.n_steps
-    if h is not None and len(h) != n_steps:
-        raise ConfigError(f"perturbation series has {len(h)} entries, need {n_steps}")
+    check_steps(h, n_steps, "perturbation")
 
-    grid = base.grid
-    lin = _lin_node(FaceField.zeros(grid), ScalarField.zeros(grid), base.states[0], params, 0.0)
+    b0 = base.states[0]  # zero data with the base's batch axes, if any
+    w0 = FaceField.zeros(base.grid, *b0.phi.values.shape[:-2])
+    lin = _lin_node(w0, ScalarField(base.grid, np.zeros_like(b0.phi.values)), b0, params, 0.0)
     out = [lin]
     for n in range(n_steps):
         h_n = h[n] if h is not None else None

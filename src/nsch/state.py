@@ -164,6 +164,13 @@ def check_finite(step: int, bounded: dict, unbounded: dict | None = None) -> Non
             raise BlowUpError(f"blow-up detected at {where}", step=step)
 
 
+def check_steps(series: FaceField | None, n_steps: int, name: str) -> None:
+    """Reject a force series without ``n_steps`` entries on a leading step axis."""
+    if series is not None and (series.x.ndim < 3 or len(series.x) != n_steps):
+        found = f"{len(series.x)} entries" if series.x.ndim > 2 else "no step axis"
+        raise ConfigError(f"{name} series has {found}, need {n_steps}")
+
+
 def trapezoid_weights(n_steps: int) -> list[float]:
     """Trapezoid-rule node weights on t_0..t_N in units of dt: [0.5, 1, ..., 1, 0.5]."""
     return [0.5 if k in (0, n_steps) else 1.0 for k in range(n_steps + 1)]
@@ -276,21 +283,21 @@ def _node_diagnostics(state: State, params: PhysParams) -> tuple[float, ...]:
 def simulate(
     v0: FaceField,
     phi0: ScalarField,
-    u: Sequence[FaceField] | None,
+    u: FaceField | None,
     time: TimeSpec,
     params: PhysParams,
 ) -> Trajectory:
     """Run the forward solver and record the state at every node.
 
-    ``u`` is the body-force series, one face field per step (or None for an
-    unforced run).  The initial velocity is projected once so the stored
-    v(0) is discretely divergence-free.  Fields with a leading batch axis
-    run one problem per member in one sweep (``ControlProblem.simulate_many``).
+    ``u`` is the body-force series, one face field with a leading step axis
+    (or None for an unforced run).  The initial velocity is projected once so
+    the stored v(0) is discretely divergence-free.  Fields with a leading batch
+    axis run one problem per member in one sweep; the force has it second
+    (``ControlProblem.simulate_many``).
     """
     grid = phi0.grid
     n_steps = time.n_steps
-    if u is not None and len(u) != n_steps:
-        raise ConfigError(f"control series has {len(u)} entries, need {n_steps}")
+    check_steps(u, n_steps, "control")
 
     v0p, _ = project_divergence_free(v0.zero_boundary_normal(), 1.0)
     p0 = ScalarField(grid, np.zeros_like(phi0.values))
@@ -306,7 +313,7 @@ def simulate(
     return Trajectory(grid=grid, time=time, params=params, states=states)
 
 
-def energy_balance_residual(traj: Trajectory, u: Sequence[FaceField] | None = None) -> float:
+def energy_balance_residual(traj: Trajectory, u: FaceField | None = None) -> float:
     """Defect of the integrated energy identity at the final time.
 
     Continuous law: kinetic + free energy at time t plus the accumulated

@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlField, ControlProblem, evaluate_cost, reduced_gradient
+from .control import ControlProblem, evaluate_cost, inner_q, reduced_gradient
 from .control import smooth_control_series
-from .grid import ScalarField, face_inner, scalar_inner
+from .grid import FaceField, ScalarField, face_inner, scalar_inner
 from .state import Trajectory, energy_balance_residual, simulate, trapezoid_weights
 
 FRECHET_EPSILONS = (1e-1, 5e-2, 2.5e-2)
@@ -117,7 +117,7 @@ def verify_energy(problem: ControlProblem) -> VerifyReport:
 def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     """Linear shrink of the first-order Taylor defect of the state map."""
     grid, time, base = problem.grid, problem.time, problem.base
-    u0 = ControlField.zeros(grid, time.n_steps)
+    u0 = FaceField.zeros(grid, time.n_steps)
     h, lin = problem.sensitivity(seed)
 
     def defect(eps: float, pert: Trajectory) -> float:
@@ -129,7 +129,7 @@ def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
 
     eps_list = list(FRECHET_EPSILONS)
     all_eps = eps_list + [FRECHET_FLOOR_EPSILON]
-    *errors, floor = map(defect, all_eps, problem.simulate_many([u0.axpy(e, h) for e in all_eps]))
+    *errors, floor = map(defect, all_eps, problem.simulate_many([u0 + e * h for e in all_eps]))
     ratios = [errors[i] / max(errors[i + 1], 1e-300) for i in range(len(errors) - 1)]
     ok = all(
         r >= 1.8 or errors[i + 1] <= 5.0 * floor for i, r in enumerate(ratios)
@@ -152,7 +152,7 @@ def duality_gap(problem: ControlProblem, seed: int = 0) -> dict:
     dt = time.dt
 
     lhs = sum(
-        dt * face_inner(h.fields[n], adj[n].va) for n in range(time.n_steps)
+        dt * face_inner(h[n], adj[n].va) for n in range(time.n_steps)
     )
     # trapezoid in time, matching the cost quadrature (psi(0) = 0)
     rhs = cost.alpha2 * scalar_inner(
@@ -190,19 +190,19 @@ def verify_duality(
 def verify_gradient(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     """Adjoint gradient against central finite differences of the reduced cost."""
     grid, time, cost = problem.grid, problem.time, problem.cost
-    u0 = ControlField.zeros(grid, time.n_steps)
+    u0 = FaceField.zeros(grid, time.n_steps)
     g = reduced_gradient(u0, problem.base_adjoint, cost)
     dt, eps = time.dt, GRADIENT_EPSILON
 
     dirs = [smooth_control_series(grid, time, seed + 1000 * i + 7)
             for i in range(GRADIENT_DIRECTIONS)]
-    pm = [u0.axpy(s, h) for h in dirs for s in (eps, -eps)]  # u0 +- eps h, one batch
+    pm = [u0 + s * h for h in dirs for s in (eps, -eps)]  # u0 +- eps h, one batch
     costs = [evaluate_cost(traj, u, cost)[0] for traj, u in zip(problem.simulate_many(pm), pm)]
 
     adj_dirs, fd_dirs, rel_errors = [], [], []
     for i, h in enumerate(dirs):
         fd = (costs[2 * i] - costs[2 * i + 1]) / (2.0 * eps)
-        ad = g.inner_q(h, dt)
+        ad = inner_q(g, h, dt)
         adj_dirs.append(ad)
         fd_dirs.append(fd)
         rel_errors.append(abs(ad - fd) / max(abs(fd), 1e-300))

@@ -158,7 +158,7 @@ class TestChemicalPotentials:
         mu_m, _ = mu_of_phi(phi + (-eps) * psi, params)
         fd = (mu_p.values - mu_m.values) / (2 * eps)
         _, omega = mu_of_phi(phi, params)
-        theta, _ = linearized_chemical_potentials(psi, phi, omega, params)
+        theta = linearized_chemical_potentials(psi, phi, omega, params)
         assert np.abs(theta.values - fd).max() < 1e-5 * max(1.0, np.abs(fd).max())
 
 

@@ -11,7 +11,6 @@ from nsch import (
     BlowUpError,
     ConfigError,
     ControlBounds,
-    ControlField,
     ControlProblem,
     CostSpec,
     FaceField,
@@ -32,8 +31,9 @@ from nsch import (
     stationarity_residual,
 )
 from nsch.config import bubble_phase, stripe_phase, swirl_velocity
+from nsch.control import inner_q, norm_q
 
-from conftest import random_face
+from conftest import random_face, stack_faces
 
 
 def small_problem(params, alpha1=1.0, alpha2=1.0, alpha3=0.1, n=8, T=0.004, dt=1e-3):
@@ -80,7 +80,7 @@ class TestEvaluateCost:
         ts = TimeSpec(0.004, 1e-3)
         traj = simulate(FaceField.zeros(grid), bubble_phase(grid), None, ts, params)
         cost = CostSpec(1.0, 1.0, 1.0, traj.phi_series(), traj.final.phi)
-        u = ControlField.zeros(grid, ts.n_steps)
+        u = FaceField.zeros(grid, ts.n_steps)
         j, comps = evaluate_cost(traj, u, cost)
         assert j == pytest.approx(0.0, abs=1e-16)
 
@@ -89,8 +89,8 @@ class TestEvaluateCost:
         grid = GridSpec(8, 8, 1.0, 1.0)
         ts = TimeSpec(1.0, 0.125)
         traj = simulate(FaceField.zeros(grid), ScalarField.full(grid, 1.0), None, ts, params)
-        u = ControlField.zeros(grid, ts.n_steps)
-        for f in u.fields:
+        u = FaceField.zeros(grid, ts.n_steps)
+        for f in u:
             f.x[:, :] = 1.0
         zero = ScalarField.zeros(grid)
         cost = CostSpec(0.0, 0.0, 2.0, [zero] * (ts.n_steps + 1), zero)
@@ -105,7 +105,7 @@ class TestEvaluateCost:
         n = ts.n_steps
         tgt = [ScalarField(grid, rng.standard_normal((6, 5))) for _ in range(n + 1)]
         cost = CostSpec(0.7, 1.3, 2.1, tgt, tgt[-1])
-        u = ControlField(grid, [random_face(grid, rng) for _ in range(n)])
+        u = stack_faces([random_face(grid, rng) for _ in range(n)])
         j, _ = evaluate_cost(traj, u, cost)
 
         # naive summation oracle
@@ -124,7 +124,7 @@ class TestEvaluateCost:
                 acc += (traj.final.phi.values[i, jj] - tgt[-1].values[i, jj]) ** 2 * vol
         jterm = 0.5 * 1.3 * acc
         jc = 0.0
-        for f in u.fields:
+        for f in u:
             acc = 0.0
             for i in range(grid.nx + 1):
                 for jj in range(grid.ny):
@@ -144,7 +144,7 @@ class TestEvaluateCost:
         zero = ScalarField.zeros(grid)
         cost = CostSpec(1.0, 0.0, 0.0, [zero] * (ts.n_steps + 1), zero)
         with pytest.raises(ConfigError):
-            evaluate_cost(traj, ControlField.zeros(grid, 2), cost)
+            evaluate_cost(traj, FaceField.zeros(grid, 2), cost)
 
 
 class TestReducedGradient:
@@ -152,22 +152,19 @@ class TestReducedGradient:
         problem = small_problem(params, alpha3=0.0)
         traj = problem.simulate(None)
         adj = solve_adjoint(traj, problem.cost, params)
-        u = ControlField.zeros(problem.grid, problem.time.n_steps)
+        u = FaceField.zeros(problem.grid, problem.time.n_steps)
         g = reduced_gradient(u, adj, problem.cost)
-        for n in range(u.n_steps):
-            assert np.abs(g.fields[n].x - adj[n].va.x).max() == 0.0
+        for n in range(problem.time.n_steps):
+            assert np.abs(g[n].x - adj[n].va.x).max() == 0.0
 
     def test_zero_adjoint_returns_scaled_u(self, params, rng):
         problem = small_problem(params, alpha1=0.0, alpha2=0.0, alpha3=1.0)
         traj = problem.simulate(None)
         adj = solve_adjoint(traj, problem.cost, params)
-        u = ControlField(
-            problem.grid,
-            [random_face(problem.grid, rng) for _ in range(problem.time.n_steps)],
-        )
+        u = stack_faces([random_face(problem.grid, rng) for _ in range(problem.time.n_steps)])
         g = reduced_gradient(u, adj, problem.cost)
-        for n in range(u.n_steps):
-            assert np.abs(g.fields[n].x - u.fields[n].x).max() < 1e-14
+        for n in range(problem.time.n_steps):
+            assert np.abs(g[n].x - u[n].x).max() < 1e-14
 
     def test_matches_discrete_cost_derivative(self, params):
         # dt * va(t_n) is the per-face derivative of the tracking part of
@@ -180,8 +177,8 @@ class TestReducedGradient:
         adj = solve_adjoint(base, cost, params)
         n_steps = ts.n_steps
 
-        def tracking_derivative(h_fields):
-            lin = solve_linearized(base, h_fields, params)
+        def tracking_derivative(h):
+            lin = solve_linearized(base, h, params)
             val = cost.alpha2 * scalar_inner(
                 base.final.phi - cost.phi_omega, lin[-1].psi
             )
@@ -193,7 +190,7 @@ class TestReducedGradient:
 
         vol = grid.cell_volume
         for step, i, j in ((5, 3, 5), (10, 3, 5), (15, 5, 2)):
-            h = [FaceField.zeros(grid) for _ in range(n_steps)]
+            h = FaceField.zeros(grid, n_steps)
             h[step].x[i, j] = 1.0
             exact = tracking_derivative(h)
             approx = ts.dt * vol * adj[step].va.x[i, j]
@@ -206,20 +203,20 @@ class TestReducedGradient:
 class TestProjection:
     def test_componentwise_clamp(self, params):
         grid = GridSpec(6, 6, 1.0, 1.0)
-        u = ControlField.zeros(grid, 1)
-        u.fields[0].x[2, 2] = 1.5
-        u.fields[0].y[2, 2] = -0.3
+        u = FaceField.zeros(grid, 1)
+        u[0].x[2, 2] = 1.5
+        u[0].y[2, 2] = -0.3
         p = project_admissible(u, ControlBounds(-1.0, 1.0))
-        assert p.fields[0].x[2, 2] == 1.0
-        assert p.fields[0].y[2, 2] == -0.3
+        assert p[0].x[2, 2] == 1.0
+        assert p[0].y[2, 2] == -0.3
 
     def test_idempotent(self, params, rng):
         grid = GridSpec(6, 6, 1.0, 1.0)
         bounds = ControlBounds(-0.5, 0.25)
-        u = ControlField(grid, [random_face(grid, rng, scale=2.0) for _ in range(3)])
+        u = stack_faces([random_face(grid, rng, scale=2.0) for _ in range(3)])
         p1 = project_admissible(u, bounds)
         p2 = project_admissible(p1, bounds)
-        for a, b in zip(p1.fields, p2.fields):
+        for a, b in zip(p1, p2):
             assert np.abs(a.x - b.x).max() == 0.0
             assert np.abs(a.y - b.y).max() == 0.0
 
@@ -228,11 +225,26 @@ class TestProjection:
         bounds = ControlBounds(-0.7, 0.4)
         dt = 0.1
         for _ in range(200):
-            a = ControlField(grid, [random_face(grid, rng, scale=2.0)])
-            b = ControlField(grid, [random_face(grid, rng, scale=2.0)])
+            a = stack_faces([random_face(grid, rng, scale=2.0)])
+            b = stack_faces([random_face(grid, rng, scale=2.0)])
             pa = project_admissible(a, bounds)
             pb = project_admissible(b, bounds)
-            assert pa.axpy(-1.0, pb).norm_q(dt) <= a.axpy(-1.0, b).norm_q(dt) + 1e-14
+            assert norm_q(pa - pb, dt) <= norm_q(a - b, dt) + 1e-14
+
+    def test_bound_violation_skips_the_pinned_walls(self, params, rng):
+        # the projection pins the boundary normal faces to 0, outside this box
+        grid = GridSpec(6, 6, 1.0, 1.0)
+        bounds = ControlBounds(0.5, 1.0)
+        u = project_admissible(stack_faces([random_face(grid, rng, scale=2.0) for _ in range(2)]),
+                               bounds)
+        assert control.bound_violation(u, bounds) == 0.0
+        u.x[1, 3, 2] = 1.25
+        assert control.bound_violation(u, bounds) == 0.25
+        u.y[0, 2, 3] = 0.125
+        assert control.bound_violation(u, bounds) == 0.375
+        problem = replace(small_problem(params, alpha3=1e-6), bounds=bounds)
+        _, rep = optimize(problem, None, OptimizerOptions(max_iter=1))
+        assert rep.max_bound_violation == 0.0
 
     def test_empty_box_rejected(self):
         with pytest.raises(ConfigError, match="u_min exceeds u_max"):
@@ -251,19 +263,16 @@ class TestStationarity:
     def test_zero_gradient(self, params, rng):
         grid = GridSpec(6, 6, 1.0, 1.0)
         bounds = ControlBounds(-1.0, 1.0)
-        u = project_admissible(
-            ControlField(grid, [random_face(grid, rng, scale=0.5)]), bounds
-        )
-        g = ControlField.zeros(grid, 1)
+        u = project_admissible(stack_faces([random_face(grid, rng, scale=0.5)]), bounds)
+        g = FaceField.zeros(grid, 1)
         assert stationarity_residual(u, g, bounds, 0.1) == 0.0
 
 
 class TestOptimize:
     def test_pure_control_cost_one_step_to_zero(self, params, rng):
         problem = small_problem(params, alpha1=0.0, alpha2=0.0, alpha3=0.5)
-        u0 = ControlField(
-            problem.grid,
-            [random_face(problem.grid, rng, scale=0.3) for _ in range(problem.time.n_steps)],
+        u0 = stack_faces(
+            [random_face(problem.grid, rng, scale=0.3) for _ in range(problem.time.n_steps)]
         )
         u, rep = optimize(problem, u0, OptimizerOptions(tol=1e-10, max_iter=5))
         assert rep.reason is StopReason.CONVERGED
@@ -272,7 +281,7 @@ class TestOptimize:
 
     def test_stationary_start_returns_immediately(self, params):
         problem = small_problem(params, alpha1=0.0, alpha2=0.0, alpha3=1.0)
-        u0 = ControlField.zeros(problem.grid, problem.time.n_steps)
+        u0 = FaceField.zeros(problem.grid, problem.time.n_steps)
         u, rep = optimize(problem, u0, OptimizerOptions(tol=1e-6, max_iter=5))
         assert rep.reason is StopReason.CONVERGED
         assert rep.n_simulations == 1
@@ -355,10 +364,10 @@ class TestOptimize:
         fallbacks = 0
         for k in range(1, len(first)):
             (u0, g0), (u1, g1) = iterates[k - 1], iterates[k]
-            du, dg = u1.axpy(-1.0, u0), g1.axpy(-1.0, g0)
-            curvature = du.inner_q(dg, dt)
+            du, dg = u1 - u0, g1 - g0
+            curvature = inner_q(du, dg, dt)
             if curvature > 0:
-                bb = curvature / dg.inner_q(dg, dt)
+                bb = curvature / inner_q(dg, dg, dt)
                 assert first[k] == pytest.approx(min(bb, step0), rel=1e-12)
             else:
                 fallbacks += 1
@@ -373,8 +382,8 @@ class TestOptimize:
         _, rep = optimize(problem, None, OptimizerOptions(tol=1e-8, max_iter=3))
         dt = problem.time.dt
         (u0, g0), (u1, g1) = iterates[:2]
-        du, dg = u1.axpy(-1.0, u0), g1.axpy(-1.0, g0)
-        assert du.inner_q(dg, dt) / dg.inner_q(dg, dt) > 1.0
+        du, dg = u1 - u0, g1 - g0
+        assert inner_q(du, dg, dt) / inner_q(dg, dg, dt) > 1.0
         assert max(row[7] for row in rep.rows) == 1.0
 
     def test_one_trajectory_alive_per_forward_solve(self, params, monkeypatch):
@@ -447,8 +456,8 @@ class TestQuadratureAndOptions:
 
 class TestSimulateMany:
     def controls(self, problem, rng, members=3):
-        return [ControlField(problem.grid, [random_face(problem.grid, rng, scale=0.5)
-                                            for _ in range(problem.time.n_steps)])
+        return [stack_faces([random_face(problem.grid, rng, scale=0.5)
+                             for _ in range(problem.time.n_steps)])
                 for _ in range(members)]
 
     def test_members_equal_sequential_solves(self, params, rng):
@@ -464,10 +473,19 @@ class TestSimulateMany:
                     assert np.array_equal(x, y)
             assert evaluate_cost(traj, u, problem.cost) == evaluate_cost(ref, u, problem.cost)
 
+    def test_member_diagnostics_equal_single_runs(self, params, rng):
+        problem = small_problem(params, n=10, T=0.005)
+        controls = self.controls(problem, rng)
+        for u, traj in zip(controls, problem.simulate_many(controls)):
+            ref = problem.simulate(u).diagnostics
+            assert traj.diagnostics.keys() == ref.keys()
+            for name, values in traj.diagnostics.items():
+                assert np.array_equal(values, ref[name])
+
     def test_blow_up_names_the_member(self, params, rng):
         problem = small_problem(params)
         controls = self.controls(problem, rng)
-        controls[1] = controls[1].axpy(1e12, controls[1])
+        controls[1] = controls[1] + 1e12 * controls[1]
         with pytest.raises(BlowUpError, match=r"at step 1 in v\.x of batch member 1$") as err:
             problem.simulate_many(controls)
         assert err.value.step == 1

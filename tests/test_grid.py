@@ -354,6 +354,20 @@ class TestBatchedKernels:
         single = stack_faces([f.zero_boundary_normal() for f in faces])
         assert np.array_equal(out.x, single.x) and np.array_equal(out.y, single.y)
 
+    def test_inner_products_reject_leading_axes(self, rng):
+        # they sum over every axis, so a batch or step axis would mix members
+        members = [random_face(self.grid, rng) for _ in range(3)]
+        faces = stack_faces(members)
+        cells = ScalarField(self.grid, rng.standard_normal((3, 12, 9)))
+        with pytest.raises(ValueError, match="index the batch member or step first"):
+            face_inner(faces, faces)
+        with pytest.raises(ValueError, match="index the batch member or step first"):
+            faces.norm_l2()
+        with pytest.raises(ValueError, match="index the batch member or step first"):
+            scalar_inner(cells, cells)
+        assert face_inner(faces[1], faces[1]) == face_inner(members[1], members[1])
+        assert scalar_inner(cells[2], cells[2]) == scalar_inner(cells[2].copy(), cells[2].copy())
+
     def test_shape_checks_read_the_trailing_axes(self):
         ScalarField(self.grid, np.zeros((2, 12, 9)))
         FaceField(self.grid, np.zeros((2, 13, 9)), np.zeros((2, 12, 10)))

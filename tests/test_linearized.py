@@ -45,7 +45,7 @@ class TestHomogeneity:
 
     def test_zero_h_list(self, base_small, params):
         grid = base_small.grid
-        h = [FaceField.zeros(grid)] * base_small.time.n_steps
+        h = FaceField.zeros(grid, base_small.time.n_steps)
         out = solve_linearized(base_small, h, params)
         assert out[-1].psi.max_abs() == 0.0
 
@@ -75,9 +75,9 @@ class TestLinearity:
 
     def test_trajectory_linearity_in_h(self, base_small, params):
         grid, ts = base_small.grid, base_small.time
-        h1 = smooth_control_series(grid, ts, 5).fields
-        h2 = smooth_control_series(grid, ts, 9).fields
-        combo = [1.5 * a + (-2.0) * b for a, b in zip(h1, h2)]
+        h1 = smooth_control_series(grid, ts, 5)
+        h2 = smooth_control_series(grid, ts, 9)
+        combo = 1.5 * h1 + (-2.0) * h2
         o1 = solve_linearized(base_small, h1, params)
         o2 = solve_linearized(base_small, h2, params)
         o12 = solve_linearized(base_small, combo, params)
@@ -90,7 +90,7 @@ class TestLinearity:
 
 class TestMeanConservation:
     def test_psi_mean_stays_zero(self, base_small, params):
-        h = smooth_control_series(base_small.grid, base_small.time, 3).fields
+        h = smooth_control_series(base_small.grid, base_small.time, 3)
         out = solve_linearized(base_small, h, params)
         for lin in out:
             assert abs(lin.psi.mean()) < 1e-12
@@ -100,10 +100,10 @@ class TestAuxiliaryConsistency:
     def test_w_aux_and_theta_recomputable(self, base_small, params):
         from nsch.constitutive import linearized_chemical_potentials
 
-        h = smooth_control_series(base_small.grid, base_small.time, 3).fields
+        h = smooth_control_series(base_small.grid, base_small.time, 3)
         out = solve_linearized(base_small, h, params)
         for lin, bstate in zip(out, base_small.states):
-            theta, _ = linearized_chemical_potentials(lin.psi, bstate.phi, bstate.omega, params)
+            theta = linearized_chemical_potentials(lin.psi, bstate.phi, bstate.omega, params)
             assert np.abs(lin.theta.values - theta.values).max() < 1e-12 * max(
                 1.0, theta.max_abs()
             )
@@ -249,10 +249,10 @@ class TestFrechetProperty:
         phi0, v0 = bubble_phase(grid), swirl_velocity(grid, 1.0)
         base = simulate(v0, phi0, None, ts, params)
         h = smooth_control_series(grid, ts, 3)
-        lin = solve_linearized(base, h.fields, params)
+        lin = solve_linearized(base, h, params)
 
         def defect(eps):
-            pert = simulate(v0, phi0, [eps * f for f in h.fields], ts, params)
+            pert = simulate(v0, phi0, eps * h, ts, params)
             diffs = [
                 ScalarField(grid, p.phi.values - b.phi.values - eps * l.psi.values)
                 for p, b, l in zip(pert.states, base.states, lin)
@@ -265,7 +265,10 @@ class TestFrechetProperty:
 
     def test_h_length_mismatch(self, base_small, params):
         with pytest.raises(ConfigError):
-            solve_linearized(base_small, [FaceField.zeros(base_small.grid)], params)
+            solve_linearized(base_small, FaceField.zeros(base_small.grid, 1), params)
+        # a single field is not a series: it has no step axis
+        with pytest.raises(ConfigError, match="perturbation series has no step axis"):
+            solve_linearized(base_small, FaceField.zeros(base_small.grid), params)
 
 
 class TestNonconstantMobility:
@@ -278,10 +281,10 @@ class TestNonconstantMobility:
         phi0, v0 = bubble_phase(grid), swirl_velocity(grid, 0.5)
         base = simulate(v0, phi0, None, ts, p)
         h = smooth_control_series(grid, ts, 3)
-        lin = solve_linearized(base, h.fields, p)
+        lin = solve_linearized(base, h, p)
 
         def defect(eps):
-            pert = simulate(v0, phi0, [eps * f for f in h.fields], ts, p)
+            pert = simulate(v0, phi0, eps * h, ts, p)
             diffs = [
                 ScalarField(grid, a.phi.values - b.phi.values - eps * l.psi.values)
                 for a, b, l in zip(pert.states, base.states, lin)
@@ -298,11 +301,11 @@ class TestStoredTheta:
 
         from nsch.constitutive import linearized_chemical_potentials, mu_of_phi
 
-        h = smooth_control_series(base_small.grid, base_small.time, 3).fields
+        h = smooth_control_series(base_small.grid, base_small.time, 3)
         lin_n = solve_linearized(base_small, h, params)[1]
         b1, b2 = base_small.states[1], base_small.states[2]
         omega = mu_of_phi(b1.phi, params)[1]
-        theta, _ = linearized_chemical_potentials(lin_n.psi, b1.phi, omega, params)
+        theta = linearized_chemical_potentials(lin_n.psi, b1.phi, omega, params)
         dt = base_small.time.dt
         stored = linearized_step(b1, b2, lin_n, h[1], dt, params)
         fresh = linearized_step(b1, b2, replace(lin_n, theta=theta), h[1], dt, params)
@@ -388,7 +391,7 @@ class TestSharedScheme:
         assert np.array_equal(out.w.x, w_ref.x) and np.array_equal(out.w.y, w_ref.y)
 
     def test_non_finite_direction_names_step_and_field(self, base_small, params):
-        h = smooth_control_series(base_small.grid, base_small.time, 3).fields
+        h = smooth_control_series(base_small.grid, base_small.time, 3)
         h[1].x[2, 2] = np.nan
         with pytest.raises(BlowUpError, match=r"at step 2 in psi$") as info:
             solve_linearized(base_small, h, params)

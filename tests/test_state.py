@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from nsch import grid as grid_module
 from nsch import (
     BlowUpError,
     ConfigError,
+    CostSpec,
     FaceField,
     GridSpec,
     PhysParams,
@@ -19,8 +21,11 @@ from nsch import (
     mu_of_phi,
     ns_step,
     simulate,
+    smooth_control_series,
+    solve_adjoint,
+    solve_linearized,
 )
-from nsch.config import bubble_phase, swirl_velocity
+from nsch.config import bubble_phase, stripe_phase, swirl_velocity
 from nsch.state import (
     DIAGNOSTIC_COLUMNS,
     _node_diagnostics,
@@ -29,7 +34,7 @@ from nsch.state import (
     trapezoid_weights,
 )
 
-from conftest import random_face, random_scalar, random_solenoidal
+from conftest import random_face, random_scalar, random_solenoidal, stack_faces
 import oracles
 
 
@@ -216,9 +221,13 @@ class TestSimulate:
 
     def test_control_length_mismatch(self, grid6, params):
         ts = TimeSpec(0.01, 1e-3)
-        u = [FaceField.zeros(grid6)] * 3
+        u = FaceField.zeros(grid6, 3)
         with pytest.raises(ConfigError, match="control series"):
             simulate(FaceField.zeros(grid6), ScalarField.full(grid6, 1.0), u, ts, params)
+        # a single field is not a series: it has no step axis
+        with pytest.raises(ConfigError, match="control series has no step axis"):
+            simulate(FaceField.zeros(grid6), ScalarField.full(grid6, 1.0),
+                     FaceField.zeros(grid6), ts, params)
 
     def test_blow_up_detection(self, params):
         grid = GridSpec(8, 8, 1.0, 1.0)
@@ -236,6 +245,15 @@ class TestSimulate:
         for got, ref in ((mass, constraint_integrals(phi)[0]), (energy, e_ref),
                          (willmore, bending_ref), (gl, gl_ref)):
             assert got == pytest.approx(ref, rel=1e-13)
+
+    def test_batched_diagnostics_raise(self, params):
+        # the node diagnostics are single-run sums: a batch must be read per member
+        grid = GridSpec(8, 8, 4.0, 4.0)
+        v0 = stack_faces([swirl_velocity(grid, a) for a in (0.5, 1.0, 1.5)])
+        phi0 = ScalarField(grid, np.stack([bubble_phase(grid).values] * 3))
+        traj = simulate(v0, phi0, None, TimeSpec(0.002, 1e-3), params)
+        with pytest.raises(ValueError, match="index the batch member or step first"):
+            traj.diagnostics
 
     def test_diagnostics_columns(self, params):
         grid = GridSpec(8, 8, 4.0, 4.0)
@@ -278,7 +296,7 @@ class TestSimulate:
         # the work integral enters the balance with the right sign
         grid = GridSpec(16, 16, 16.0, 16.0)
         ts = TimeSpec(0.02, 5e-4)
-        u = [random_solenoidal(grid, rng, scale=0.5) for _ in range(ts.n_steps)]
+        u = stack_faces([random_solenoidal(grid, rng, scale=0.5) for _ in range(ts.n_steps)])
         traj = simulate(FaceField.zeros(grid), bubble_phase(grid), u, ts, params)
         res_with_work = energy_balance_residual(traj, u)
         res_without = energy_balance_residual(traj)
@@ -350,3 +368,35 @@ class TestSchemeHome:
             check_finite(4, {"psi": big}, {"w.x": np.zeros(3)})
         with pytest.raises(BlowUpError, match=r"at step 4 in w.y$"):
             check_finite(4, {"psi": np.zeros(3)}, {"w.x": big, "w.y": bad})
+
+
+@pytest.fixture
+def restore_fft_workers():
+    saved = grid_module.fft_workers()
+    yield
+    grid_module.set_fft_workers(saved)
+
+
+class TestFftWorkers:
+    def test_two_workers_bit_identical(self, params, restore_fft_workers):
+        # a batched problem, so the transforms have lines to share out
+        grid = GridSpec(12, 10, 6.0, 5.0)
+        ts = TimeSpec(0.004, 1e-3)
+        v0 = stack_faces([swirl_velocity(grid, a) for a in (0.3, 0.6, 0.9)])
+        phi0 = ScalarField(grid, np.stack([bubble_phase(grid).values] * 3))
+        h = smooth_control_series(grid, ts, 3)
+        tgt = stripe_phase(grid)
+        cost = CostSpec(1.0, 1.0, 0.1, [tgt] * (ts.n_steps + 1), tgt)
+
+        def solve(workers):
+            grid_module.set_fft_workers(workers)
+            base = simulate(v0, phi0, h, ts, params)
+            lin = solve_linearized(base, h, params)
+            adj = solve_adjoint(base, cost, params)
+            return ([a for s in base.states for a in (s.v.x, s.v.y, s.p.values, s.phi.values)]
+                    + [a for s in lin for a in (s.w.x, s.w.y, s.psi.values, s.theta.values)]
+                    + [a for s in adj for a in (s.va.x, s.va.y, s.phia.values)])
+
+        one, two = solve(1), solve(2)
+        assert one[0].shape == (3, 13, 10) and one[-1].shape == (3, 12, 10)
+        assert all(np.array_equal(a, b) for a, b in zip(one, two, strict=True))
