@@ -42,7 +42,9 @@ the stored terminal state carries the plain terminal condition).
 Each node stores only (va, phia): no reader needs mua, omegaa or the
 adjoint pressure pa (the two projections' pressures are dropped).  The step
 never forms mua or omegaa, and it takes each Laplacian once (linearity
-merges the terms that share z and Lap(z)).
+merges the terms that share z and Lap(z)).  The base nodes store (v, p, phi)
+only, so each step rebuilds the base mu and omega at t_n with one
+``mu_of_phi`` call.
 
 This realizes the continuous adjoint system rather than the exact
 transpose of the discrete forward map: the velocity advection stencils are
@@ -55,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import mac
-from .constitutive import CostSpec, PhysParams, potential_fp, potential_fpp
+from .constitutive import CostSpec, PhysParams, mu_of_phi, potential_fp, potential_fpp
 from .errors import ConfigError
 from .grid import FaceField, ScalarField, advect_scalar, laplacian, project_divergence_free
 from .state import State, Trajectory, check_finite, phase_solve, trapezoid_weights
@@ -87,8 +89,11 @@ def adjoint_terminal(phi_t: ScalarField, cost: CostSpec, time: float) -> Adjoint
     return AdjointState(va=FaceField.zeros(grid), phia=phia, time=time)
 
 
-def _chain_transpose(chi: ScalarField, base: State, params: PhysParams) -> ScalarField:
-    """Adjoint of the linearized chemical-potential remainder.
+def _chain_transpose(
+    chi: ScalarField, phi: ScalarField, omega: ScalarField, params: PhysParams
+) -> ScalarField:
+    """Adjoint of the linearized chemical-potential remainder at the base
+    phase field ``phi`` with ``omega = omega_of_phi(phi)``.
 
     For H(psi) = -Lap(f' psi) + f'' psi omega + (f' + eta)(-Lap psi + f' psi)
     this returns the field satisfying <H(psi), chi> = <psi, H^T(chi)>:
@@ -96,11 +101,11 @@ def _chain_transpose(chi: ScalarField, base: State, params: PhysParams) -> Scala
         H^T(chi) = -f' Lap(chi) + f'' omega chi - Lap((f' + eta) chi)
                    + f' (f' + eta) chi.
     """
-    fp = potential_fp(base.phi.values)
+    fp = potential_fp(phi.values)
     fpe = fp + params.eta
     vals = (
         -fp * laplacian(chi).values
-        + potential_fpp(base.phi.values) * base.omega.values * chi.values
+        + potential_fpp(phi.values) * omega.values * chi.values
         - laplacian(ScalarField(chi.grid, fpe * chi.values)).values
         + fp * fpe * chi.values
     )
@@ -122,7 +127,7 @@ def adjoint_step(
     """
     require_unit_mobility(params, "the adjoint solver")
     grid = base_n.phi.grid
-    phi_n, v_n, mu_n = base_n.phi, base_n.v, base_n.mu
+    phi_n, v_n = base_n.phi, base_n.v
     nu, nu_p = params.viscosity(phi_n.values)
     s = params.stab
 
@@ -150,9 +155,10 @@ def adjoint_step(
     # H^T(g1) + H^T(Lap z) = H^T(g1 + Lap z)
     g1 = advect_scalar(y, phi_n)  # grad(phi) . va on cells
     lap_z = laplacian(z)
+    mu_n, omega_n = mu_of_phi(phi_n, params)
     rest = (
         laplacian(ScalarField(grid, laplacian(g1).values + s * lap_z.values)).values
-        + _chain_transpose(g1 + lap_z, base_n, params).values
+        + _chain_transpose(g1 + lap_z, phi_n, omega_n, params).values
         + advect_scalar(base_np1.v, z).values
         - advect_scalar(y, mu_n).values
         - 2.0 * nu_p * strain

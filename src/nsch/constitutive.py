@@ -85,10 +85,17 @@ class PhysParams:
     def constant_mobility(self) -> bool:
         return self.mob_amp == 0.0
 
+    def nu(self, s):
+        """The viscosity law nu(s) alone, for scalar or array s."""
+        return self._nu_of_tanh(np.tanh(s))
+
     def viscosity(self, s):
-        """Return (nu(s), nu'(s)) for scalar or array s."""
+        """Return (nu(s), nu'(s)) for scalar or array s, from one tanh."""
         t = np.tanh(s)
-        return self.nu_bar + self.nu_amp * t, self.nu_amp * (1.0 - t * t)
+        return self._nu_of_tanh(t), self.nu_amp * (1.0 - t * t)
+
+    def _nu_of_tanh(self, t):
+        return self.nu_bar + self.nu_amp * t
 
     def mobility(self, s):
         """Return (m(s), m'(s)) for scalar or array s."""
@@ -149,15 +156,19 @@ def linearized_chemical_potentials(
     return ScalarField(psi.grid, theta)
 
 
-def free_energy(phi: ScalarField, params: PhysParams) -> tuple[float, float, float]:
+def free_energy(
+    phi: ScalarField, params: PhysParams, omega: ScalarField | None = None
+) -> tuple[float, float, float]:
     """Total free energy; returns (E, bending_part, gl_part).
 
     The bending part is int omega^2 / 2; the Ginzburg-Landau part is
     eta * B(phi) = eta * int(|grad phi|^2 / 2 + F(phi)), see
     :func:`constraint_integrals`.  Midpoint (cell sum) quadrature, gradient
-    term from face differences.
+    term from face differences.  ``omega`` is ``omega_of_phi(phi)`` when the
+    caller has already built it.
     """
-    omega = omega_of_phi(phi)
+    if omega is None:
+        omega = omega_of_phi(phi)
     bending = 0.5 * (omega.values**2).sum() * phi.grid.cell_volume
     gl = params.eta * constraint_integrals(phi)[1]
     return bending + gl, bending, gl

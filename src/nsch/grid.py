@@ -20,6 +20,10 @@ onto the n+1 points that include the two walls, where the mirror or
 reflection ghost gives the wall value.  Only :func:`laplacian` and
 ``mac.center_to_corners`` spell out their ghosts, to keep the operation
 order of their tuned sums.  The solves also act on the trailing axes only.
+A ufunc over row slices runs its inner loop once per row, so the passes
+along y of :func:`to_walls`, the Laplacian's second difference and
+``mac._quad_mean`` run once over the flat buffer and drop the entries that
+mix two rows.
 
 With this layout the 5-point Laplacian factors exactly as
 ``laplacian = divergence_of_faces o gradient_to_faces`` and those two
@@ -155,13 +159,16 @@ class ScalarField:
         return ScalarField(self.grid, self.values[m])
 
     def mean(self) -> float:
+        _require_single(self.values)
         return float(self.values.mean())
 
     def norm_l2(self) -> float:
         """Discrete L2 norm, sqrt(sum f^2 * cell_volume)."""
+        _require_single(self.values)
         return float(np.sqrt((self.values**2).sum() * self.grid.cell_volume))
 
     def max_abs(self) -> float:
+        _require_single(self.values)
         return float(np.abs(self.values).max())
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
@@ -221,6 +228,7 @@ class FaceField:
         return float(np.sqrt(face_inner(self, self)))
 
     def max_abs(self) -> float:
+        _require_single(self.x)
         return float(max(np.abs(self.x).max(), np.abs(self.y).max()))
 
     def __add__(self, other: "FaceField") -> "FaceField":
@@ -307,14 +315,23 @@ def to_walls(a: np.ndarray, axis: int, ghost: int, h: float | None = None) -> np
     shape[axis - 2] += 1
     out = np.empty(shape)
     inner, first, last = out[_INNER[axis]], _FIRST[axis], _LAST[axis]
+    pair = np.add if h is None else np.subtract
+    if axis == 0:  # whole rows: one pass writes the inner points
+        pairs = pair(a[_HI[0]], a[_LO[0]], out=inner)
+    else:
+        # along the rows, one flat pass (neighbours 1 apart) into a buffer
+        # shaped like ``a``; the last entry of each row mixes two rows and is
+        # dropped by the one strided copy into the inner points
+        flat, buf = a.ravel(), np.empty(a.shape)
+        pairs = pair(flat[1:], flat[:-1], out=buf.ravel()[:-1])
     if h is None:
-        np.add(a[_HI[axis]], a[_LO[axis]], out=inner)
-        inner *= 0.5
+        pairs *= 0.5
         walls = (a[first], a[last]) if ghost > 0 else (0.0, 0.0)
     else:
-        np.subtract(a[_HI[axis]], a[_LO[axis]], out=inner)
-        inner /= h
+        pairs /= h
         walls = (0.0, 0.0) if ghost > 0 else (2.0 * a[first] / h, -2.0 * a[last] / h)
+    if axis == 1:
+        np.copyto(inner, buf[..., :-1])
     out[first], out[last] = walls
     return out
 
@@ -453,7 +470,7 @@ def project_divergence_free(v: FaceField, dt: float) -> tuple[FaceField, ScalarF
 
 def _require_single(*arrays: np.ndarray) -> None:  # a sum over a leading axis mixes members
     if any(a.ndim > 2 for a in arrays):
-        raise ValueError("inner products take single fields; index the batch member or step first")
+        raise ValueError("reductions take single fields; index the batch member or step first")
 
 
 def scalar_inner(f: ScalarField, g: ScalarField) -> float:

@@ -1,13 +1,13 @@
 """Sensitivity solver: the linearization of the forward system around a
 stored trajectory.
 
-For a base trajectory (v, p, phi, mu, omega) and a force perturbation h,
-the sensitivity (w, q, psi, theta) solves the linear system obtained
-by differentiating the state system: w is transported by and against the
-base flow, sees the variable-viscosity couplings through nu and nu', and is
-forced by theta*grad(phi) + mu*grad(psi) + h; psi is transported by the
-base flow and by w against the base phase field, with the linearized
-chemical chain
+For a base trajectory (v, p, phi, with mu and omega of phi) and a force
+perturbation h, the sensitivity (w, q, psi, theta) solves the linear system
+obtained by differentiating the state system: w is transported by and
+against the base flow, sees the variable-viscosity couplings through nu and
+nu', and is forced by theta*grad(phi) + mu*grad(psi) + h; psi is
+transported by the base flow and by w against the base phase field, with
+the linearized chemical chain
 
     w_aux = -Lap(psi) + f'(phi) psi,
     theta = -Lap(w_aux) + f''(phi) psi omega + (f'(phi) + eta) w_aux.
@@ -24,7 +24,9 @@ against forward differencing down to the quadratic remainder.
 
 Each node stores (w, psi, theta): theta is what the next step reads
 (``constitutive.linearized_chemical_potentials``), and the pressure q is
-dropped.
+dropped.  The base nodes store (v, p, phi) only, so the sweep builds the
+base (mu, omega) with one ``mu_of_phi`` call per node: omega for that node's
+theta, mu for the step that leaves it.
 
 Zero initial data and a divergence-free w imply that the mean of psi stays
 exactly zero along the evolution.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mac
-from .constitutive import PhysParams, linearized_chemical_potentials
+from .constitutive import PhysParams, linearized_chemical_potentials, mu_of_phi
 from .grid import FaceField, ScalarField, advect_scalar
 from .state import State, Trajectory, check_finite, check_steps, momentum_update, phase_update
 
@@ -53,8 +55,8 @@ class LinearizedState:
     time: float
 
 
-def _lin_node(w, psi, base: State, params, t) -> LinearizedState:
-    theta = linearized_chemical_potentials(psi, base.phi, base.omega, params)
+def _lin_node(w, psi, phi: ScalarField, omega: ScalarField, params, t) -> LinearizedState:
+    theta = linearized_chemical_potentials(psi, phi, omega, params)
     return LinearizedState(w=w, psi=psi, theta=theta, time=t)
 
 
@@ -62,13 +64,15 @@ def linearized_step(
     base_n: State,
     base_np1: State,
     lin_n: LinearizedState,
+    mu_n: ScalarField,
     h_n: FaceField | None,
     dt: float,
     params: PhysParams,
-) -> LinearizedState:
-    """Advance the sensitivity one step along the stored base trajectory."""
+) -> tuple[FaceField, ScalarField]:
+    """Advance (w, psi) one step along the stored base trajectory; ``mu_n``
+    is the chemical potential of ``base_n``."""
     w_n, psi_n = lin_n.w, lin_n.psi
-    phi_n, v_n, mu_n = base_n.phi, base_n.v, base_n.mu
+    phi_n, v_n = base_n.phi, base_n.v
     theta_n = lin_n.theta  # built by _lin_node at this base state
 
     nu, nu_p = params.viscosity(phi_n.values)
@@ -94,8 +98,7 @@ def linearized_step(
         )
     transports = [advect_scalar(w_np1, phi_n), advect_scalar(base_np1.v, psi_n)]
     psi_np1 = phase_update(psi_n, theta_n, transports, flux, dt, params)
-
-    return _lin_node(w_np1, psi_np1, base_np1, params, base_np1.time)
+    return w_np1, psi_np1
 
 
 def solve_linearized(
@@ -110,11 +113,16 @@ def solve_linearized(
 
     b0 = base.states[0]  # zero data with the base's batch axes, if any
     w0 = FaceField.zeros(base.grid, *b0.phi.values.shape[:-2])
-    lin = _lin_node(w0, ScalarField(base.grid, np.zeros_like(b0.phi.values)), b0, params, 0.0)
+    mu, omega = mu_of_phi(b0.phi, params)
+    lin = _lin_node(w0, ScalarField(base.grid, np.zeros_like(b0.phi.values)), b0.phi, omega,
+                    params, 0.0)
     out = [lin]
     for n in range(n_steps):
         h_n = h[n] if h is not None else None
-        lin = linearized_step(base.states[n], base.states[n + 1], lin, h_n, base.time.dt, params)
-        check_finite(n + 1, {"psi": lin.psi.values}, {"w.x": lin.w.x, "w.y": lin.w.y})
+        b = base.states[n + 1]
+        w, psi = linearized_step(base.states[n], b, lin, mu, h_n, base.time.dt, params)
+        check_finite(n + 1, {"psi": psi.values}, {"w.x": w.x, "w.y": w.y})
+        mu, omega = mu_of_phi(b.phi, params)
+        lin = _lin_node(w, psi, b.phi, omega, params, b.time)
         out.append(lin)
     return out

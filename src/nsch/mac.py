@@ -32,8 +32,17 @@ from .grid import fft_workers, gradient_to_faces, to_walls
 
 
 def _quad_mean(g: np.ndarray) -> np.ndarray:
-    # mean of each 2x2 block, (m, n) -> (m-1, n-1), in one fixed sum order
-    return 0.25 * (g[..., :-1, :-1] + g[..., 1:, :-1] + g[..., :-1, 1:] + g[..., 1:, 1:])
+    # mean of each 2x2 block, (m, n) -> (m-1, n-1), in one fixed sum order:
+    # one flat pass (neighbours n, 1 and n+1 apart) into a buffer shaped like
+    # g, whose last row and column mix rows or members and are dropped by the
+    # one strided copy out
+    n, flat, buf = g.shape[-1], g.ravel(), np.empty(g.shape)
+    s = buf.ravel()[: flat.size - n - 1]
+    np.add(flat[: s.size], flat[n:-1], out=s)
+    s += flat[1 : 1 + s.size]
+    s += flat[n + 1 :]
+    s *= 0.25
+    return np.ascontiguousarray(buf[..., :-1, :-1])
 
 
 def center_to_corners(c: np.ndarray) -> np.ndarray:

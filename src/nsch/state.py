@@ -29,8 +29,10 @@ The scheme lives here once (``momentum_update``, ``phase_update``,
 ``phase_solve``, ``trapezoid_weights``, ``check_finite``): the sensitivity
 stepper runs the same updates and the adjoint stepper the same phase symbol.
 
-A trajectory stores (v, p, phi, mu) at every node; omega is recomputed from
-phi when read and the per-node diagnostics are computed on first read.
+A trajectory stores (v, p, phi) at every node: mu and omega depend on phi
+alone and are recomputed when read, so each sweep builds them once per node
+and keeps them only while its step needs them.  The per-node diagnostics
+are computed on first read.
 """
 
 from __future__ import annotations
@@ -107,14 +109,19 @@ class TimeSpec:
 
 @dataclass
 class State:
-    """Flow/phase tuple at one time node: v, p, phi and mu(phi) are stored;
-    omega is recomputed from phi on every read, bit-identical to mu_of_phi's."""
+    """Flow/phase tuple at one time node: v, p and phi are stored; mu and
+    omega are recomputed from phi on every read, bit-identical to what the
+    sweeps build with mu_of_phi.  ``params`` (numbers only) defines mu."""
 
     v: FaceField
     p: ScalarField
     phi: ScalarField
-    mu: ScalarField
     time: float
+    params: PhysParams
+
+    @property
+    def mu(self) -> ScalarField:
+        return mu_of_phi(self.phi, self.params)[0]
 
     @property
     def omega(self) -> ScalarField:
@@ -246,7 +253,7 @@ def ns_step(
     params: PhysParams,
 ) -> tuple[FaceField, ScalarField]:
     """One momentum step; returns the projected velocity and its pressure."""
-    nu, _ = params.viscosity(phi_n.values)
+    nu = params.nu(phi_n.values)
     # one stencil bundle per term, each dropped once its term is formed; the
     # viscous term, whose bundle holds the most pieces, goes first, while no
     # other term's output is held
@@ -258,24 +265,22 @@ def ns_step(
     return momentum_update(v_n, adv, visc, force, u_n, dt, params)
 
 
-def _node_state(v, p, phi, t, params) -> State:
-    return State(v=v, p=p, phi=phi, mu=mu_of_phi(phi, params)[0], time=t)
-
-
 def _node_diagnostics(state: State, params: PhysParams) -> tuple[float, ...]:
     phi, v = state.phi, state.v
     vol = phi.grid.cell_volume
     mass = float(phi.values.sum() * vol)
-    energy, willmore, gl = free_energy(phi, params)
+    mu, omega = mu_of_phi(phi, params)  # omega built once, for both terms
+    energy, willmore, gl = free_energy(phi, params, omega)
+    gmu = gradient_to_faces(mu)
+    del mu, omega
+    mval, _ = params.mobility(phi.values)
+    diss_mu = (mval * mac.face_dot_to_cells(gmu, gmu).values).sum() * vol
+    del gmu
     kinetic = 0.5 * face_inner(v, v)
-    nu, _ = params.viscosity(phi.values)
+    nu = params.nu(phi.values)
     vs = mac.Stencils(v)
     diss_v = (2.0 * nu * mac.strain_contraction(vs, vs)).sum() * vol
     del vs
-    mval, _ = params.mobility(phi.values)
-    gmu = gradient_to_faces(state.mu)
-    gmu_sq = mac.face_dot_to_cells(gmu, gmu)
-    diss_mu = (mval * gmu_sq.values).sum() * vol
     div_max = divergence_of_faces(v).max_abs()
     return mass, energy, willmore, gl, kinetic, diss_v, diss_mu, div_max
 
@@ -301,15 +306,17 @@ def simulate(
 
     v0p, _ = project_divergence_free(v0.zero_boundary_normal(), 1.0)
     p0 = ScalarField(grid, np.zeros_like(phi0.values))
-    states = [_node_state(v0p, p0, phi0.copy(), 0.0, params)]
+    states = [State(v0p, p0, phi0.copy(), 0.0, params)]
 
     v, phi = v0p, phi0
     for n in range(n_steps):
         u_n = u[n] if u is not None else None
-        v, p = ns_step(v, phi, states[-1].mu, u_n, time.dt, params)
-        phi = ch_step(phi, states[-1].mu, v, time.dt, params)
+        mu = mu_of_phi(phi, params)[0]  # read by this step only
+        v, p = ns_step(v, phi, mu, u_n, time.dt, params)
+        phi = ch_step(phi, mu, v, time.dt, params)
+        del mu
         check_finite(n + 1, {"phi": phi.values, "v.x": v.x, "v.y": v.y})
-        states.append(_node_state(v, p, phi, (n + 1) * time.dt, params))
+        states.append(State(v, p, phi, (n + 1) * time.dt, params))
     return Trajectory(grid=grid, time=time, params=params, states=states)
 
 

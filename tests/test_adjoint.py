@@ -237,8 +237,8 @@ def term_by_term_phia(b0, b1, adj1, source, dt, params):
     g1 = advect_scalar(y, phi)
     rest = (
         laplacian(laplacian(g1)).values
-        + _chain_transpose(g1, b0, params).values
-        + _chain_transpose(laplacian(z), b0, params).values
+        + _chain_transpose(g1, b0.phi, b0.omega, params).values
+        + _chain_transpose(laplacian(z), b0.phi, b0.omega, params).values
         + s * laplacian(laplacian(z)).values
         + advect_scalar(b1.v, z).values
         - advect_scalar(y, b0.mu).values
@@ -251,13 +251,13 @@ class TestMergedStep:
     @pytest.fixture
     def random_step(self, params, rng):
         from nsch.adjoint import AdjointState
-        from nsch.state import _node_state
+        from nsch.state import State
 
         grid = GridSpec(12, 10, 6.0, 5.0)
         dt = 1e-3
         b0, b1 = (
-            _node_state(random_solenoidal(grid, rng), ScalarField.zeros(grid),
-                        bubble_phase(grid) + random_scalar(grid, rng, 0.1), t, params)
+            State(random_solenoidal(grid, rng), ScalarField.zeros(grid),
+                  bubble_phase(grid) + random_scalar(grid, rng, 0.1), t, params)
             for t in (0.0, dt)
         )
         adj1 = AdjointState(va=random_solenoidal(grid, rng), phia=random_scalar(grid, rng), time=dt)
@@ -269,7 +269,8 @@ class TestMergedStep:
         ref = term_by_term_phia(b0, b1, adj1, source, dt, params)
         assert np.abs(out.phia.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    def test_six_laplacians_per_step(self, random_step, params, monkeypatch):
+    def test_seven_laplacians_per_step(self, random_step, params, monkeypatch):
+        # five for the adjoint terms, two for rebuilding mu and omega at t_n
         import nsch.adjoint
         import nsch.constitutive
         from nsch.grid import laplacian
@@ -277,14 +278,16 @@ class TestMergedStep:
         calls = []
 
         def counting(f):
-            calls.append(f)
+            calls.append(f.values.copy())
             return laplacian(f)
 
         for module in (nsch.adjoint, nsch.constitutive):
             monkeypatch.setattr(module, "laplacian", counting)
         b0, b1, adj1, source, dt = random_step
         adjoint_step(b0, b1, adj1, source, dt, params)
-        assert len(calls) == 6
+        assert len(calls) == 7
+        # no Laplacian is taken twice of the same field
+        assert not any(np.array_equal(a, b) for i, a in enumerate(calls) for b in calls[:i])
 
     @pytest.mark.parametrize(
         "step, most", [("forward", 25), ("sensitivity", 54), ("adjoint", 56)]
@@ -299,10 +302,11 @@ class TestMergedStep:
 
         b0, b1, adj1, source, dt = random_step
         lin = _lin_node(random_solenoidal(b0.phi.grid, rng), random_scalar(b0.phi.grid, rng, 0.1),
-                        b0, params, b0.time)
+                        b0.phi, b0.omega, params, b0.time)
+        mu0 = b0.mu
         run = {
-            "forward": lambda: ns_step(b0.v, b0.phi, b0.mu, None, dt, params),
-            "sensitivity": lambda: linearized_step(b0, b1, lin, None, dt, params),
+            "forward": lambda: ns_step(b0.v, b0.phi, mu0, None, dt, params),
+            "sensitivity": lambda: linearized_step(b0, b1, lin, mu0, None, dt, params),
             "adjoint": lambda: adjoint_step(b0, b1, adj1, source, dt, params),
         }[step]
         calls = []

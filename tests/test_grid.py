@@ -193,6 +193,45 @@ class TestStencilPrimitives:
             assert np.array_equal(out, np.stack([op(a) for a in batch]))
 
 
+def padded_to_walls(a, axis, ghost, h=None):
+    """to_walls by its slice formula: mean or difference of neighbours of a
+    padded with the ghost values ghost * a past each end."""
+    if axis == 0:
+        g = np.concatenate([ghost * a[..., :1, :], a, ghost * a[..., -1:, :]], axis=-2)
+        hi, lo = g[..., 1:, :], g[..., :-1, :]
+    else:
+        g = np.concatenate([ghost * a[..., :1], a, ghost * a[..., -1:]], axis=-1)
+        hi, lo = g[..., 1:], g[..., :-1]
+    return 0.5 * (hi + lo) if h is None else (hi - lo) / h
+
+
+class TestRowFreeStencils:
+    """The trailing-axis passes run over the flat buffer and drop the entries
+    that cross a row; the results equal the slice formulas bit for bit."""
+
+    shapes = [(4, 4), (5, 7), (3, 5, 7)]
+
+    @pytest.mark.parametrize("shape", shapes)
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("ghost", [1, -1])
+    @pytest.mark.parametrize("h", [None, 0.7])
+    def test_to_walls_matches_slice_formula(self, rng, shape, axis, ghost, h):
+        a = rng.standard_normal(shape)
+        out = to_walls(a, axis, ghost, h)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, padded_to_walls(a, axis, ghost, h))
+
+    @pytest.mark.parametrize("shape", shapes)
+    def test_quad_mean_matches_slice_formula(self, rng, shape):
+        from nsch.mac import _quad_mean
+
+        g = rng.standard_normal(shape)
+        out = _quad_mean(g)
+        assert out.flags.c_contiguous
+        ref = 0.25 * (g[..., :-1, :-1] + g[..., 1:, :-1] + g[..., :-1, 1:] + g[..., 1:, 1:])
+        assert np.array_equal(out, ref)
+
+
 class TestHelmholtzPolySolve:
     def test_identity_coefficients(self, grid6, rng):
         f = random_scalar(grid6, rng)
@@ -367,6 +406,19 @@ class TestBatchedKernels:
             scalar_inner(cells, cells)
         assert face_inner(faces[1], faces[1]) == face_inner(members[1], members[1])
         assert scalar_inner(cells[2], cells[2]) == scalar_inner(cells[2].copy(), cells[2].copy())
+
+    def test_reductions_reject_leading_axes(self, rng):
+        # one joint value over a 3-member batch would hide which member it is
+        cells = ScalarField(self.grid, rng.standard_normal((3, 12, 9)))
+        faces = stack_faces([random_face(self.grid, rng) for _ in range(3)])
+        for reduce in (cells.mean, cells.norm_l2, cells.max_abs, faces.max_abs):
+            with pytest.raises(ValueError, match="index the batch member or step first"):
+                reduce()
+        member = cells[1]
+        assert member.max_abs() == np.abs(cells.values[1]).max()
+        assert member.mean() == cells.values[1].mean()
+        assert member.norm_l2() == np.sqrt((cells.values[1] ** 2).sum() * self.grid.cell_volume)
+        assert faces[2].max_abs() == max(np.abs(faces.x[2]).max(), np.abs(faces.y[2]).max())
 
     def test_shape_checks_read_the_trailing_axes(self):
         ScalarField(self.grid, np.zeros((2, 12, 9)))

@@ -32,7 +32,12 @@ def base_small(params):
 
 
 def make_lin_state(base_state, w, psi, params):
-    return _lin_node(w, psi, base_state, params, base_state.time)
+    return _lin_node(w, psi, base_state.phi, base_state.omega, params, base_state.time)
+
+
+def step(b0, b1, lin, h, dt, params):
+    """One sensitivity step from ``lin`` at ``b0``; returns (w, psi)."""
+    return linearized_step(b0, b1, lin, b0.mu, h, dt, params)
 
 
 class TestHomogeneity:
@@ -61,17 +66,17 @@ class TestLinearity:
         h1, h2 = random_face(grid, rng), random_face(grid, rng)
         a, b = 1.3, -0.7
 
-        s1 = linearized_step(b0, b1, make_lin_state(b0, w1, psi1, params), h1, dt, params)
-        s2 = linearized_step(b0, b1, make_lin_state(b0, w2, psi2, params), h2, dt, params)
+        s1w, s1psi = step(b0, b1, make_lin_state(b0, w1, psi1, params), h1, dt, params)
+        s2w, s2psi = step(b0, b1, make_lin_state(b0, w2, psi2, params), h2, dt, params)
         combo_w = FaceField(grid, a * w1.x + b * w2.x, a * w1.y + b * w2.y)
         combo_psi = ScalarField(grid, a * psi1.values + b * psi2.values)
         combo_h = FaceField(grid, a * h1.x + b * h2.x, a * h1.y + b * h2.y)
-        s12 = linearized_step(
+        s12w, s12psi = step(
             b0, b1, make_lin_state(b0, combo_w, combo_psi, params), combo_h, dt, params
         )
-        scale = max(1.0, s12.psi.max_abs())
-        assert np.abs(s12.psi.values - a * s1.psi.values - b * s2.psi.values).max() < 1e-11 * scale
-        assert np.abs(s12.w.x - a * s1.w.x - b * s2.w.x).max() < 1e-11 * max(1.0, s12.w.max_abs())
+        scale = max(1.0, s12psi.max_abs())
+        assert np.abs(s12psi.values - a * s1psi.values - b * s2psi.values).max() < 1e-11 * scale
+        assert np.abs(s12w.x - a * s1w.x - b * s2w.x).max() < 1e-11 * max(1.0, s12w.max_abs())
 
     def test_trajectory_linearity_in_h(self, base_small, params):
         grid, ts = base_small.grid, base_small.time
@@ -199,11 +204,11 @@ class TestDenseOracle:
         psi = random_scalar(grid, rng, scale=0.4)
         h = random_face(grid, rng, scale=0.5)
 
-        out = linearized_step(b0, b1, make_lin_state(b0, w, psi, params), h, dt, params)
+        out_w, out_psi = step(b0, b1, make_lin_state(b0, w, psi, params), h, dt, params)
         wx, wy, psi_new = dense_linearized_step_oracle(b0, b1, w, psi, h, dt, params)
-        assert np.abs(out.w.x - wx).max() < 1e-10 * max(1.0, np.abs(wx).max())
-        assert np.abs(out.w.y - wy).max() < 1e-10 * max(1.0, np.abs(wy).max())
-        assert np.abs(out.psi.values - psi_new).max() < 1e-10 * max(
+        assert np.abs(out_w.x - wx).max() < 1e-10 * max(1.0, np.abs(wx).max())
+        assert np.abs(out_w.y - wy).max() < 1e-10 * max(1.0, np.abs(wy).max())
+        assert np.abs(out_psi.values - psi_new).max() < 1e-10 * max(
             1.0, np.abs(psi_new).max()
         )
 
@@ -229,11 +234,9 @@ class TestFrozenCoefficients:
                 lin = make_lin_state(
                     traj.states[n], FaceField(grid, wx, wy), ScalarField(grid, psi), params
                 )
-                out = linearized_step(
-                    traj.states[n], traj.states[n + 1], lin, None, ts.dt, params
-                )
+                out_w, out_psi = step(traj.states[n], traj.states[n + 1], lin, None, ts.dt, params)
                 mat[:, k] = np.concatenate(
-                    [oracles.face_vec(out.w.x, out.w.y), out.psi.values.ravel()]
+                    [oracles.face_vec(out_w.x, out_w.y), out_psi.values.ravel()]
                 )
             return mat
 
@@ -307,14 +310,14 @@ class TestStoredTheta:
         omega = mu_of_phi(b1.phi, params)[1]
         theta = linearized_chemical_potentials(lin_n.psi, b1.phi, omega, params)
         dt = base_small.time.dt
-        stored = linearized_step(b1, b2, lin_n, h[1], dt, params)
-        fresh = linearized_step(b1, b2, replace(lin_n, theta=theta), h[1], dt, params)
-        assert np.array_equal(stored.psi.values, fresh.psi.values)
-        assert np.array_equal(stored.w.x, fresh.w.x) and np.array_equal(stored.w.y, fresh.w.y)
+        stored_w, stored_psi = step(b1, b2, lin_n, h[1], dt, params)
+        fresh_w, fresh_psi = step(b1, b2, replace(lin_n, theta=theta), h[1], dt, params)
+        assert np.array_equal(stored_psi.values, fresh_psi.values)
+        assert np.array_equal(stored_w.x, fresh_w.x) and np.array_equal(stored_w.y, fresh_w.y)
         # the step reads theta from lin_n rather than rebuilding it
         zeroed = replace(lin_n, theta=ScalarField.zeros(base_small.grid))
         assert not np.array_equal(
-            linearized_step(b1, b2, zeroed, h[1], dt, params).psi.values, stored.psi.values
+            step(b1, b2, zeroed, h[1], dt, params)[1].values, stored_psi.values
         )
 
 
@@ -381,14 +384,14 @@ class TestSharedScheme:
         ts = TimeSpec(0.004, 2e-3)
         base = simulate(swirl_velocity(grid, 0.5), bubble_phase(grid), None, ts, p)
         b0, b1 = base.states[0], base.states[1]
-        lin_n = _lin_node(
-            random_solenoidal(grid, rng), random_scalar(grid, rng, scale=0.1), b0, p, b0.time
+        lin_n = make_lin_state(
+            b0, random_solenoidal(grid, rng), random_scalar(grid, rng, scale=0.1), p
         )
         h_n = random_face(grid, rng) if with_h else None
-        out = linearized_step(b0, b1, lin_n, h_n, ts.dt, p)
+        out_w, out_psi = step(b0, b1, lin_n, h_n, ts.dt, p)
         w_ref, psi_ref = written_out_step(b0, b1, lin_n, h_n, ts.dt, p)
-        assert np.array_equal(out.psi.values, psi_ref.values)
-        assert np.array_equal(out.w.x, w_ref.x) and np.array_equal(out.w.y, w_ref.y)
+        assert np.array_equal(out_psi.values, psi_ref.values)
+        assert np.array_equal(out_w.x, w_ref.x) and np.array_equal(out_w.y, w_ref.y)
 
     def test_non_finite_direction_names_step_and_field(self, base_small, params):
         h = smooth_control_series(base_small.grid, base_small.time, 3)

@@ -28,8 +28,8 @@ from nsch import (
 from nsch.config import bubble_phase, stripe_phase, swirl_velocity
 from nsch.state import (
     DIAGNOSTIC_COLUMNS,
+    State,
     _node_diagnostics,
-    _node_state,
     check_finite,
     trapezoid_weights,
 )
@@ -239,7 +239,7 @@ class TestSimulate:
     def test_node_diagnostics_match_functionals(self, params, rng):
         grid = GridSpec(24, 20, 16.0, 12.0)
         phi = bubble_phase(grid) + random_scalar(grid, rng, scale=0.1)
-        state = _node_state(random_solenoidal(grid, rng), ScalarField.zeros(grid), phi, 0.0, params)
+        state = State(random_solenoidal(grid, rng), ScalarField.zeros(grid), phi, 0.0, params)
         mass, energy, willmore, gl = _node_diagnostics(state, params)[:4]
         e_ref, bending_ref, gl_ref = free_energy(phi, params)
         for got, ref in ((mass, constraint_integrals(phi)[0]), (energy, e_ref),
@@ -304,7 +304,8 @@ class TestSimulate:
 
 
 class TestLeanTrajectory:
-    """omega is recomputed on read and the diagnostics are built on first read."""
+    """A node stores (v, p, phi): mu and omega are recomputed on read, and the
+    diagnostics are built on first read."""
 
     @pytest.fixture
     def traj(self, params):
@@ -316,6 +317,73 @@ class TestLeanTrajectory:
         for state in traj.states:
             assert "omega" not in vars(state)
             assert np.array_equal(state.omega.values, mu_of_phi(state.phi, params)[1].values)
+
+    def test_only_v_p_phi_arrays_reachable(self, traj):
+        def arrays(obj, seen):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif id(obj) not in seen and hasattr(obj, "__dict__"):
+                seen.add(id(obj))
+                for value in vars(obj).values():
+                    yield from arrays(value, seen)
+            elif isinstance(obj, (list, tuple, dict)):
+                for value in obj.values() if isinstance(obj, dict) else obj:
+                    yield from arrays(value, seen)
+
+        for state in traj.states:
+            found = {id(a) for a in arrays(state, set())}
+            assert found == {id(state.v.x), id(state.v.y), id(state.p.values),
+                             id(state.phi.values)}
+
+    def test_mu_recomputed_is_what_the_steps_read(self, params, monkeypatch):
+        import nsch.state
+
+        seen = {"ns_step": [], "ch_step": []}
+
+        def spy(name):
+            step = getattr(nsch.state, name)
+
+            def spied(*args):
+                seen[name].append(args[2 if name == "ns_step" else 1].values.copy())
+                return step(*args)
+            return spied
+
+        for name in seen:
+            monkeypatch.setattr(nsch.state, name, spy(name))
+        grid = GridSpec(12, 10, 8.0, 6.0)
+        traj = simulate(swirl_velocity(grid, 1.0), bubble_phase(grid), None,
+                        TimeSpec(0.005, 1e-3), params)
+        assert len(seen["ns_step"]) == len(seen["ch_step"]) == traj.time.n_steps
+        for n, (a, b) in enumerate(zip(seen["ns_step"], seen["ch_step"])):
+            assert "mu" not in vars(traj.states[n])
+            assert np.array_equal(traj.states[n].mu.values, a)
+            assert np.array_equal(traj.states[n].mu.values, b)
+
+    def test_sweeps_build_mu_once_per_node(self, traj, params, monkeypatch):
+        import nsch.adjoint
+        import nsch.linearized
+        import nsch.state
+
+        calls = {"linearized": 0, "adjoint": 0, "state": 0}
+
+        def counting(module, fn):
+            def counted(*args):
+                calls[module] += 1
+                return fn(*args)
+            return counted
+
+        for name, module in (("linearized", nsch.linearized), ("adjoint", nsch.adjoint)):
+            monkeypatch.setattr(module, "mu_of_phi", counting(name, module.mu_of_phi))
+        # State.mu and State.omega read through these: the sweeps must not
+        for fn in ("mu_of_phi", "omega_of_phi"):
+            monkeypatch.setattr(nsch.state, fn, counting("state", getattr(nsch.state, fn)))
+        n_steps = traj.time.n_steps
+        tgt = stripe_phase(traj.grid)
+        cost = CostSpec(1.0, 1.0, 0.1, [tgt] * (n_steps + 1), tgt)
+        solve_linearized(traj, smooth_control_series(traj.grid, traj.time, 3), params)
+        solve_adjoint(traj, cost, params)
+        # the sensitivity sweep reads each base node once, the adjoint each step
+        assert calls == {"linearized": n_steps + 1, "adjoint": n_steps, "state": 0}
 
     def test_diagnostics_match_row_by_row_rebuild(self, traj, params):
         rows = [(n, s.time) + _node_diagnostics(s, params) for n, s in enumerate(traj.states)]
