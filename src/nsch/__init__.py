@@ -62,7 +62,7 @@ from .grid import (
     project_divergence_free,
     scalar_inner,
 )
-from .linearized import LinearizedState, linearized_step, solve_linearized
+from .linearized import linearized_step, solve_linearized
 from .state import (
     State,
     TimeSpec,

@@ -36,15 +36,16 @@ forward IMEX -- except the transport of phia itself, which pairs with the
 end-of-step velocity v(t_{n+1}) exactly as the forward phase transport
 does.  The tracking source alpha1 (phi - phi_Q) enters at its own node
 with the trapezoid weight of the cost quadrature (the half-weighted final
-node rides along with the terminal data during the first backward step;
-the stored terminal state carries the plain terminal condition).
+node rides along with the terminal data during the first backward step).
 
-Each node stores only (va, phia): no reader needs mua, omegaa or the
-adjoint pressure pa (the two projections' pressures are dropped).  The step
-never forms mua or omegaa, and it takes each Laplacian once (linearity
-merges the terms that share z and Lap(z)).  The base nodes store (v, p, phi)
-only, so each step rebuilds the base mu and omega at t_n with one
-``mu_of_phi`` call.
+``solve_adjoint`` returns the va series only: va is all that its readers
+(the reduced gradient, the duality pairing) read.  The step carries
+(va, phia) from one node to the next (``AdjointState``); no reader needs
+mua, omegaa or the adjoint pressure pa (the two projections' pressures are
+dropped).  The step never forms mua or omegaa, and it takes each Laplacian
+once (linearity merges the terms that share z and Lap(z)).  The base nodes
+store (v, p, phi) only, so each step rebuilds the base mu and omega at t_n
+with one ``mu_of_phi`` call.
 
 This realizes the continuous adjoint system rather than the exact
 transpose of the discrete forward map: the velocity advection stencils are
@@ -65,11 +66,11 @@ from .state import State, Trajectory, check_finite, phase_solve, trapezoid_weigh
 
 @dataclass
 class AdjointState:
-    """Adjoint velocity and phase field at one time node."""
+    """Adjoint velocity and phase field at one time node: what one backward
+    step carries to the next."""
 
     va: FaceField
     phia: ScalarField
-    time: float
 
 
 def require_unit_mobility(params: PhysParams, context: str) -> None:
@@ -82,11 +83,11 @@ def require_unit_mobility(params: PhysParams, context: str) -> None:
         )
 
 
-def adjoint_terminal(phi_t: ScalarField, cost: CostSpec, time: float) -> AdjointState:
+def adjoint_terminal(phi_t: ScalarField, cost: CostSpec) -> AdjointState:
     """Terminal condition: va(T) = 0, phia(T) = alpha2 (phi(T) - phi_Omega)."""
     grid = phi_t.grid
     phia = ScalarField(grid, cost.alpha2 * (phi_t.values - cost.phi_omega.values))
-    return AdjointState(va=FaceField.zeros(grid), phia=phia, time=time)
+    return AdjointState(va=FaceField.zeros(grid), phia=phia)
 
 
 def _chain_transpose(
@@ -172,14 +173,14 @@ def adjoint_step(
     # the solenoidal invariant and is transparent to the recursion (the next
     # step projects again)
     va_n, _ = project_divergence_free(y + dt * velocity_couplings, dt)
-    return AdjointState(va=va_n, phia=phia_n, time=base_n.time)
+    return AdjointState(va=va_n, phia=phia_n)
 
 
-def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[AdjointState]:
+def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[FaceField]:
     """March the adjoint system from T back to 0 along a stored trajectory.
 
-    Returns adjoint states at every node t_0..t_N (index matching the
-    forward trajectory).
+    Returns va at every node t_0..t_N (index matching the forward
+    trajectory), the zero terminal va(T) last.
     """
     require_unit_mobility(params, "the adjoint solver")
     n_steps = base.time.n_steps
@@ -197,21 +198,18 @@ def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[
         misfit = base.states[n].phi - cost.phi_q[n]
         return ScalarField(base.grid, cost.alpha1 * weights[n] * misfit.values)
 
-    terminal = adjoint_terminal(base.final.phi, cost, base.final.time)
-    out = [terminal]
-
-    # the half-weighted final tracking node rides along with the terminal
-    # data; the stored terminal state stays the plain terminal condition
-    adj = terminal
+    # the half-weighted final tracking node rides along with the terminal data
+    adj = adjoint_terminal(base.final.phi, cost)
     s_n = source(n_steps)
     if s_n is not None:
-        adj = replace(terminal, phia=ScalarField(base.grid, terminal.phia.values + dt * s_n.values))
+        adj = replace(adj, phia=ScalarField(base.grid, adj.phia.values + dt * s_n.values))
+    out = [adj.va]
 
     for n in range(n_steps - 1, -1, -1):
         adj = adjoint_step(
             base.states[n], base.states[n + 1], adj, source(n), dt, params
         )
         check_finite(n, {"phia": adj.phia.values}, {"va.x": adj.va.x, "va.y": adj.va.y})
-        out.append(adj)
+        out.append(adj.va)
     out.reverse()
     return out

@@ -33,8 +33,8 @@ J(u_s) <= J(u) - c1 <g, u - u_s>_Q, holds.
 
 The seeded smooth control series (tracking targets, verification
 directions) are built here too, and a ``ControlProblem`` keeps its
-unforced trajectory, its adjoint and its seeded sensitivities, each
-solved once on first read.
+unforced trajectory, its adjoint (the va series) and its seeded
+sensitivities (psi series), each solved once on first read.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .adjoint import AdjointState, require_unit_mobility, solve_adjoint
+from .adjoint import require_unit_mobility, solve_adjoint
 from .constitutive import CostSpec, PhysParams
 from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
-from .linearized import LinearizedState, solve_linearized
+from .linearized import solve_linearized
 from .state import State, TimeSpec, Trajectory, check_steps, simulate, trapezoid_weights
 
 
@@ -194,10 +194,10 @@ class ControlProblem:
     """Everything a control run needs: dynamics, cost, and admissible set.
 
     The problem is frozen, so the unforced solves it caches on first read
-    -- ``base``, ``base_adjoint`` and the per-seed ``sensitivity`` -- can
-    never go stale; ``dataclasses.replace`` makes a changed problem with
-    empty caches.  Every reader gets the same cached objects, so none may
-    modify them.
+    -- ``base``, the va series ``base_adjoint`` and the per-seed
+    ``sensitivity`` (a direction and its psi series) -- can never go stale;
+    ``dataclasses.replace`` makes a changed problem with empty caches.
+    Every reader gets the same cached objects, so none may modify them.
     """
 
     v0: FaceField
@@ -235,13 +235,13 @@ class ControlProblem:
         return self.simulate(None)
 
     @cached_property
-    def base_adjoint(self) -> list[AdjointState]:
-        """The adjoint of the cost along ``base``."""
+    def base_adjoint(self) -> list[FaceField]:
+        """The adjoint velocity series va of the cost along ``base``."""
         return solve_adjoint(self.base, self.cost, self.params)
 
-    def sensitivity(self, seed: int) -> tuple[FaceField, list[LinearizedState]]:
+    def sensitivity(self, seed: int) -> tuple[FaceField, list[ScalarField]]:
         """The unit seeded direction ``smooth_control_series(grid, time, seed)``
-        and its sensitivity along ``base``."""
+        and the psi series of its sensitivity along ``base``."""
         if seed not in self._sensitivities:
             h = smooth_control_series(self.grid, self.time, seed)
             self._sensitivities[seed] = (h, solve_linearized(self.base, h, self.params))
@@ -277,17 +277,18 @@ def evaluate_cost(
 
 
 def reduced_gradient(
-    u: FaceField, adj: Sequence[AdjointState], cost: CostSpec
+    u: FaceField, adj: Sequence[FaceField], cost: CostSpec
 ) -> FaceField:
-    """Gradient series alpha3*u_n + va(t_n) of the reduced cost."""
+    """Gradient series alpha3*u_n + va(t_n) of the reduced cost, from the
+    adjoint velocity series ``adj`` of ``solve_adjoint``."""
     if len(adj) != len(u.x) + 1:
         raise ConfigError(
             f"adjoint trajectory has {len(adj)} nodes, control has {len(u.x)} steps"
         )
     g = cost.alpha3 * u
     for g_n, a in zip(g, adj):  # in place: stacking the va would allocate a second series
-        g_n.x += a.va.x
-        g_n.y += a.va.y
+        g_n.x += a.x
+        g_n.y += a.y
     return g
 
 

@@ -22,19 +22,19 @@ end-of-step velocities exactly as the forward splitting does.  This makes
 superposition exact to roundoff and pushes the defect of the sensitivity
 against forward differencing down to the quadratic remainder.
 
-Each node stores (w, psi, theta): theta is what the next step reads
-(``constitutive.linearized_chemical_potentials``), and the pressure q is
-dropped.  The base nodes store (v, p, phi) only, so the sweep builds the
-base (mu, omega) with one ``mu_of_phi`` call per node: omega for that node's
-theta, mu for the step that leaves it.
+``solve_linearized`` returns the psi series only: psi is all that its
+readers (the Frechet defect, the duality pairing) read.  The velocity w is
+the sweep's carry from one step to the next, and the pressure q is dropped.
+The base nodes store (v, p, phi) only, so at the top of step n the sweep
+builds the base (mu, omega) with one ``mu_of_phi`` call and theta_n
+(``constitutive.linearized_chemical_potentials``) from them; the final node
+costs nothing.
 
 Zero initial data and a divergence-free w imply that the mean of psi stays
 exactly zero along the evolution.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,36 +44,21 @@ from .grid import FaceField, ScalarField, advect_scalar
 from .state import State, Trajectory, check_finite, check_steps, momentum_update, phase_update
 
 
-@dataclass
-class LinearizedState:
-    """Sensitivity velocity, phase and linearized chemical potential at one
-    time node."""
-
-    w: FaceField
-    psi: ScalarField
-    theta: ScalarField
-    time: float
-
-
-def _lin_node(w, psi, phi: ScalarField, omega: ScalarField, params, t) -> LinearizedState:
-    theta = linearized_chemical_potentials(psi, phi, omega, params)
-    return LinearizedState(w=w, psi=psi, theta=theta, time=t)
-
-
 def linearized_step(
     base_n: State,
     base_np1: State,
-    lin_n: LinearizedState,
+    w_n: FaceField,
+    psi_n: ScalarField,
+    theta_n: ScalarField,
     mu_n: ScalarField,
     h_n: FaceField | None,
     dt: float,
     params: PhysParams,
 ) -> tuple[FaceField, ScalarField]:
     """Advance (w, psi) one step along the stored base trajectory; ``mu_n``
-    is the chemical potential of ``base_n``."""
-    w_n, psi_n = lin_n.w, lin_n.psi
+    is the chemical potential of ``base_n`` and ``theta_n`` the linearized
+    one of ``psi_n`` there."""
     phi_n, v_n = base_n.phi, base_n.v
-    theta_n = lin_n.theta  # built by _lin_node at this base state
 
     nu, nu_p = params.viscosity(phi_n.values)
     # the advection pair shares the stencils of w_n and v_n, dropped before
@@ -105,24 +90,26 @@ def solve_linearized(
     base: Trajectory,
     h: FaceField | None,
     params: PhysParams,
-) -> list[LinearizedState]:
+) -> list[ScalarField]:
     """Solve the sensitivity system with zero initial data along ``base``, for
-    the force perturbation series ``h`` (step axis first, as in ``simulate``)."""
+    the force perturbation series ``h`` (step axis first, as in ``simulate``).
+
+    Returns psi at every node t_0..t_N, psi(t_0) = 0 first.
+    """
     n_steps = base.time.n_steps
     check_steps(h, n_steps, "perturbation")
 
     b0 = base.states[0]  # zero data with the base's batch axes, if any
-    w0 = FaceField.zeros(base.grid, *b0.phi.values.shape[:-2])
-    mu, omega = mu_of_phi(b0.phi, params)
-    lin = _lin_node(w0, ScalarField(base.grid, np.zeros_like(b0.phi.values)), b0.phi, omega,
-                    params, 0.0)
-    out = [lin]
+    w = FaceField.zeros(base.grid, *b0.phi.values.shape[:-2])
+    psi = ScalarField(base.grid, np.zeros_like(b0.phi.values))
+    out = [psi]
     for n in range(n_steps):
-        h_n = h[n] if h is not None else None
-        b = base.states[n + 1]
-        w, psi = linearized_step(base.states[n], b, lin, mu, h_n, base.time.dt, params)
-        check_finite(n + 1, {"psi": psi.values}, {"w.x": w.x, "w.y": w.y})
+        b = base.states[n]
         mu, omega = mu_of_phi(b.phi, params)
-        lin = _lin_node(w, psi, b.phi, omega, params, b.time)
-        out.append(lin)
+        theta = linearized_chemical_potentials(psi, b.phi, omega, params)
+        h_n = h[n] if h is not None else None
+        w, psi = linearized_step(b, base.states[n + 1], w, psi, theta, mu, h_n,
+                                 base.time.dt, params)
+        check_finite(n + 1, {"psi": psi.values}, {"w.x": w.x, "w.y": w.y})
+        out.append(psi)
     return out

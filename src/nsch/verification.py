@@ -122,8 +122,8 @@ def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
 
     def defect(eps: float, pert: Trajectory) -> float:
         diffs = [
-            ScalarField(grid, p.phi.values - b.phi.values - eps * l.psi.values)
-            for p, b, l in zip(pert.states, base.states, lin)
+            ScalarField(grid, p.phi.values - b.phi.values - eps * psi.values)
+            for p, b, psi in zip(pert.states, base.states, lin)
         ]
         return phi_l2q_norm(diffs, time.dt) / eps
 
@@ -152,15 +152,15 @@ def duality_gap(problem: ControlProblem, seed: int = 0) -> dict:
     dt = time.dt
 
     lhs = sum(
-        dt * face_inner(h[n], adj[n].va) for n in range(time.n_steps)
+        dt * face_inner(h[n], adj[n]) for n in range(time.n_steps)
     )
     # trapezoid in time, matching the cost quadrature (psi(0) = 0)
     rhs = cost.alpha2 * scalar_inner(
-        base.final.phi - cost.phi_omega, lin[-1].psi
+        base.final.phi - cost.phi_omega, lin[-1]
     )
     for k, w in enumerate(trapezoid_weights(time.n_steps)[1:], start=1):
         diff = base.states[k].phi - cost.phi_q[k]
-        rhs += cost.alpha1 * w * dt * scalar_inner(diff, lin[k].psi)
+        rhs += cost.alpha1 * w * dt * scalar_inner(diff, lin[k])
     mism = abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "mismatch": mism}
 

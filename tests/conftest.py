@@ -47,6 +47,21 @@ def random_solenoidal(grid, rng, scale=1.0):
     return stream_function_velocity(grid, psi)
 
 
+def reachable_arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through attributes, lists,
+    tuples and dicts (each object walked once)."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif id(obj) not in seen and hasattr(obj, "__dict__"):
+        seen.add(id(obj))
+        for value in vars(obj).values():
+            yield from reachable_arrays(value, seen)
+    elif isinstance(obj, (list, tuple, dict)):
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            yield from reachable_arrays(value, seen)
+
+
 def stack_faces(faces):
     """One batched face field whose members are ``faces``."""
     return FaceField(faces[0].grid, np.stack([f.x for f in faces]), np.stack([f.y for f in faces]))

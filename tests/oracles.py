@@ -5,7 +5,14 @@ conventions (mirror ghosts for cell scalars, zero boundary faces plus
 reflected tangential ghosts for velocities), deliberately sharing no code
 with the vectorized package.  Dense operator matrices are assembled by
 applying the loop stencils to unit vectors.
+
+The full-state sweeps at the end are the exception: they run the package's
+own sensitivity and adjoint steps exactly as ``solve_linearized`` and
+``solve_adjoint`` do, and keep the state each step carries, where the
+solvers return only the psi and va series.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -379,3 +386,63 @@ def dense_projection(nx, ny, hx, hy):
         return z - dt * (gmat @ p), p
 
     return project
+
+
+# ---------------------------------------------------------------------------
+# full-state sweeps
+
+
+class LinearizedNode(NamedTuple):
+    w: object  # FaceField
+    psi: object  # ScalarField
+    theta: object  # ScalarField
+
+
+def full_linearized_sweep(base, h, params):
+    """(w, psi, theta) at every node of ``solve_linearized(base, h, params)``:
+    theta is what the step leaving the node reads (at the final node, what a
+    further step would read)."""
+    from nsch import FaceField, ScalarField, linearized_step
+    from nsch.constitutive import linearized_chemical_potentials, mu_of_phi
+
+    b0 = base.states[0]
+    w = FaceField.zeros(base.grid, *b0.phi.values.shape[:-2])
+    psi = ScalarField(base.grid, np.zeros_like(b0.phi.values))
+    nodes = []
+    for n, b in enumerate(base.states):
+        mu, omega = mu_of_phi(b.phi, params)
+        nodes.append(LinearizedNode(w, psi, linearized_chemical_potentials(psi, b.phi, omega, params)))
+        if n < base.time.n_steps:
+            h_n = h[n] if h is not None else None
+            w, psi = linearized_step(b, base.states[n + 1], *nodes[-1], mu, h_n, base.time.dt,
+                                     params)
+    return nodes
+
+
+def full_adjoint_sweep(base, cost, params):
+    """The ``AdjointState`` (va, phia) that ``solve_adjoint(base, cost, params)``
+    carries at every node t_0..t_N; the terminal one includes the
+    half-weighted final tracking source, as the sweep carries it."""
+    from dataclasses import replace
+
+    from nsch import ScalarField, adjoint_step, adjoint_terminal
+    from nsch.state import trapezoid_weights
+
+    n_steps, dt = base.time.n_steps, base.time.dt
+    weights = trapezoid_weights(n_steps)
+
+    def source(n):
+        if cost.alpha1 == 0.0:
+            return None
+        misfit = base.states[n].phi - cost.phi_q[n]
+        return ScalarField(base.grid, cost.alpha1 * weights[n] * misfit.values)
+
+    adj = adjoint_terminal(base.final.phi, cost)
+    s_n = source(n_steps)
+    if s_n is not None:
+        adj = replace(adj, phia=ScalarField(base.grid, adj.phia.values + dt * s_n.values))
+    nodes = [adj]
+    for n in range(n_steps - 1, -1, -1):
+        adj = adjoint_step(base.states[n], base.states[n + 1], adj, source(n), dt, params)
+        nodes.append(adj)
+    return nodes[::-1]

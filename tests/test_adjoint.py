@@ -42,27 +42,27 @@ def tracking_cost(base, alpha1=1.0, alpha2=1.0, alpha3=0.1, target=None):
 class TestTerminal:
     def test_alpha2_zero_gives_zero_state(self, base_small, params):
         cost = tracking_cost(base_small, alpha2=0.0)
-        adj = adjoint_terminal(base_small.final.phi, cost, base_small.final.time)
+        adj = adjoint_terminal(base_small.final.phi, cost)
         assert adj.phia.max_abs() == 0.0
         assert adj.va.max_abs() == 0.0
 
     def test_matched_target_gives_zero(self, base_small, params):
         cost = tracking_cost(base_small, target=base_small.final.phi)
-        adj = adjoint_terminal(base_small.final.phi, cost, base_small.final.time)
+        adj = adjoint_terminal(base_small.final.phi, cost)
         assert adj.phia.max_abs() < 1e-14
 
     def test_scaling(self, base_small, params):
         grid = base_small.grid
         tgt = ScalarField(grid, base_small.final.phi.values - 0.5)
         cost = tracking_cost(base_small, alpha2=2.0, target=tgt)
-        adj = adjoint_terminal(base_small.final.phi, cost, base_small.final.time)
+        adj = adjoint_terminal(base_small.final.phi, cost)
         assert np.abs(adj.phia.values - 1.0).max() < 1e-13
 
 
 class TestHomogeneity:
     def test_zero_cost_weights_give_zero_adjoint(self, base_small, params):
         cost = tracking_cost(base_small, alpha1=0.0, alpha2=0.0, alpha3=1.0)
-        adj = solve_adjoint(base_small, cost, params)
+        adj = oracles.full_adjoint_sweep(base_small, cost, params)
         for a in adj:
             assert a.phia.max_abs() == 0.0
             assert a.va.max_abs() == 0.0
@@ -73,11 +73,11 @@ class TestHomogeneity:
         grid = base_small.grid
         ta = stripe_phase(grid)
         tb = bubble_phase(grid)
-        adj_a = solve_adjoint(base_small, tracking_cost(base_small, target=ta), params)
-        adj_b = solve_adjoint(base_small, tracking_cost(base_small, target=tb), params)
+        adj_a = oracles.full_adjoint_sweep(base_small, tracking_cost(base_small, target=ta), params)
+        adj_b = oracles.full_adjoint_sweep(base_small, tracking_cost(base_small, target=tb), params)
         tc = ScalarField(grid, 0.5 * (ta.values + tb.values))
         cost_c = tracking_cost(base_small, alpha1=2.0, alpha2=2.0, target=tc)
-        adj_c = solve_adjoint(base_small, cost_c, params)
+        adj_c = oracles.full_adjoint_sweep(base_small, cost_c, params)
         for a, b, c in zip(adj_a, adj_b, adj_c):
             expect = a.phia.values + b.phia.values
             assert np.abs(c.phia.values - expect).max() < 1e-11 * max(
@@ -93,8 +93,8 @@ class TestStoredConsistency:
     def test_divergence_free_at_every_node(self, base_small, params):
         cost = tracking_cost(base_small)
         adj = solve_adjoint(base_small, cost, params)
-        for a in adj:
-            assert divergence_of_faces(a.va).max_abs() < 1e-8
+        for va in adj:
+            assert divergence_of_faces(va).max_abs() < 1e-8
 
 
 class TestRestStateDecoupling:
@@ -106,7 +106,7 @@ class TestRestStateDecoupling:
         base = simulate(FaceField.zeros(grid), ScalarField.full(grid, 1.0), None, ts, params)
         tgt = stripe_phase(grid)
         cost = CostSpec(1.0, 1.0, 0.1, [tgt] * (ts.n_steps + 1), tgt)
-        adj = solve_adjoint(base, cost, params)
+        adj = oracles.full_adjoint_sweep(base, cost, params)
         assert adj[0].phia.max_abs() > 0.0  # sources are active
         for a in adj:
             assert a.va.max_abs() < 1e-13
@@ -208,7 +208,7 @@ class TestDenseOracle:
         dt = base_small.time.dt
         b0, b1 = base_small.states[0], base_small.states[1]
         cost = tracking_cost(base_small)
-        adj1 = adjoint_terminal(b1.phi, cost, b1.time)
+        adj1 = adjoint_terminal(b1.phi, cost)
         source = ScalarField(grid, random_scalar(grid, rng).values)
 
         out = adjoint_step(b0, b1, adj1, source, dt, params)
@@ -260,7 +260,7 @@ class TestMergedStep:
                   bubble_phase(grid) + random_scalar(grid, rng, 0.1), t, params)
             for t in (0.0, dt)
         )
-        adj1 = AdjointState(va=random_solenoidal(grid, rng), phia=random_scalar(grid, rng), time=dt)
+        adj1 = AdjointState(va=random_solenoidal(grid, rng), phia=random_scalar(grid, rng))
         return b0, b1, adj1, random_scalar(grid, rng), dt
 
     def test_matches_term_by_term_formula(self, random_step, params):
@@ -297,16 +297,17 @@ class TestMergedStep:
         # duplicate passes of the sensitivity and adjoint steps cost 62 and 66
         import nsch.grid
         import nsch.mac
-        from nsch.linearized import _lin_node, linearized_step
+        from nsch.constitutive import linearized_chemical_potentials
+        from nsch.linearized import linearized_step
         from nsch.state import ns_step
 
         b0, b1, adj1, source, dt = random_step
-        lin = _lin_node(random_solenoidal(b0.phi.grid, rng), random_scalar(b0.phi.grid, rng, 0.1),
-                        b0.phi, b0.omega, params, b0.time)
+        w, psi = random_solenoidal(b0.phi.grid, rng), random_scalar(b0.phi.grid, rng, 0.1)
+        theta = linearized_chemical_potentials(psi, b0.phi, b0.omega, params)
         mu0 = b0.mu
         run = {
             "forward": lambda: ns_step(b0.v, b0.phi, mu0, None, dt, params),
-            "sensitivity": lambda: linearized_step(b0, b1, lin, mu0, None, dt, params),
+            "sensitivity": lambda: linearized_step(b0, b1, w, psi, theta, mu0, None, dt, params),
             "adjoint": lambda: adjoint_step(b0, b1, adj1, source, dt, params),
         }[step]
         calls = []

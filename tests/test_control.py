@@ -155,7 +155,7 @@ class TestReducedGradient:
         u = FaceField.zeros(problem.grid, problem.time.n_steps)
         g = reduced_gradient(u, adj, problem.cost)
         for n in range(problem.time.n_steps):
-            assert np.abs(g[n].x - adj[n].va.x).max() == 0.0
+            assert np.abs(g[n].x - adj[n].x).max() == 0.0
 
     def test_zero_adjoint_returns_scaled_u(self, params, rng):
         problem = small_problem(params, alpha1=0.0, alpha2=0.0, alpha3=1.0)
@@ -180,12 +180,12 @@ class TestReducedGradient:
         def tracking_derivative(h):
             lin = solve_linearized(base, h, params)
             val = cost.alpha2 * scalar_inner(
-                base.final.phi - cost.phi_omega, lin[-1].psi
+                base.final.phi - cost.phi_omega, lin[-1]
             )
             for k in range(1, n_steps + 1):
                 w = 0.5 if k == n_steps else 1.0
                 diff = base.states[k].phi - cost.phi_q[k]
-                val += cost.alpha1 * w * ts.dt * scalar_inner(diff, lin[k].psi)
+                val += cost.alpha1 * w * ts.dt * scalar_inner(diff, lin[k])
             return val
 
         vol = grid.cell_volume
@@ -193,10 +193,10 @@ class TestReducedGradient:
             h = FaceField.zeros(grid, n_steps)
             h[step].x[i, j] = 1.0
             exact = tracking_derivative(h)
-            approx = ts.dt * vol * adj[step].va.x[i, j]
+            approx = ts.dt * vol * adj[step].x[i, j]
             # relative where the derivative carries signal, absolute against
             # the gradient field scale where it nearly vanishes
-            scale = ts.dt * vol * np.abs(adj[step].va.x).max()
+            scale = ts.dt * vol * np.abs(adj[step].x).max()
             assert abs(approx - exact) <= 2e-2 * max(abs(exact), scale)
 
 

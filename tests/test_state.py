@@ -34,7 +34,7 @@ from nsch.state import (
     trapezoid_weights,
 )
 
-from conftest import random_face, random_scalar, random_solenoidal, stack_faces
+from conftest import random_face, random_scalar, random_solenoidal, reachable_arrays, stack_faces
 import oracles
 
 
@@ -319,19 +319,8 @@ class TestLeanTrajectory:
             assert np.array_equal(state.omega.values, mu_of_phi(state.phi, params)[1].values)
 
     def test_only_v_p_phi_arrays_reachable(self, traj):
-        def arrays(obj, seen):
-            if isinstance(obj, np.ndarray):
-                yield obj
-            elif id(obj) not in seen and hasattr(obj, "__dict__"):
-                seen.add(id(obj))
-                for value in vars(obj).values():
-                    yield from arrays(value, seen)
-            elif isinstance(obj, (list, tuple, dict)):
-                for value in obj.values() if isinstance(obj, dict) else obj:
-                    yield from arrays(value, seen)
-
         for state in traj.states:
-            found = {id(a) for a in arrays(state, set())}
+            found = {id(a) for a in reachable_arrays(state)}
             assert found == {id(state.v.x), id(state.v.y), id(state.p.values),
                              id(state.phi.values)}
 
@@ -364,7 +353,7 @@ class TestLeanTrajectory:
         import nsch.linearized
         import nsch.state
 
-        calls = {"linearized": 0, "adjoint": 0, "state": 0}
+        calls = {"linearized": 0, "adjoint": 0, "state": 0, "theta": 0}
 
         def counting(module, fn):
             def counted(*args):
@@ -377,13 +366,16 @@ class TestLeanTrajectory:
         # State.mu and State.omega read through these: the sweeps must not
         for fn in ("mu_of_phi", "omega_of_phi"):
             monkeypatch.setattr(nsch.state, fn, counting("state", getattr(nsch.state, fn)))
+        monkeypatch.setattr(nsch.linearized, "linearized_chemical_potentials",
+                            counting("theta", nsch.linearized.linearized_chemical_potentials))
         n_steps = traj.time.n_steps
         tgt = stripe_phase(traj.grid)
         cost = CostSpec(1.0, 1.0, 0.1, [tgt] * (n_steps + 1), tgt)
         solve_linearized(traj, smooth_control_series(traj.grid, traj.time, 3), params)
         solve_adjoint(traj, cost, params)
-        # the sensitivity sweep reads each base node once, the adjoint each step
-        assert calls == {"linearized": n_steps + 1, "adjoint": n_steps, "state": 0}
+        # each sweep builds mu (and the sensitivity theta) once per step, at the
+        # node the step leaves: the final node of the sensitivity costs nothing
+        assert calls == {"linearized": n_steps, "adjoint": n_steps, "state": 0, "theta": n_steps}
 
     def test_diagnostics_match_row_by_row_rebuild(self, traj, params):
         rows = [(n, s.time) + _node_diagnostics(s, params) for n, s in enumerate(traj.states)]
@@ -459,9 +451,12 @@ class TestFftWorkers:
         def solve(workers):
             grid_module.set_fft_workers(workers)
             base = simulate(v0, phi0, h, ts, params)
-            lin = solve_linearized(base, h, params)
-            adj = solve_adjoint(base, cost, params)
+            # the solvers' psi and va series, and the full states their steps carry
+            lin = oracles.full_linearized_sweep(base, h, params)
+            adj = oracles.full_adjoint_sweep(base, cost, params)
             return ([a for s in base.states for a in (s.v.x, s.v.y, s.p.values, s.phi.values)]
+                    + [psi.values for psi in solve_linearized(base, h, params)]
+                    + [a for va in solve_adjoint(base, cost, params) for a in (va.x, va.y)]
                     + [a for s in lin for a in (s.w.x, s.w.y, s.psi.values, s.theta.values)]
                     + [a for s in adj for a in (s.va.x, s.va.y, s.phia.values)])
 
