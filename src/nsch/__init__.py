@@ -38,6 +38,7 @@ from .control import (
     random_smooth_facefield,
     reduced_gradient,
     smooth_control_series,
+    smooth_direction,
     stationarity_residual,
 )
 from .errors import (
@@ -65,6 +66,7 @@ from .grid import (
 from .linearized import linearized_step, solve_linearized
 from .state import (
     State,
+    StepSeries,
     TimeSpec,
     Trajectory,
     ch_step,

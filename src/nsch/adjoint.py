@@ -84,10 +84,11 @@ def require_unit_mobility(params: PhysParams, context: str) -> None:
 
 
 def adjoint_terminal(phi_t: ScalarField, cost: CostSpec) -> AdjointState:
-    """Terminal condition: va(T) = 0, phia(T) = alpha2 (phi(T) - phi_Omega)."""
+    """Terminal condition: va(T) = 0, phia(T) = alpha2 (phi(T) - phi_Omega);
+    va carries the batch axes of ``phi_t``, if any."""
     grid = phi_t.grid
     phia = ScalarField(grid, cost.alpha2 * (phi_t.values - cost.phi_omega.values))
-    return AdjointState(va=FaceField.zeros(grid), phia=phia)
+    return AdjointState(va=FaceField.zeros(grid, *phi_t.values.shape[:-2]), phia=phia)
 
 
 def _chain_transpose(

@@ -31,10 +31,14 @@ first line search starts from step0, and one after a pair with
 Trials are halved until the Armijo test on the projected step,
 J(u_s) <= J(u) - c1 <g, u - u_s>_Q, holds.
 
-The seeded smooth control series (tracking targets, verification
-directions) are built here too, and a ``ControlProblem`` keeps its
-unforced trajectory, its adjoint (the va series) and its seeded
-sensitivities (psi series), each solved once on first read.
+The seeded smooth directions are built here too.  Each is separable,
+profile(x) * mod(t_n), so ``smooth_direction`` holds the profile (one face
+field) and the modulation (n_steps numbers) and forms step n where it is
+read (a ``StepSeries``); ``smooth_control_series`` stacks it into a stored
+series, the tracking targets' reference control.  A ``ControlProblem``
+keeps its unforced trajectory, its adjoint (the va series) and its seeded
+sensitivities (the direction and its psi series), each solved once on
+first read.
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ from .constitutive import CostSpec, PhysParams
 from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
 from .linearized import solve_linearized
-from .state import State, TimeSpec, Trajectory, check_steps, simulate, trapezoid_weights
+from .state import (
+    State, StepSeries, TimeSpec, Trajectory, check_steps, simulate, trapezoid_weights,
+)
 
 
 @dataclass(frozen=True)
@@ -118,14 +124,27 @@ def random_smooth_facefield(grid: GridSpec, seed: int, amplitude: float = 1.0) -
     return FaceField(grid, amplitude * fx / scale, amplitude * fy / scale)
 
 
-def smooth_control_series(
+def smooth_direction(
     grid: GridSpec, time: TimeSpec, seed: int, amplitude: float = 1.0
-) -> FaceField:
-    """Seeded smooth space profile modulated smoothly in time, one step each."""
+) -> StepSeries:
+    """Seeded smooth space profile modulated smoothly in time: step n is
+    ``profile * mod[n]``, formed when it is read."""
     profile = random_smooth_facefield(grid, seed, amplitude)
     t_mid = (np.arange(time.n_steps) + 0.5) * time.dt
     mod = 1.0 + 0.5 * np.sin(2.0 * np.pi * t_mid / max(time.T, 1e-30))
-    return profile * mod[:, None, None]
+    return StepSeries(time.n_steps, lambda n: profile * mod[n])
+
+
+def smooth_control_series(
+    grid: GridSpec, time: TimeSpec, seed: int, amplitude: float = 1.0
+) -> FaceField:
+    """``smooth_direction`` stored as one face field with a leading step axis."""
+    n_steps = time.n_steps
+    out = FaceField(grid, np.empty((n_steps, grid.nx + 1, grid.ny)),
+                    np.empty((n_steps, grid.nx, grid.ny + 1)))
+    for n, h_n in enumerate(smooth_direction(grid, time, seed, amplitude)):
+        out.x[n], out.y[n] = h_n.x, h_n.y
+    return out
 
 
 @dataclass
@@ -195,7 +214,8 @@ class ControlProblem:
 
     The problem is frozen, so the unforced solves it caches on first read
     -- ``base``, the va series ``base_adjoint`` and the per-seed
-    ``sensitivity`` (a direction and its psi series) -- can never go stale;
+    ``sensitivity`` (a step-built direction and its psi series) -- can never
+    go stale;
     ``dataclasses.replace`` makes a changed problem with empty caches.
     Every reader gets the same cached objects, so none may modify them.
     """
@@ -212,16 +232,23 @@ class ControlProblem:
     def grid(self) -> GridSpec:
         return self.phi0.grid
 
-    def simulate(self, u: FaceField | None) -> Trajectory:
+    def simulate(self, u: FaceField | StepSeries | None) -> Trajectory:
         return simulate(self.v0, self.phi0, u, self.time, self.params)
 
-    def simulate_many(self, controls: Sequence[FaceField]) -> list[Trajectory]:
+    def simulate_many(self, controls: Sequence[FaceField | StepSeries]) -> list[Trajectory]:
         """``[self.simulate(u) for u in controls]`` bit for bit, as one forward
-        sweep with a batch axis after the step axis, so that step n of the
-        stacked control is the batched force; the trajectories are views."""
-        grid, b = self.grid, len(controls)
-        u = FaceField(grid, np.stack([c.x for c in controls], axis=1),
-                      np.stack([c.y for c in controls], axis=1))
+        sweep with a leading batch axis: the batched force of step n stacks the
+        members' step-n fields when the sweep reads it; the trajectories are
+        views."""
+        grid, b, n_steps = self.grid, len(controls), self.time.n_steps
+        for c in controls:
+            check_steps(c, grid, n_steps, "control")
+
+        def batched(n: int) -> FaceField:
+            steps = [c[n] for c in controls]
+            return FaceField(grid, np.stack([s.x for s in steps]), np.stack([s.y for s in steps]))
+
+        u = StepSeries(n_steps, batched)
         v0 = FaceField(grid, np.stack([self.v0.x] * b), np.stack([self.v0.y] * b))
         phi0 = ScalarField(grid, np.stack([self.phi0.values] * b))
         batch = simulate(v0, phi0, u, self.time, self.params).states
@@ -239,21 +266,22 @@ class ControlProblem:
         """The adjoint velocity series va of the cost along ``base``."""
         return solve_adjoint(self.base, self.cost, self.params)
 
-    def sensitivity(self, seed: int) -> tuple[FaceField, list[ScalarField]]:
-        """The unit seeded direction ``smooth_control_series(grid, time, seed)``
-        and the psi series of its sensitivity along ``base``."""
+    def sensitivity(self, seed: int) -> tuple[StepSeries, list[ScalarField]]:
+        """The unit seeded direction ``smooth_direction(grid, time, seed)``,
+        held as its profile and modulation, and the psi series of its
+        sensitivity along ``base``."""
         if seed not in self._sensitivities:
-            h = smooth_control_series(self.grid, self.time, seed)
+            h = smooth_direction(self.grid, self.time, seed)
             self._sensitivities[seed] = (h, solve_linearized(self.base, h, self.params))
         return self._sensitivities[seed]
 
 
 def evaluate_cost(
-    traj: Trajectory, u: FaceField | None, cost: CostSpec
+    traj: Trajectory, u: FaceField | StepSeries | None, cost: CostSpec
 ) -> tuple[float, dict]:
     """Evaluate J and its three components on a trajectory/control pair."""
     n = traj.time.n_steps
-    check_steps(u, n, "control")
+    check_steps(u, traj.grid, n, "control")
     if len(cost.phi_q) != n + 1:
         raise ConfigError(f"running target has {len(cost.phi_q)} nodes, need {n + 1}")
     dt = traj.time.dt

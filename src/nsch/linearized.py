@@ -41,7 +41,9 @@ import numpy as np
 from . import mac
 from .constitutive import PhysParams, linearized_chemical_potentials, mu_of_phi
 from .grid import FaceField, ScalarField, advect_scalar
-from .state import State, Trajectory, check_finite, check_steps, momentum_update, phase_update
+from .state import (
+    State, StepSeries, Trajectory, check_finite, check_steps, momentum_update, phase_update,
+)
 
 
 def linearized_step(
@@ -88,16 +90,17 @@ def linearized_step(
 
 def solve_linearized(
     base: Trajectory,
-    h: FaceField | None,
+    h: FaceField | StepSeries | None,
     params: PhysParams,
 ) -> list[ScalarField]:
     """Solve the sensitivity system with zero initial data along ``base``, for
-    the force perturbation series ``h`` (step axis first, as in ``simulate``).
+    the force perturbation series ``h`` (a force series as in ``simulate``;
+    a step-built one is formed step by step inside the sweep).
 
     Returns psi at every node t_0..t_N, psi(t_0) = 0 first.
     """
     n_steps = base.time.n_steps
-    check_steps(h, n_steps, "perturbation")
+    check_steps(h, base.grid, n_steps, "perturbation")
 
     b0 = base.states[0]  # zero data with the base's batch axes, if any
     w = FaceField.zeros(base.grid, *b0.phi.values.shape[:-2])

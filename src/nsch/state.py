@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -171,11 +171,40 @@ def check_finite(step: int, bounded: dict, unbounded: dict | None = None) -> Non
             raise BlowUpError(f"blow-up detected at {where}", step=step)
 
 
-def check_steps(series: FaceField | None, n_steps: int, name: str) -> None:
-    """Reject a force series without ``n_steps`` entries on a leading step axis."""
-    if series is not None and (series.x.ndim < 3 or len(series.x) != n_steps):
-        found = f"{len(series.x)} entries" if series.x.ndim > 2 else "no step axis"
-        raise ConfigError(f"{name} series has {found}, need {n_steps}")
+class StepSeries:
+    """A force series formed one step at a time: ``len(s)`` steps, and step
+    ``s[n]`` is ``build(n)``, a new face field on every read.  Its readers
+    index or iterate it as they do a stored ``FaceField`` with a leading step
+    axis, so a separable or perturbed series is never held whole."""
+
+    def __init__(self, n_steps: int, build: Callable[[int], FaceField]):
+        self.n_steps, self.build = n_steps, build
+
+    def __len__(self) -> int:
+        return self.n_steps
+
+    def __getitem__(self, n: int) -> FaceField:  # iterating walks the steps
+        if not 0 <= n < self.n_steps:
+            raise IndexError(f"step {n} of a {self.n_steps}-step series")
+        return self.build(n)
+
+
+def check_steps(series: FaceField | StepSeries | None, grid: GridSpec, n_steps: int,
+                name: str) -> None:
+    """Reject a force series -- a ``FaceField`` with a leading step axis or a
+    ``StepSeries`` -- without ``n_steps`` steps, or whose step field does not
+    fit ``grid``."""
+    if series is None:
+        return
+    stored = isinstance(series, FaceField)
+    if stored and series.x.ndim < 3:
+        raise ConfigError(f"{name} series has no step axis, need {n_steps}")
+    found = len(series.x) if stored else len(series)
+    if found != n_steps:
+        raise ConfigError(f"{name} series has {found} entries, need {n_steps}")
+    shape, need = series[0].x.shape[-2:], (grid.nx + 1, grid.ny)
+    if shape != need:
+        raise ConfigError(f"{name} series has x-face steps of shape {shape}, the grid needs {need}")
 
 
 def trapezoid_weights(n_steps: int) -> list[float]:
@@ -288,21 +317,21 @@ def _node_diagnostics(state: State, params: PhysParams) -> tuple[float, ...]:
 def simulate(
     v0: FaceField,
     phi0: ScalarField,
-    u: FaceField | None,
+    u: FaceField | StepSeries | None,
     time: TimeSpec,
     params: PhysParams,
 ) -> Trajectory:
     """Run the forward solver and record the state at every node.
 
-    ``u`` is the body-force series, one face field with a leading step axis
-    (or None for an unforced run).  The initial velocity is projected once so
-    the stored v(0) is discretely divergence-free.  Fields with a leading batch
-    axis run one problem per member in one sweep; the force has it second
-    (``ControlProblem.simulate_many``).
+    ``u`` is the body-force series, a face field with a leading step axis or
+    a ``StepSeries`` (or None for an unforced run).  The initial velocity is
+    projected once so the stored v(0) is discretely divergence-free.  Fields
+    with a leading batch axis run one problem per member in one sweep; so does
+    each step field of the force (``ControlProblem.simulate_many``).
     """
     grid = phi0.grid
     n_steps = time.n_steps
-    check_steps(u, n_steps, "control")
+    check_steps(u, grid, n_steps, "control")
 
     v0p, _ = project_divergence_free(v0.zero_boundary_normal(), 1.0)
     p0 = ScalarField(grid, np.zeros_like(phi0.values))
@@ -320,7 +349,7 @@ def simulate(
     return Trajectory(grid=grid, time=time, params=params, states=states)
 
 
-def energy_balance_residual(traj: Trajectory, u: FaceField | None = None) -> float:
+def energy_balance_residual(traj: Trajectory, u: FaceField | StepSeries | None = None) -> float:
     """Defect of the integrated energy identity at the final time.
 
     Continuous law: kinetic + free energy at time t plus the accumulated

@@ -15,11 +15,14 @@ Five checks, each with a quantitative threshold:
 * ``gradient``  -- the reduced gradient against central finite differences
                    of the reduced cost along seeded random directions.
 
-Random directions (``control.smooth_control_series``) are smooth,
-low-mode cosine series of unit sup norm with coefficients drawn from a
-seeded generator and shaped to vanish on boundary normal faces; because
-the continuum field is fixed by the seed, the same direction can be
-re-sampled on a refined grid for convergence studies.
+Random directions (``control.smooth_direction``) are a smooth, low-mode
+cosine profile of unit sup norm, with coefficients drawn from a seeded
+generator and shaped to vanish on boundary normal faces, times a smooth
+modulation in time; because the continuum field is fixed by the seed, the
+same direction can be re-sampled on a refined grid for convergence
+studies.  A direction, and each perturbed control u0 + eps*h, is a
+``StepSeries``: step n is formed where a solve or a sum reads it, so no
+check holds a whole direction or perturbation series.
 
 The unforced base work is solved once per problem and shared by the
 checks: mass, energy, and the Frechet, duality and gradient bases read
@@ -37,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ControlProblem, evaluate_cost, inner_q, reduced_gradient
-from .control import smooth_control_series
-from .grid import FaceField, ScalarField, face_inner, scalar_inner
-from .state import Trajectory, energy_balance_residual, simulate, trapezoid_weights
+from .control import smooth_direction
+from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
+from .state import StepSeries, Trajectory, energy_balance_residual, simulate, trapezoid_weights
 
 FRECHET_EPSILONS = (1e-1, 5e-2, 2.5e-2)
 FRECHET_FLOOR_EPSILON = 1e-3
@@ -72,6 +75,13 @@ def phi_l2q_norm(fields: list[ScalarField], dt: float) -> float:
     for f, w in zip(fields, trapezoid_weights(len(fields) - 1)):
         total += w * dt * scalar_inner(f, f)
     return float(np.sqrt(total))
+
+
+def _perturbations(grid: GridSpec, h: StepSeries, epsilons) -> list[StepSeries]:
+    """The controls u0 + eps*h about the zero control u0, one per eps, each
+    formed step by step as ``u0_n + eps*h_n``."""
+    u0_n = FaceField.zeros(grid)
+    return [StepSeries(len(h), lambda n, e=e: u0_n + e * h[n]) for e in epsilons]
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +127,6 @@ def verify_energy(problem: ControlProblem) -> VerifyReport:
 def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     """Linear shrink of the first-order Taylor defect of the state map."""
     grid, time, base = problem.grid, problem.time, problem.base
-    u0 = FaceField.zeros(grid, time.n_steps)
     h, lin = problem.sensitivity(seed)
 
     def defect(eps: float, pert: Trajectory) -> float:
@@ -129,7 +138,7 @@ def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
 
     eps_list = list(FRECHET_EPSILONS)
     all_eps = eps_list + [FRECHET_FLOOR_EPSILON]
-    *errors, floor = map(defect, all_eps, problem.simulate_many([u0 + e * h for e in all_eps]))
+    *errors, floor = map(defect, all_eps, problem.simulate_many(_perturbations(grid, h, all_eps)))
     ratios = [errors[i] / max(errors[i + 1], 1e-300) for i in range(len(errors) - 1)]
     ok = all(
         r >= 1.8 or errors[i + 1] <= 5.0 * floor for i, r in enumerate(ratios)
@@ -194,9 +203,9 @@ def verify_gradient(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     g = reduced_gradient(u0, problem.base_adjoint, cost)
     dt, eps = time.dt, GRADIENT_EPSILON
 
-    dirs = [smooth_control_series(grid, time, seed + 1000 * i + 7)
+    dirs = [smooth_direction(grid, time, seed + 1000 * i + 7)
             for i in range(GRADIENT_DIRECTIONS)]
-    pm = [u0 + s * h for h in dirs for s in (eps, -eps)]  # u0 +- eps h, one batch
+    pm = [u for h in dirs for u in _perturbations(grid, h, (eps, -eps))]  # one batch
     costs = [evaluate_cost(traj, u, cost)[0] for traj, u in zip(problem.simulate_many(pm), pm)]
 
     adj_dirs, fd_dirs, rel_errors = [], [], []

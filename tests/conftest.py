@@ -48,14 +48,16 @@ def random_solenoidal(grid, rng, scale=1.0):
 
 
 def reachable_arrays(obj, seen=None):
-    """Every numpy array reachable from ``obj`` through attributes, lists,
-    tuples and dicts (each object walked once)."""
+    """Every numpy array reachable from ``obj`` through attributes, the
+    variables a function closes over, lists, tuples and dicts (each object
+    walked once)."""
     seen = set() if seen is None else seen
     if isinstance(obj, np.ndarray):
         yield obj
     elif id(obj) not in seen and hasattr(obj, "__dict__"):
         seen.add(id(obj))
-        for value in vars(obj).values():
+        cells = getattr(obj, "__closure__", None) or ()
+        for value in [*vars(obj).values(), *(c.cell_contents for c in cells)]:
             yield from reachable_arrays(value, seen)
     elif isinstance(obj, (list, tuple, dict)):
         for value in obj.values() if isinstance(obj, dict) else obj:

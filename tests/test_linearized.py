@@ -13,11 +13,12 @@ from nsch import (
     TimeSpec,
     linearized_step,
     simulate,
+    smooth_control_series,
     solve_linearized,
 )
 from nsch.config import bubble_phase, swirl_velocity
 from nsch.constitutive import linearized_chemical_potentials
-from nsch.verification import phi_l2q_norm, smooth_control_series
+from nsch.verification import phi_l2q_norm
 
 from conftest import random_face, random_scalar, random_solenoidal
 import oracles
