@@ -12,7 +12,7 @@ spectral solves), and layers on top of the forward solver:
   duality, gradient).
 """
 
-from .adjoint import AdjointState, adjoint_step, adjoint_terminal, solve_adjoint
+from .adjoint import adjoint_step, adjoint_terminal, solve_adjoint
 from .constitutive import (
     CostSpec,
     PhysParams,

@@ -39,11 +39,12 @@ with the trapezoid weight of the cost quadrature (the half-weighted final
 node rides along with the terminal data during the first backward step).
 
 ``solve_adjoint`` returns the va series only: va is all that its readers
-(the reduced gradient, the duality pairing) read.  The step carries
-(va, phia) from one node to the next (``AdjointState``); no reader needs
-mua, omegaa or the adjoint pressure pa (the two projections' pressures are
-dropped).  The step never forms mua or omegaa, and it takes each Laplacian
-once (linearity merges the terms that share z and Lap(z)).  The base nodes
+(the reduced gradient, the duality pairing) read.  The step carries the
+pair (va, phia) from one node to the next, as the sensitivity step carries
+(w, psi); no reader needs mua, omegaa or the adjoint pressure pa (the two
+projections' pressures are dropped).  The step never forms mua or omegaa,
+and it takes each Laplacian once (linearity merges the terms that share z
+and Lap(z)).  The base nodes
 store (v, p, phi) only, so each step rebuilds the base mu and omega at t_n
 with one ``mu_of_phi`` call.
 
@@ -55,22 +56,11 @@ up to discretization error, which the verification suite measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import mac
 from .constitutive import CostSpec, PhysParams, mu_of_phi, potential_fp, potential_fpp
 from .errors import ConfigError
 from .grid import FaceField, ScalarField, advect_scalar, laplacian, project_divergence_free
 from .state import State, Trajectory, check_finite, phase_solve, trapezoid_weights
-
-
-@dataclass
-class AdjointState:
-    """Adjoint velocity and phase field at one time node: what one backward
-    step carries to the next."""
-
-    va: FaceField
-    phia: ScalarField
 
 
 def require_unit_mobility(params: PhysParams, context: str) -> None:
@@ -83,12 +73,12 @@ def require_unit_mobility(params: PhysParams, context: str) -> None:
         )
 
 
-def adjoint_terminal(phi_t: ScalarField, cost: CostSpec) -> AdjointState:
-    """Terminal condition: va(T) = 0, phia(T) = alpha2 (phi(T) - phi_Omega);
+def adjoint_terminal(phi_t: ScalarField, cost: CostSpec) -> tuple[FaceField, ScalarField]:
+    """Terminal condition (va(T), phia(T)) = (0, alpha2 (phi(T) - phi_Omega));
     va carries the batch axes of ``phi_t``, if any."""
     grid = phi_t.grid
     phia = ScalarField(grid, cost.alpha2 * (phi_t.values - cost.phi_omega.values))
-    return AdjointState(va=FaceField.zeros(grid, *phi_t.values.shape[:-2]), phia=phia)
+    return FaceField.zeros(grid, *phi_t.values.shape[:-2]), phia
 
 
 def _chain_transpose(
@@ -117,12 +107,14 @@ def _chain_transpose(
 def adjoint_step(
     base_n: State,
     base_np1: State,
-    adj_np1: AdjointState,
+    va_np1: FaceField,
+    phia_np1: ScalarField,
     tracking_source: ScalarField | None,
     dt: float,
     params: PhysParams,
-) -> AdjointState:
-    """One backward step t_{n+1} -> t_n of the adjoint system.
+) -> tuple[FaceField, ScalarField]:
+    """One backward step t_{n+1} -> t_n of the adjoint system; returns
+    (va_n, phia_n).
 
     ``tracking_source`` is the weighted misfit alpha1 * w_n * (phi - phi_Q)
     at the target node t_n (None when alpha1 = 0).
@@ -135,9 +127,9 @@ def adjoint_step(
 
     # implicit smoothers first: the forward phase symbol (unit mobility is
     # enforced above, so its leading coefficient dt*mob_const is exactly dt)
-    z = phase_solve(adj_np1.phia, dt, params)
+    z = phase_solve(phia_np1, dt, params)
     force = mac.gradient_force(z.values, phi_n)
-    y_pre = adj_np1.va - dt * force
+    y_pre = va_np1 - dt * force
     y_proj, _ = project_divergence_free(y_pre, dt)
     y = mac.solve_face_helmholtz(y_proj, dt * params.nu_bar)
 
@@ -174,7 +166,7 @@ def adjoint_step(
     # the solenoidal invariant and is transparent to the recursion (the next
     # step projects again)
     va_n, _ = project_divergence_free(y + dt * velocity_couplings, dt)
-    return AdjointState(va=va_n, phia=phia_n)
+    return va_n, phia_n
 
 
 def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[FaceField]:
@@ -200,17 +192,17 @@ def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[
         return ScalarField(base.grid, cost.alpha1 * weights[n] * misfit.values)
 
     # the half-weighted final tracking node rides along with the terminal data
-    adj = adjoint_terminal(base.final.phi, cost)
+    va, phia = adjoint_terminal(base.final.phi, cost)
     s_n = source(n_steps)
     if s_n is not None:
-        adj = replace(adj, phia=ScalarField(base.grid, adj.phia.values + dt * s_n.values))
-    out = [adj.va]
+        phia = ScalarField(base.grid, phia.values + dt * s_n.values)
+    out = [va]
 
     for n in range(n_steps - 1, -1, -1):
-        adj = adjoint_step(
-            base.states[n], base.states[n + 1], adj, source(n), dt, params
+        va, phia = adjoint_step(
+            base.states[n], base.states[n + 1], va, phia, source(n), dt, params
         )
-        check_finite(n, {"phia": adj.phia.values}, {"va.x": adj.va.x, "va.y": adj.va.y})
-        out.append(adj.va)
+        check_finite(n, {"phia": phia.values}, {"va.x": va.x, "va.y": va.y})
+        out.append(va)
     out.reverse()
     return out

@@ -272,7 +272,7 @@ def build_problem(cfg: RunConfig) -> ControlProblem:
     if target == "tracking":
         u_ref = reference_control(cfg, grid, time, bounds)
         ref = simulate(v0, phi0, u_ref, time, params)
-        cost = CostSpec(a1, a2, a3, ref.phi_series(), ref.final.phi)
+        cost = CostSpec(a1, a2, a3, [s.phi for s in ref.states], ref.final.phi)
     elif target == "initial":
         cost = CostSpec(a1, a2, a3, [phi0] * n_nodes, phi0)
     elif target == "stripe":

@@ -117,11 +117,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.hx * self.hy
 
-    @property
-    def volume(self) -> float:
-        """Measure of the whole domain."""
-        return self.lx * self.ly
-
     def cell_centers(self):
         """Return (X, Y) arrays of shape (nx, ny) with cell-center coordinates."""
         x = (np.arange(self.nx) + 0.5) * self.hx
@@ -161,11 +156,6 @@ class ScalarField:
     def mean(self) -> float:
         _require_single(self.values)
         return float(self.values.mean())
-
-    def norm_l2(self) -> float:
-        """Discrete L2 norm, sqrt(sum f^2 * cell_volume)."""
-        _require_single(self.values)
-        return float(np.sqrt((self.values**2).sum() * self.grid.cell_volume))
 
     def max_abs(self) -> float:
         _require_single(self.values)
@@ -222,10 +212,6 @@ class FaceField:
         out.x[_FIRST[0]] = out.x[_LAST[0]] = 0.0
         out.y[_FIRST[1]] = out.y[_LAST[1]] = 0.0
         return out
-
-    def norm_l2(self) -> float:
-        """Discrete L2 norm; see :func:`face_inner` for the quadrature."""
-        return float(np.sqrt(face_inner(self, self)))
 
     def max_abs(self) -> float:
         _require_single(self.x)

@@ -96,14 +96,16 @@ def write_diagnostics_csv(path, traj: Trajectory) -> None:
 
 
 def write_trajectory_snapshots(outdir, traj: Trajectory, stride: int = 1) -> list[str]:
-    """Write per-node phi/velocity snapshots every ``stride`` nodes."""
+    """Write per-node phi/velocity snapshots every ``stride`` nodes, node n
+    stamped with its time n*dt."""
     paths = []
     for n, s in enumerate(traj.states):
         if n % stride:
             continue
+        t = n * traj.time.dt
         p1 = os.path.join(outdir, f"phi_{n:06d}.nschf")
-        write_scalar(p1, s.phi, "phi", s.time)
+        write_scalar(p1, s.phi, "phi", t)
         p2 = os.path.join(outdir, f"v_{n:06d}.nschv")
-        write_face(p2, s.v, "v", s.time)
+        write_face(p2, s.v, "v", t)
         paths.extend([p1, p2])
     return paths

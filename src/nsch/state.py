@@ -29,10 +29,10 @@ The scheme lives here once (``momentum_update``, ``phase_update``,
 ``phase_solve``, ``trapezoid_weights``, ``check_finite``): the sensitivity
 stepper runs the same updates and the adjoint stepper the same phase symbol.
 
-A trajectory stores (v, p, phi) at every node: mu and omega depend on phi
-alone and are recomputed when read, so each sweep builds them once per node
-and keeps them only while its step needs them.  The per-node diagnostics
-are computed on first read.
+A trajectory node is (v, p, phi), nothing more: mu and omega depend on phi
+alone, so each sweep builds them with ``mu_of_phi`` once per node and keeps
+them only while its step needs them, and node n's time is n*dt.  The
+per-node diagnostics are computed on first read.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mac
-from .constitutive import PhysParams, free_energy, mu_of_phi, omega_of_phi
+from .constitutive import PhysParams, free_energy, mu_of_phi
 from .errors import BlowUpError, ConfigError
 from .grid import (
     FaceField,
@@ -87,8 +87,13 @@ class TimeSpec:
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"time.{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
-            raise ConfigError("time step must be positive")
+            raise ConfigError(f"time step time.dt must be positive, got {self.dt}")
         ratio = self.T / self.dt
+        if ratio < 0.5:  # rounds to no step at all
+            raise ConfigError(
+                f"final time time.T = {self.T} must cover at least one time step "
+                f"time.dt = {self.dt}"
+            )
         n = round(ratio) if np.isfinite(ratio) else 0  # T/dt can overflow
         if n < 1 or abs(n * self.dt - self.T) > 1e-12 * max(1.0, abs(self.T)):
             raise ConfigError(
@@ -99,9 +104,6 @@ class TimeSpec:
     def n_steps(self) -> int:
         return round(self.T / self.dt)
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
-
     def refine(self) -> "TimeSpec":
         """The same interval with half the time step."""
         return TimeSpec(self.T, self.dt / 2)
@@ -109,29 +111,18 @@ class TimeSpec:
 
 @dataclass
 class State:
-    """Flow/phase tuple at one time node: v, p and phi are stored; mu and
-    omega are recomputed from phi on every read, bit-identical to what the
-    sweeps build with mu_of_phi.  ``params`` (numbers only) defines mu."""
+    """Velocity, pressure and phase field at one time node."""
 
     v: FaceField
     p: ScalarField
     phi: ScalarField
-    time: float
-    params: PhysParams
-
-    @property
-    def mu(self) -> ScalarField:
-        return mu_of_phi(self.phi, self.params)[0]
-
-    @property
-    def omega(self) -> ScalarField:
-        return omega_of_phi(self.phi)
 
 
 @dataclass
 class Trajectory:
-    """Forward states at t_0..t_N; the per-node ``diagnostics`` (one series per
-    DIAGNOSTIC_COLUMNS entry) are computed from them on first read and cached."""
+    """Forward states at t_n = n*dt, n = 0..N; the per-node ``diagnostics``
+    (one series per DIAGNOSTIC_COLUMNS entry) are computed from them on first
+    read and cached."""
 
     grid: GridSpec
     time: TimeSpec
@@ -140,7 +131,8 @@ class Trajectory:
 
     @cached_property
     def diagnostics(self) -> dict[str, np.ndarray]:
-        rows = [(n, s.time) + _node_diagnostics(s, self.params) for n, s in enumerate(self.states)]
+        dt = self.time.dt
+        rows = [(n, n * dt) + _node_diagnostics(s, self.params) for n, s in enumerate(self.states)]
         return {
             name: np.array([row[i] for row in rows]) for i, name in enumerate(DIAGNOSTIC_COLUMNS)
         }
@@ -151,9 +143,6 @@ class Trajectory:
     @property
     def final(self) -> State:
         return self.states[-1]
-
-    def phi_series(self) -> list[ScalarField]:
-        return [s.phi for s in self.states]
 
 
 def check_finite(step: int, bounded: dict, unbounded: dict | None = None) -> None:
@@ -335,7 +324,7 @@ def simulate(
 
     v0p, _ = project_divergence_free(v0.zero_boundary_normal(), 1.0)
     p0 = ScalarField(grid, np.zeros_like(phi0.values))
-    states = [State(v0p, p0, phi0.copy(), 0.0, params)]
+    states = [State(v0p, p0, phi0.copy())]
 
     v, phi = v0p, phi0
     for n in range(n_steps):
@@ -345,27 +334,22 @@ def simulate(
         phi = ch_step(phi, mu, v, time.dt, params)
         del mu
         check_finite(n + 1, {"phi": phi.values, "v.x": v.x, "v.y": v.y})
-        states.append(State(v, p, phi, (n + 1) * time.dt, params))
+        states.append(State(v, p, phi))
     return Trajectory(grid=grid, time=time, params=params, states=states)
 
 
-def energy_balance_residual(traj: Trajectory, u: FaceField | StepSeries | None = None) -> float:
-    """Defect of the integrated energy identity at the final time.
+def energy_balance_residual(traj: Trajectory) -> float:
+    """Defect of the integrated energy identity of an unforced run at the
+    final time.
 
     Continuous law: kinetic + free energy at time t plus the accumulated
-    viscous and chemical dissipation equals the initial energy plus the
-    work of the body force.  Dissipation and work are accumulated with the
-    trapezoid rule from nodal rates, so the defect is O(dt) for smooth runs.
+    viscous and chemical dissipation equals the initial energy.  The
+    dissipation is accumulated with the trapezoid rule from nodal rates, so
+    the defect is O(dt) for smooth runs.
     """
     d = traj.diagnostics
     dt = traj.time.dt
     total = d["kinetic"] + d["energy"]
     rate = d["dissipation_v"] + d["dissipation_mu"]
     diss = np.concatenate([[0.0], np.cumsum(0.5 * dt * (rate[1:] + rate[:-1]))])
-    work = 0.0
-    if u is not None:
-        for n, u_n in enumerate(u):
-            w0 = face_inner(u_n, traj.states[n].v)
-            w1 = face_inner(u_n, traj.states[n + 1].v)
-            work += 0.5 * dt * (w0 + w1)
-    return float(total[-1] + diss[-1] - total[0] - work)
+    return float(total[-1] + diss[-1] - total[0])

@@ -69,6 +69,11 @@ def stack_faces(faces):
     return FaceField(faces[0].grid, np.stack([f.x for f in faces]), np.stack([f.y for f in faces]))
 
 
+def l2_norm(f):
+    """Discrete L2 norm of a cell field, sqrt(sum f^2 * cell_volume)."""
+    return float(np.sqrt((f.values**2).sum() * f.grid.cell_volume))
+
+
 def apply_poly_laplacian(a0, a1, a2, a3, f):
     """Apply a0*I + a1*(-Lap) + a2*Lap^2 + a3*(-Lap)^3 by repeated stencils,
     the residual check of the spectral polynomial solves."""

@@ -419,12 +419,15 @@ def full_linearized_sweep(base, h, params):
     return nodes
 
 
-def full_adjoint_sweep(base, cost, params):
-    """The ``AdjointState`` (va, phia) that ``solve_adjoint(base, cost, params)``
-    carries at every node t_0..t_N; the terminal one includes the
-    half-weighted final tracking source, as the sweep carries it."""
-    from dataclasses import replace
+class AdjointNode(NamedTuple):
+    va: object  # FaceField
+    phia: object  # ScalarField
 
+
+def full_adjoint_sweep(base, cost, params):
+    """The pair (va, phia) that ``solve_adjoint(base, cost, params)`` carries
+    at every node t_0..t_N; the terminal one includes the half-weighted final
+    tracking source, as the sweep carries it."""
     from nsch import ScalarField, adjoint_step, adjoint_terminal
     from nsch.state import trapezoid_weights
 
@@ -437,12 +440,12 @@ def full_adjoint_sweep(base, cost, params):
         misfit = base.states[n].phi - cost.phi_q[n]
         return ScalarField(base.grid, cost.alpha1 * weights[n] * misfit.values)
 
-    adj = adjoint_terminal(base.final.phi, cost)
+    va, phia = adjoint_terminal(base.final.phi, cost)
     s_n = source(n_steps)
     if s_n is not None:
-        adj = replace(adj, phia=ScalarField(base.grid, adj.phia.values + dt * s_n.values))
-    nodes = [adj]
+        phia = ScalarField(base.grid, phia.values + dt * s_n.values)
+    nodes = [AdjointNode(va, phia)]
     for n in range(n_steps - 1, -1, -1):
-        adj = adjoint_step(base.states[n], base.states[n + 1], adj, source(n), dt, params)
-        nodes.append(adj)
+        nodes.append(AdjointNode(*adjoint_step(base.states[n], base.states[n + 1], *nodes[-1],
+                                               source(n), dt, params)))
     return nodes[::-1]

@@ -33,7 +33,7 @@ from nsch.control import (
 import nsch.verification as verification
 
 import oracles
-from conftest import apply_poly_laplacian, random_face, stack_faces
+from conftest import apply_poly_laplacian, l2_norm, random_face, stack_faces
 
 GRID_N = 64
 BOX = 16.0
@@ -81,13 +81,14 @@ def test_criterion_02_equilibrium_fixed_point():
     )
     dev = 0.0
     for s in traj.states:
+        mu, omega = mu_of_phi(s.phi, params)
         dev = max(
             dev,
             float(np.abs(s.phi.values - 1.0).max()),
             s.v.max_abs(),
             s.p.max_abs(),
-            s.mu.max_abs(),
-            s.omega.max_abs(),
+            mu.max_abs(),
+            omega.max_abs(),
         )
     report(
         2, "equilibrium fixed point", dev <= 1e-13,
@@ -109,16 +110,16 @@ def test_criterion_04_solver_exactness(rng):
     grid = GridSpec(GRID_N, GRID_N, BOX, BOX)
     f = ScalarField(grid, rng.standard_normal((GRID_N, GRID_N)))
     x = helmholtz_poly_solve(1.0, 0.0, 2.0 * DT, DT, f)
-    res_h = (apply_poly_laplacian(1.0, 0.0, 2.0 * DT, DT, x) - f).norm_l2() / f.norm_l2()
+    res_h = l2_norm(apply_poly_laplacian(1.0, 0.0, 2.0 * DT, DT, x) - f) / l2_norm(f)
 
     g = ScalarField(grid, f.values - f.values.mean())
     from nsch.grid import laplacian
 
     p = poisson_neumann(ScalarField(grid, -laplacian(g).values))
-    res_p = (
+    res_p = l2_norm(
         apply_poly_laplacian(0.0, 1.0, 0.0, 0.0, p)
         - ScalarField(grid, -laplacian(g).values)
-    ).norm_l2() / max(g.norm_l2(), 1e-300)
+    ) / max(l2_norm(g), 1e-300)
 
     # transpose identity of the discrete gradient/divergence pair on 6x6
     nx = ny = 6

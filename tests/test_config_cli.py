@@ -17,12 +17,14 @@ from nsch.config import (
     _read_snapshot,
     build_initial,
     build_grid,
+    build_optimizer_options,
     build_params,
     build_problem,
     build_time,
     parse_config,
     refine_config,
 )
+from nsch.control import optimize
 from nsch.errors import ConfigError
 from nsch.snapshots import read_face, read_scalar
 from nsch.verification import CHECKS, verify
@@ -308,7 +310,9 @@ class TestCli:
          ("simulate", {"run.workers": "0"}, "run.workers must be at least 1, got 0"),
          ("simulate", {"run.workers": "-3"}, "run.workers must be at least 1, got -3"),
          ("simulate", {"output.snapshot_stride": "-1"}, "output.snapshot_stride must be nonnegative"),
-         ("optimize", {"cost.alpha3": "5e-324"}, "cost.alpha3")],
+         ("optimize", {"cost.alpha3": "5e-324"}, "cost.alpha3"),
+         ("simulate", {"time.T": "0"}, "time.T = 0.0 must cover at least one time step"),
+         ("optimize", {"time.T": "-0.1"}, "time.T = -0.1 must cover at least one time step")],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, values, name):
         text = "\n".join(ln for ln in SMALL.splitlines() if ln.split(" =")[0] not in values)
@@ -455,6 +459,31 @@ class TestCli:
         d1 = (tmp_path / "o1" / "diagnostics.csv").read_bytes()
         d2 = (tmp_path / "o2" / "diagnostics.csv").read_bytes()
         assert d1 == d2
+
+    def test_snapshot_stride_files(self, tmp_path):
+        # 5 steps, stride 2: nodes 0, 2, 4 of the run and steps 0, 2, 4 of the control
+        text = SMALL.replace("time.T = 0.004", "time.T = 0.005") + (
+            "output.snapshot_stride = 2\ncost.alpha3 = 1e-6\noptimizer.max_iter = 2\n")
+        cfg, out = write_cfg(tmp_path, text), tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+        expected = {f"{kind}_{n:06d}.{ext}" for n in (0, 2, 4)
+                    for kind, ext in (("phi", "nschf"), ("v", "nschv"), ("u", "nschv"))}
+        written = {p.name for p in out.iterdir()} - {"diagnostics.csv", "optim_report.csv"}
+        assert written == expected
+        run = parse_config(cfg)
+        problem = build_problem(run)
+        dt, traj = problem.time.dt, problem.base
+        u_opt, _ = optimize(problem, None, build_optimizer_options(run))
+        for n in (0, 2, 4):
+            phi, _, t_phi = read_scalar(out / f"phi_{n:06d}.nschf")
+            v, _, t_v = read_face(out / f"v_{n:06d}.nschv")
+            u, name, t_u = read_face(out / f"u_{n:06d}.nschv")
+            assert t_phi == t_v == t_u == n * dt
+            assert name == "u"
+            assert np.array_equal(phi.values, traj.states[n].phi.values)
+            assert np.array_equal(v.x, traj.states[n].v.x) and np.array_equal(v.y, traj.states[n].v.y)
+            assert np.array_equal(u.x, u_opt[n].x) and np.array_equal(u.y, u_opt[n].y)
 
 
 class TestConfigProperty:

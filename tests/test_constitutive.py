@@ -190,7 +190,7 @@ class TestEnergy:
         p = PhysParams(eta=-0.5)
         c = np.linspace(-10, 10, 20001)
         excess = -0.25 * potential_f(c) ** 2 - p.eta * potential_F(c)
-        c4 = grid6.volume * max(0.0, excess.max())
+        c4 = grid6.lx * grid6.ly * max(0.0, excess.max())
         for scale in (0.3, 1.0, 2.0):
             phi = random_scalar(grid6, rng, scale=scale)
             e, _, _ = free_energy(phi, p)
@@ -204,7 +204,7 @@ class TestEnergy:
         assert a == pytest.approx(0.0, abs=1e-14)
         assert b == pytest.approx(0.25, rel=1e-12)
         a1, b1 = constraint_integrals(ScalarField.full(grid6, 1.0))
-        assert a1 == pytest.approx(grid6.volume, rel=1e-12)
+        assert a1 == pytest.approx(grid6.lx * grid6.ly, rel=1e-12)
         assert b1 == pytest.approx(0.0, abs=1e-14)
 
 

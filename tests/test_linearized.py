@@ -17,7 +17,7 @@ from nsch import (
     solve_linearized,
 )
 from nsch.config import bubble_phase, swirl_velocity
-from nsch.constitutive import linearized_chemical_potentials
+from nsch.constitutive import linearized_chemical_potentials, mu_of_phi
 from nsch.verification import phi_l2q_norm
 
 from conftest import random_face, random_scalar, random_solenoidal
@@ -34,14 +34,15 @@ def base_small(params):
 
 def make_lin_state(base_state, w, psi, params):
     """(w, psi, theta) at ``base_state``, theta the linearized chemical potential."""
+    omega = mu_of_phi(base_state.phi, params)[1]
     return oracles.LinearizedNode(
-        w, psi, linearized_chemical_potentials(psi, base_state.phi, base_state.omega, params)
+        w, psi, linearized_chemical_potentials(psi, base_state.phi, omega, params)
     )
 
 
 def step(b0, b1, lin, h, dt, params):
     """One sensitivity step from ``lin`` = (w, psi, theta) at ``b0``; returns (w, psi)."""
-    return linearized_step(b0, b1, *lin, b0.mu, h, dt, params)
+    return linearized_step(b0, b1, *lin, mu_of_phi(b0.phi, params)[0], h, dt, params)
 
 
 class TestHomogeneity:
@@ -110,7 +111,8 @@ class TestAuxiliaryConsistency:
         h = smooth_control_series(base_small.grid, base_small.time, 3)
         out = oracles.full_linearized_sweep(base_small, h, params)
         for lin, bstate in zip(out, base_small.states):
-            theta = linearized_chemical_potentials(lin.psi, bstate.phi, bstate.omega, params)
+            omega = mu_of_phi(bstate.phi, params)[1]
+            theta = linearized_chemical_potentials(lin.psi, bstate.phi, omega, params)
             assert np.abs(lin.theta.values - theta.values).max() < 1e-12 * max(
                 1.0, theta.max_abs()
             )
@@ -122,7 +124,8 @@ def dense_linearized_step_oracle(b0, b1, w, psi, h, dt, params):
 
     grid = b0.phi.grid
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    phi, v, mu, omega = b0.phi.values, b0.v, b0.mu.values, b0.omega.values
+    phi, v = b0.phi.values, b0.v
+    mu, omega = (f.values for f in mu_of_phi(b0.phi, params))
     nu, nu_p = params.viscosity(phi)
 
     def lap(f):
@@ -302,8 +305,6 @@ class TestNonconstantMobility:
 
 class TestStoredTheta:
     def test_stored_theta_reused_bit_identical(self, base_small, params):
-        from nsch.constitutive import mu_of_phi
-
         h = smooth_control_series(base_small.grid, base_small.time, 3)
         lin_n = oracles.full_linearized_sweep(base_small, h, params)[1]
         b1, b2 = base_small.states[1], base_small.states[2]
@@ -335,7 +336,7 @@ def written_out_step(base_n, base_np1, lin_n, h_n, dt, params):
 
     grid = base_n.phi.grid
     w_n, psi_n, theta_n = lin_n.w, lin_n.psi, lin_n.theta
-    phi_n, v_n, mu_n = base_n.phi, base_n.v, base_n.mu
+    phi_n, v_n, mu_n = base_n.phi, base_n.v, mu_of_phi(base_n.phi, params)[0]
     nu, nu_p = params.viscosity(phi_n.values)
     # a fresh stencil bundle per operand, where the stepper shares them
     S = mac.Stencils

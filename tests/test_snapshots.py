@@ -101,6 +101,10 @@ class TestDiagnosticsCsv:
             "dissipation_v,dissipation_mu,divergence_max"
         )
         assert len(lines) == ts.n_steps + 2
+        # node n's time reads back as n * dt, bit for bit
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [(int(r[0]), float(r[1])) for r in rows] == [
+            (n, n * ts.dt) for n in range(ts.n_steps + 1)]
 
     def test_trajectory_snapshots_stride(self, params, tmp_path):
         grid = GridSpec(8, 8, 4.0, 4.0)
@@ -108,5 +112,10 @@ class TestDiagnosticsCsv:
         traj = simulate(FaceField.zeros(grid), bubble_phase(grid), None, ts, params)
         paths = write_trajectory_snapshots(tmp_path, traj, stride=2)
         assert len(paths) == 2 * 3  # nodes 0, 2, 4
-        phi, _, t = read_scalar(paths[2])
-        assert t == pytest.approx(2e-3)
+        for n, (p_phi, p_v) in zip((0, 2, 4), zip(paths[::2], paths[1::2])):
+            phi, _, t_phi = read_scalar(p_phi)
+            v, _, t_v = read_face(p_v)
+            # node n's time is n * dt, bit for bit
+            assert t_phi == t_v == n * ts.dt
+            assert np.array_equal(phi.values, traj.states[n].phi.values)
+            assert np.array_equal(v.x, traj.states[n].v.x)

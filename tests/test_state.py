@@ -1,5 +1,7 @@
 """Forward solver: steps, conservation, fixed points, and a dense oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from nsch import (
     constraint_integrals,
     divergence_of_faces,
     energy_balance_residual,
+    face_inner,
     free_energy,
     mu_of_phi,
     ns_step,
@@ -34,7 +37,9 @@ from nsch.state import (
     trapezoid_weights,
 )
 
-from conftest import random_face, random_scalar, random_solenoidal, reachable_arrays, stack_faces
+from conftest import (
+    l2_norm, random_face, random_scalar, random_solenoidal, reachable_arrays, stack_faces,
+)
 import oracles
 
 
@@ -42,15 +47,29 @@ class TestTimeSpec:
     def test_rounding_consistency(self):
         ts = TimeSpec(0.1, 1e-3)
         assert ts.n_steps == 100
-        assert len(ts.times()) == 101
 
     def test_non_integral_ratio_rejected(self):
         with pytest.raises(ConfigError):
             TimeSpec(0.1, 3e-4)
+        # half a step over: a remainder, not an interval shorter than a step
+        with pytest.raises(ConfigError, match="final time 0.0015 is not an integer multiple"):
+            TimeSpec(0.0015, 1e-3)
 
     def test_overflowing_step_count_rejected(self):
         with pytest.raises(ConfigError, match="not an integer multiple"):
             TimeSpec(0.1, 5e-324)
+
+    @pytest.mark.parametrize("T", [0.0, -0.1, 4e-4, -5e-324])
+    def test_interval_shorter_than_a_step_rejected(self, T):
+        # T <= 0 is no multiple problem: the interval holds no step at all
+        with pytest.raises(ConfigError, match=r"time\.T = .* must cover at least one time step "
+                                              r"time\.dt = 0\.001$"):
+            TimeSpec(T, 1e-3)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    def test_nonpositive_step_names_dt(self, dt):
+        with pytest.raises(ConfigError, match="time step time.dt must be positive"):
+            TimeSpec(0.1, dt)
 
     def test_refine(self):
         ts = TimeSpec(0.1, 1e-3).refine()
@@ -215,8 +234,8 @@ class TestSimulate:
         def final_phi(dt):
             return simulate(v0, phi0, None, TimeSpec(T, dt), params).final.phi
 
-        e1 = (final_phi(2e-3) - final_phi(1e-3)).norm_l2()
-        e2 = (final_phi(1e-3) - final_phi(5e-4)).norm_l2()
+        e1 = l2_norm(final_phi(2e-3) - final_phi(1e-3))
+        e2 = l2_norm(final_phi(1e-3) - final_phi(5e-4))
         assert 1.7 <= e1 / e2 <= 2.3
 
     def test_control_length_mismatch(self, grid6, params):
@@ -239,7 +258,7 @@ class TestSimulate:
     def test_node_diagnostics_match_functionals(self, params, rng):
         grid = GridSpec(24, 20, 16.0, 12.0)
         phi = bubble_phase(grid) + random_scalar(grid, rng, scale=0.1)
-        state = State(random_solenoidal(grid, rng), ScalarField.zeros(grid), phi, 0.0, params)
+        state = State(random_solenoidal(grid, rng), ScalarField.zeros(grid), phi)
         mass, energy, willmore, gl = _node_diagnostics(state, params)[:4]
         e_ref, bending_ref, gl_ref = free_energy(phi, params)
         for got, ref in ((mass, constraint_integrals(phi)[0]), (energy, e_ref),
@@ -293,19 +312,22 @@ class TestSimulate:
         assert 1.7 <= abs(r1) / abs(r2) <= 2.3
 
     def test_forced_energy_balance(self, params, rng):
-        # the work integral enters the balance with the right sign
+        # the work of the body force (trapezoid rule on the nodal power <u_n, v>)
+        # closes most of the unforced balance defect of a forced run
         grid = GridSpec(16, 16, 16.0, 16.0)
         ts = TimeSpec(0.02, 5e-4)
         u = stack_faces([random_solenoidal(grid, rng, scale=0.5) for _ in range(ts.n_steps)])
         traj = simulate(FaceField.zeros(grid), bubble_phase(grid), u, ts, params)
-        res_with_work = energy_balance_residual(traj, u)
+        work = sum(0.5 * ts.dt * (face_inner(u_n, traj.states[n].v)
+                                  + face_inner(u_n, traj.states[n + 1].v))
+                   for n, u_n in enumerate(u))
         res_without = energy_balance_residual(traj)
-        assert abs(res_with_work) < abs(res_without)
+        assert abs(res_without - work) < abs(res_without)
 
 
 class TestLeanTrajectory:
-    """A node stores (v, p, phi): mu and omega are recomputed on read, and the
-    diagnostics are built on first read."""
+    """A node is (v, p, phi): every sweep builds mu and omega from phi, and
+    the diagnostics are built on first read."""
 
     @pytest.fixture
     def traj(self, params):
@@ -313,10 +335,10 @@ class TestLeanTrajectory:
         return simulate(swirl_velocity(grid, 1.0), bubble_phase(grid), None,
                         TimeSpec(0.005, 1e-3), params)
 
-    def test_omega_recomputed_bit_identical(self, traj, params):
+    def test_node_fields_are_exactly_v_p_phi(self, traj):
+        assert [f.name for f in dataclasses.fields(State)] == ["v", "p", "phi"]
         for state in traj.states:
-            assert "omega" not in vars(state)
-            assert np.array_equal(state.omega.values, mu_of_phi(state.phi, params)[1].values)
+            assert set(vars(state)) == {"v", "p", "phi"}
 
     def test_only_v_p_phi_arrays_reachable(self, traj):
         for state in traj.states:
@@ -344,9 +366,9 @@ class TestLeanTrajectory:
                         TimeSpec(0.005, 1e-3), params)
         assert len(seen["ns_step"]) == len(seen["ch_step"]) == traj.time.n_steps
         for n, (a, b) in enumerate(zip(seen["ns_step"], seen["ch_step"])):
-            assert "mu" not in vars(traj.states[n])
-            assert np.array_equal(traj.states[n].mu.values, a)
-            assert np.array_equal(traj.states[n].mu.values, b)
+            mu = mu_of_phi(traj.states[n].phi, params)[0]
+            assert np.array_equal(mu.values, a)
+            assert np.array_equal(mu.values, b)
 
     def test_sweeps_build_mu_once_per_node(self, traj, params, monkeypatch):
         import nsch.adjoint
@@ -363,9 +385,8 @@ class TestLeanTrajectory:
 
         for name, module in (("linearized", nsch.linearized), ("adjoint", nsch.adjoint)):
             monkeypatch.setattr(module, "mu_of_phi", counting(name, module.mu_of_phi))
-        # State.mu and State.omega read through these: the sweeps must not
-        for fn in ("mu_of_phi", "omega_of_phi"):
-            monkeypatch.setattr(nsch.state, fn, counting("state", getattr(nsch.state, fn)))
+        # the forward solver's own mu builds: the sweeps must not run them
+        monkeypatch.setattr(nsch.state, "mu_of_phi", counting("state", nsch.state.mu_of_phi))
         monkeypatch.setattr(nsch.linearized, "linearized_chemical_potentials",
                             counting("theta", nsch.linearized.linearized_chemical_potentials))
         n_steps = traj.time.n_steps
@@ -378,7 +399,8 @@ class TestLeanTrajectory:
         assert calls == {"linearized": n_steps, "adjoint": n_steps, "state": 0, "theta": n_steps}
 
     def test_diagnostics_match_row_by_row_rebuild(self, traj, params):
-        rows = [(n, s.time) + _node_diagnostics(s, params) for n, s in enumerate(traj.states)]
+        rows = [(n, n * traj.time.dt) + _node_diagnostics(s, params)
+                for n, s in enumerate(traj.states)]
         for i, name in enumerate(DIAGNOSTIC_COLUMNS):
             assert np.array_equal(traj.diagnostics[name], np.array([r[i] for r in rows]))
 
@@ -388,7 +410,7 @@ class TestLeanTrajectory:
         calls = []
 
         def counting(state, p):
-            calls.append(state.time)
+            calls.append(state)
             return _node_diagnostics(state, p)
 
         monkeypatch.setattr(nsch.state, "_node_diagnostics", counting)
