@@ -44,9 +44,8 @@ pair (va, phia) from one node to the next, as the sensitivity step carries
 (w, psi); no reader needs mua, omegaa or the adjoint pressure pa (the two
 projections' pressures are dropped).  The step never forms mua or omegaa,
 and it takes each Laplacian once (linearity merges the terms that share z
-and Lap(z)).  The base nodes
-store (v, p, phi) only, so each step rebuilds the base mu and omega at t_n
-with one ``mu_of_phi`` call.
+and Lap(z)).  The base nodes store (v, phi) only, so each step rebuilds
+the base mu and omega at t_n with one ``mu_of_phi`` call.
 
 This realizes the continuous adjoint system rather than the exact
 transpose of the discrete forward map: the velocity advection stencils are

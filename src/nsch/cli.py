@@ -16,7 +16,7 @@ Subcommands
 
 Exit status: 0 on success, 1 on numerical failure (blow-up, failed
 line search, failed identity check), 2 on configuration errors.  The
-``NSCH_THREADS`` environment variable overrides ``run.workers``.
+``NSCH_THREADS`` environment variable sets the FFT worker count (default 1).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _load(args, seed: int | None = None) -> cfgmod.RunConfig:
     cfg = cfgmod.parse_config(args.config)
     overrides = {"run.seed": seed, "output.dir": args.out}
     cfg = cfgmod.RunConfig({**cfg.values, **{k: v for k, v in overrides.items() if v is not None}})
-    set_fft_workers(workers_from_env(cfg["run.workers"]))
+    set_fft_workers(workers_from_env())
     return cfg
 
 

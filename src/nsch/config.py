@@ -40,14 +40,14 @@ optimizer.backtrack   30         max step halvings per iteration
 output.dir            nsch_out   output directory
 output.snapshot_stride 0         write snapshots every N nodes (>= 0; 0 = off)
 run.seed              0          seed for verification directions (>= 0)
-run.workers           1          FFT worker threads (>= 1; NSCH_THREADS wins)
 ====================  =========  =====================================
 
 Validation messages name the violated model assumption (A1, A2, A6) or
 the solver precondition so misconfigurations are actionable; a non-finite
-number, a negative seed, radius, width or snapshot stride, a worker count
-below one, a grid cell so small that h**-6 overflows and a cost.alpha3 so
-small that 1/alpha3 overflows are rejected under their keys.
+number, a negative seed, radius, width or snapshot stride, a grid cell so
+small that h**-6 overflows, a cost.alpha3 so small that 1/alpha3 overflows
+and a snapshot with a non-finite (or, for phi, blown-up) value are rejected
+under their keys.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField
 from .mac import stream_function_velocity
 from .snapshots import read_face, read_scalar
-from .state import TimeSpec, simulate
+from .state import PHI_BLOWUP_LIMIT, TimeSpec, simulate
 
 _DEFAULTS: dict[str, object] = {
     "grid.nx": 64, "grid.ny": 64, "grid.lx": 16.0, "grid.ly": 16.0,
@@ -80,7 +80,7 @@ _DEFAULTS: dict[str, object] = {
     "optimizer.tol": 1e-3, "optimizer.max_iter": 50,
     "optimizer.armijo_c1": 1e-4, "optimizer.backtrack": 30,
     "output.dir": "nsch_out", "output.snapshot_stride": 0,
-    "run.seed": 0, "run.workers": 1,
+    "run.seed": 0,
 }
 _NONNEGATIVE = (
     "cost.target_seed", "run.seed", "init.radius", "init.width", "output.snapshot_stride",
@@ -118,8 +118,6 @@ def _coerce(key: str, val):
         raise ConfigError(f"{key} must be finite, got {value}")
     if key in _NONNEGATIVE and value < 0:
         raise ConfigError(f"{key} must be nonnegative, got {value}")
-    if key == "run.workers" and value < 1:
-        raise ConfigError(f"{key} must be at least 1, got {value}")
     return value
 
 
@@ -211,6 +209,12 @@ def _read_snapshot(reader, key: str, path: str, grid: GridSpec):
         raise ConfigError(f"{key} '{path}' is not a readable snapshot: {exc}") from exc
     if f.grid != grid:
         raise ConfigError(f"{key}: snapshot grid does not match configured grid")
+    phase = isinstance(f, ScalarField)
+    if not all(np.isfinite(a).all() for a in ((f.values,) if phase else (f.x, f.y))):
+        raise ConfigError(f"{key} '{path}' holds a non-finite value")
+    # a phase field past the limit counts as blown up at step 0
+    if phase and np.abs(f.values).max() > PHI_BLOWUP_LIMIT:
+        raise ConfigError(f"{key} '{path}' holds |phi| above the blow-up limit {PHI_BLOWUP_LIMIT:g}")
     return f
 
 

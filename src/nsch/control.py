@@ -253,7 +253,7 @@ class ControlProblem:
         phi0 = ScalarField(grid, np.stack([self.phi0.values] * b))
         batch = simulate(v0, phi0, u, self.time, self.params).states
         return [Trajectory(grid, self.time, self.params,
-                           [State(s.v[m], s.p[m], s.phi[m]) for s in batch])
+                           [State(s.v[m], s.phi[m]) for s in batch])
                 for m in range(b)]
 
     @cached_property

@@ -55,10 +55,10 @@ from scipy import fft
 from .errors import ConfigError, IncompatibleMeanError, SingularSymbolError
 
 
-def workers_from_env(default: int = 1) -> int:
-    """FFT worker count from NSCH_THREADS (``default`` when unset); a value
-    that is not a positive integer raises a ConfigError naming it."""
-    raw = os.environ.get("NSCH_THREADS", str(default))
+def workers_from_env() -> int:
+    """FFT worker count from NSCH_THREADS (1 when unset); a value that is not
+    a positive integer raises a ConfigError naming it."""
+    raw = os.environ.get("NSCH_THREADS", "1")
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ConfigError(f"NSCH_THREADS must be a positive integer, got {raw!r}")
     return int(raw)

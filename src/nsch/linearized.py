@@ -1,7 +1,7 @@
 """Sensitivity solver: the linearization of the forward system around a
 stored trajectory.
 
-For a base trajectory (v, p, phi, with mu and omega of phi) and a force
+For a base trajectory (v, phi, with mu and omega of phi) and a force
 perturbation h, the sensitivity (w, q, psi, theta) solves the linear system
 obtained by differentiating the state system: w is transported by and
 against the base flow, sees the variable-viscosity couplings through nu and
@@ -25,7 +25,7 @@ against forward differencing down to the quadratic remainder.
 ``solve_linearized`` returns the psi series only: psi is all that its
 readers (the Frechet defect, the duality pairing) read.  The velocity w is
 the sweep's carry from one step to the next, and the pressure q is dropped.
-The base nodes store (v, p, phi) only, so at the top of step n the sweep
+The base nodes store (v, phi) only, so at the top of step n the sweep
 builds the base (mu, omega) with one ``mu_of_phi`` call and theta_n
 (``constitutive.linearized_chemical_potentials``) from them; the final node
 costs nothing.

@@ -1,7 +1,7 @@
 """Forward solver: projection-method flow coupled to a sixth-order
 convective Cahn-Hilliard equation.
 
-One time step advances (v, p, phi) with a first-order IMEX splitting:
+One time step advances (v, phi) with a first-order IMEX splitting:
 
 1. momentum step with the beginning-of-step phase field: explicit
    conservative advection, semi-implicit viscosity (constant part nu_bar
@@ -29,10 +29,11 @@ The scheme lives here once (``momentum_update``, ``phase_update``,
 ``phase_solve``, ``trapezoid_weights``, ``check_finite``): the sensitivity
 stepper runs the same updates and the adjoint stepper the same phase symbol.
 
-A trajectory node is (v, p, phi), nothing more: mu and omega depend on phi
-alone, so each sweep builds them with ``mu_of_phi`` once per node and keeps
-them only while its step needs them, and node n's time is n*dt.  The
-per-node diagnostics are computed on first read.
+A trajectory node is (v, phi): no sweep reads the pressure ``ns_step``
+returns, and mu and omega depend on phi alone, so each sweep builds them
+with ``mu_of_phi`` once per node and keeps them only while its step needs
+them; node n's time is n*dt.  The per-node diagnostics are computed on
+first read.
 """
 
 from __future__ import annotations
@@ -111,10 +112,9 @@ class TimeSpec:
 
 @dataclass
 class State:
-    """Velocity, pressure and phase field at one time node."""
+    """Velocity and phase field at one time node."""
 
     v: FaceField
-    p: ScalarField
     phi: ScalarField
 
 
@@ -298,8 +298,8 @@ def _node_diagnostics(state: State, params: PhysParams) -> tuple[float, ...]:
     nu = params.nu(phi.values)
     vs = mac.Stencils(v)
     diss_v = (2.0 * nu * mac.strain_contraction(vs, vs)).sum() * vol
-    del vs
-    div_max = divergence_of_faces(v).max_abs()
+    dxx, dyy = vs.normal  # the strain's d(vx)/dx and d(vy)/dy sum to the divergence
+    div_max = float(np.abs(dxx + dyy).max())
     return mass, energy, willmore, gl, kinetic, diss_v, diss_mu, div_max
 
 
@@ -323,18 +323,17 @@ def simulate(
     check_steps(u, grid, n_steps, "control")
 
     v0p, _ = project_divergence_free(v0.zero_boundary_normal(), 1.0)
-    p0 = ScalarField(grid, np.zeros_like(phi0.values))
-    states = [State(v0p, p0, phi0.copy())]
+    states = [State(v0p, phi0.copy())]
 
     v, phi = v0p, phi0
     for n in range(n_steps):
         u_n = u[n] if u is not None else None
         mu = mu_of_phi(phi, params)[0]  # read by this step only
-        v, p = ns_step(v, phi, mu, u_n, time.dt, params)
+        v, _ = ns_step(v, phi, mu, u_n, time.dt, params)
         phi = ch_step(phi, mu, v, time.dt, params)
         del mu
         check_finite(n + 1, {"phi": phi.values, "v.x": v.x, "v.y": v.y})
-        states.append(State(v, p, phi))
+        states.append(State(v, phi))
     return Trajectory(grid=grid, time=time, params=params, states=states)
 
 

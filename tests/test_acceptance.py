@@ -17,6 +17,7 @@ from nsch import (
     TimeSpec,
     helmholtz_poly_solve,
     mu_of_phi,
+    ns_step,
     poisson_neumann,
     simulate,
 )
@@ -80,16 +81,19 @@ def test_criterion_02_equilibrium_fixed_point():
         None, TimeSpec(T_FINAL, DT), params,
     )
     dev = 0.0
-    for s in traj.states:
+    for n, s in enumerate(traj.states):
         mu, omega = mu_of_phi(s.phi, params)
         dev = max(
             dev,
             float(np.abs(s.phi.values - 1.0).max()),
             s.v.max_abs(),
-            s.p.max_abs(),
             mu.max_abs(),
             omega.max_abs(),
         )
+        if n < traj.time.n_steps:
+            # a node stores no pressure: the step out of node n forms p_{n+1}
+            _, p = ns_step(s.v, s.phi, mu, None, DT, params)
+            dev = max(dev, p.max_abs())
     report(
         2, "equilibrium fixed point", dev <= 1e-13,
         f"max per-field deviation over {traj.time.n_steps} steps = {dev:.3e} <= 1e-13",

@@ -258,8 +258,7 @@ class TestMergedStep:
         grid = GridSpec(12, 10, 6.0, 5.0)
         dt = 1e-3
         b0, b1 = (
-            State(random_solenoidal(grid, rng), ScalarField.zeros(grid),
-                  bubble_phase(grid) + random_scalar(grid, rng, 0.1))
+            State(random_solenoidal(grid, rng), bubble_phase(grid) + random_scalar(grid, rng, 0.1))
             for _ in range(2)
         )
         adj1 = oracles.AdjointNode(random_solenoidal(grid, rng), random_scalar(grid, rng))

@@ -27,6 +27,7 @@ from nsch.config import (
 from nsch.control import optimize
 from nsch.errors import ConfigError
 from nsch.snapshots import read_face, read_scalar
+from nsch.state import PHI_BLOWUP_LIMIT
 from nsch.verification import CHECKS, verify
 
 
@@ -300,6 +301,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert key in err and str(path) in err
 
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("init.phi_path", np.nan), ("init.phi_path", np.inf), ("init.phi_path", 1e200),
+         ("init.v_path", np.nan)],
+    )
+    def test_bad_snapshot_values_exit_2(self, tmp_path, capsys, command, key, value):
+        # a field the solver could only report as a blow-up is a bad input
+        from nsch.snapshots import write_face, write_scalar
+
+        cfg0 = RunConfig({"grid.nx": 12, "grid.ny": 12, "grid.lx": 8.0, "grid.ly": 8.0})
+        v0, phi0 = build_initial(cfg0, build_grid(cfg0))
+        path = tmp_path / "bad.snap"
+        if key == "init.phi_path":
+            phi0.values[3, 5] = value
+            write_scalar(path, phi0, "phi")
+        else:
+            v0.y[4, 6] = value
+            write_face(path, v0, "v")
+        preset = "snapshot" if key == "init.phi_path" else "bubble"
+        cfg = write_cfg(tmp_path, SMALL.replace("init.preset = bubble", f"init.preset = {preset}")
+                        + f"{key} = {path}\n")
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, values, name",
         [("optimize", {"cost.target_seed": "-1"}, "cost.target_seed"),
@@ -307,8 +334,9 @@ class TestCli:
          ("simulate", {"init.preset": "stripe", "init.width": "-3"}, "init.width"),
          ("optimize", {"cost.target": "stripe", "init.width": "-3"}, "init.width"),
          ("simulate", {"grid.lx": "1e-300"}, "grid: cell size lx/nx"),
-         ("simulate", {"run.workers": "0"}, "run.workers must be at least 1, got 0"),
-         ("simulate", {"run.workers": "-3"}, "run.workers must be at least 1, got -3"),
+         # NSCH_THREADS, not the config, sets the worker count
+         ("simulate", {"run.workers": "1"}, "unknown configuration key 'run.workers'"),
+         ("optimize", {"bounds.u_min": "2"}, "admissible set is empty"),
          ("simulate", {"output.snapshot_stride": "-1"}, "output.snapshot_stride must be nonnegative"),
          ("optimize", {"cost.alpha3": "5e-324"}, "cost.alpha3"),
          ("simulate", {"time.T": "0"}, "time.T = 0.0 must cover at least one time step"),
@@ -534,7 +562,8 @@ class TestConfigProperty:
     @example(key="init.v_path", header=b"NSCHV 1 v 4 4 8.0 8.0 0.0", payload=bytes(320))
     def test_snapshot_bytes_config_error_or_field(self, tmp_path_factory, key, header, payload):
         """Any snapshot file is refused with a ConfigError, before a payload
-        larger than the file is read, or gives a field on the configured grid."""
+        larger than the file is read, or gives a finite field on the configured
+        grid."""
         grid = build_grid(RunConfig({"grid.nx": 4, "grid.ny": 4, "grid.lx": 8.0, "grid.ly": 8.0}))
         path = tmp_path_factory.getbasetemp() / "fuzz.snapshot"
         path.write_bytes(header + b"\n" + payload)
@@ -547,8 +576,11 @@ class TestConfigProperty:
         assert f.grid == grid
         if key == "init.phi_path":
             assert f.values.shape == (4, 4)
+            # a field the first step would report as blown up is refused
+            assert np.isfinite(f.values).all() and np.abs(f.values).max() <= PHI_BLOWUP_LIMIT
         else:
             assert (f.x.shape, f.y.shape) == ((5, 4), (4, 5))
+            assert np.isfinite(f.x).all() and np.isfinite(f.y).all()
 
 
 def count_solves(monkeypatch) -> dict:

@@ -467,9 +467,8 @@ class TestSimulateMany:
             ref = problem.simulate(u)
             assert len(traj) == len(ref) == problem.time.n_steps + 1
             for a, b in zip(ref.states, traj.states):
-                assert set(vars(b)) == {"v", "p", "phi"}
-                for x, y in ((a.v.x, b.v.x), (a.v.y, b.v.y), (a.p.values, b.p.values),
-                             (a.phi.values, b.phi.values)):
+                assert set(vars(b)) == {"v", "phi"}
+                for x, y in ((a.v.x, b.v.x), (a.v.y, b.v.y), (a.phi.values, b.phi.values)):
                     assert np.array_equal(x, y)
             assert evaluate_cost(traj, u, problem.cost) == evaluate_cost(ref, u, problem.cost)
 

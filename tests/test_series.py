@@ -48,8 +48,7 @@ def stored(series) -> FaceField:
 
 def assert_same_states(a, b):
     for s, t in zip(a.states, b.states, strict=True):
-        for x, y in ((s.v.x, t.v.x), (s.v.y, t.v.y), (s.p.values, t.p.values),
-                     (s.phi.values, t.phi.values)):
+        for x, y in ((s.v.x, t.v.x), (s.v.y, t.v.y), (s.phi.values, t.phi.values)):
             assert np.array_equal(x, y)
 
 

@@ -258,7 +258,7 @@ class TestSimulate:
     def test_node_diagnostics_match_functionals(self, params, rng):
         grid = GridSpec(24, 20, 16.0, 12.0)
         phi = bubble_phase(grid) + random_scalar(grid, rng, scale=0.1)
-        state = State(random_solenoidal(grid, rng), ScalarField.zeros(grid), phi)
+        state = State(random_solenoidal(grid, rng), phi)
         mass, energy, willmore, gl = _node_diagnostics(state, params)[:4]
         e_ref, bending_ref, gl_ref = free_energy(phi, params)
         for got, ref in ((mass, constraint_integrals(phi)[0]), (energy, e_ref),
@@ -326,8 +326,8 @@ class TestSimulate:
 
 
 class TestLeanTrajectory:
-    """A node is (v, p, phi): every sweep builds mu and omega from phi, and
-    the diagnostics are built on first read."""
+    """A node is (v, phi): every sweep builds mu and omega from phi, and the
+    diagnostics are built on first read."""
 
     @pytest.fixture
     def traj(self, params):
@@ -335,16 +335,15 @@ class TestLeanTrajectory:
         return simulate(swirl_velocity(grid, 1.0), bubble_phase(grid), None,
                         TimeSpec(0.005, 1e-3), params)
 
-    def test_node_fields_are_exactly_v_p_phi(self, traj):
-        assert [f.name for f in dataclasses.fields(State)] == ["v", "p", "phi"]
+    def test_node_fields_are_exactly_v_phi(self, traj):
+        assert [f.name for f in dataclasses.fields(State)] == ["v", "phi"]
         for state in traj.states:
-            assert set(vars(state)) == {"v", "p", "phi"}
+            assert set(vars(state)) == {"v", "phi"}
 
-    def test_only_v_p_phi_arrays_reachable(self, traj):
+    def test_only_v_phi_arrays_reachable(self, traj):
         for state in traj.states:
             found = {id(a) for a in reachable_arrays(state)}
-            assert found == {id(state.v.x), id(state.v.y), id(state.p.values),
-                             id(state.phi.values)}
+            assert found == {id(state.v.x), id(state.v.y), id(state.phi.values)}
 
     def test_mu_recomputed_is_what_the_steps_read(self, params, monkeypatch):
         import nsch.state
@@ -476,7 +475,7 @@ class TestFftWorkers:
             # the solvers' psi and va series, and the full states their steps carry
             lin = oracles.full_linearized_sweep(base, h, params)
             adj = oracles.full_adjoint_sweep(base, cost, params)
-            return ([a for s in base.states for a in (s.v.x, s.v.y, s.p.values, s.phi.values)]
+            return ([a for s in base.states for a in (s.v.x, s.v.y, s.phi.values)]
                     + [psi.values for psi in solve_linearized(base, h, params)]
                     + [a for va in solve_adjoint(base, cost, params) for a in (va.x, va.y)]
                     + [a for s in lin for a in (s.w.x, s.w.y, s.psi.values, s.theta.values)]
