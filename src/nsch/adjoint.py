@@ -39,13 +39,16 @@ with the trapezoid weight of the cost quadrature (the half-weighted final
 node rides along with the terminal data during the first backward step).
 
 ``solve_adjoint`` returns the va series only: va is all that its readers
-(the reduced gradient, the duality pairing) read.  The step carries the
-pair (va, phia) from one node to the next, as the sensitivity step carries
-(w, psi); no reader needs mua, omegaa or the adjoint pressure pa (the two
-projections' pressures are dropped).  The step never forms mua or omegaa,
-and it takes each Laplacian once (linearity merges the terms that share z
-and Lap(z)).  The base nodes store (v, phi) only, so each step rebuilds
-the base mu and omega at t_n with one ``mu_of_phi`` call.
+(the reduced gradient, the duality pairing) read.  A reader that needs
+less passes a per-node map ``read(n, va_n)`` and gets its results
+instead: no va is kept (the refined duality check keeps dt <h_n, va_n>).
+The step carries the pair (va, phia) from one node to the next, as the
+sensitivity step carries (w, psi); no reader needs mua, omegaa or the
+adjoint pressure pa (the two projections' pressures are dropped).  The
+step never forms mua or omegaa, and it takes each Laplacian once
+(linearity merges the terms that share z and Lap(z)).  The base nodes
+store (v, phi) only, so each step rebuilds the base mu and omega at t_n
+with one ``mu_of_phi`` call.
 
 This realizes the continuous adjoint system rather than the exact
 transpose of the discrete forward map: the velocity advection stencils are
@@ -54,6 +57,8 @@ up to discretization error, which the verification suite measures.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from . import mac
 from .constitutive import CostSpec, PhysParams, mu_of_phi, potential_fp, potential_fpp
@@ -168,11 +173,19 @@ def adjoint_step(
     return va_n, phia_n
 
 
-def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[FaceField]:
+def solve_adjoint(
+    base: Trajectory,
+    cost: CostSpec,
+    params: PhysParams,
+    read: Callable[[int, FaceField], object] | None = None,
+) -> list:
     """March the adjoint system from T back to 0 along a stored trajectory.
 
     Returns va at every node t_0..t_N (index matching the forward
-    trajectory), the zero terminal va(T) last.
+    trajectory), the zero terminal va(T) last.  With a per-node map
+    ``read(n, va_n)`` it returns ``read``'s results in that order instead:
+    ``read`` runs on each va as the sweep forms it (n = N down to 0, after
+    its finiteness check), and no va is kept.
     """
     require_unit_mobility(params, "the adjoint solver")
     n_steps = base.time.n_steps
@@ -195,13 +208,14 @@ def solve_adjoint(base: Trajectory, cost: CostSpec, params: PhysParams) -> list[
     s_n = source(n_steps)
     if s_n is not None:
         phia = ScalarField(base.grid, phia.values + dt * s_n.values)
-    out = [va]
+    read = read or (lambda n, va: va)
+    out = [read(n_steps, va)]
 
     for n in range(n_steps - 1, -1, -1):
         va, phia = adjoint_step(
             base.states[n], base.states[n + 1], va, phia, source(n), dt, params
         )
         check_finite(n, {"phia": phia.values}, {"va.x": va.x, "va.y": va.y})
-        out.append(va)
+        out.append(read(n, va))
     out.reverse()
     return out

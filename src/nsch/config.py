@@ -45,9 +45,10 @@ run.seed              0          seed for verification directions (>= 0)
 Validation messages name the violated model assumption (A1, A2, A6) or
 the solver precondition so misconfigurations are actionable; a non-finite
 number, a negative seed, radius, width or snapshot stride, a grid cell so
-small that h**-6 overflows, a cost.alpha3 so small that 1/alpha3 overflows
-and a snapshot with a non-finite (or, for phi, blown-up) value are rejected
-under their keys.
+small that h**-6 overflows, a cost.alpha3 so small that 1/alpha3 overflows,
+a snapshot with a non-finite value, and an initial phi or v above the
+blow-up limit (``init.phi_path``, ``init.v_path``, ``init.swirl``) are
+rejected under their keys.
 """
 
 from __future__ import annotations
@@ -210,11 +211,13 @@ def _read_snapshot(reader, key: str, path: str, grid: GridSpec):
     if f.grid != grid:
         raise ConfigError(f"{key}: snapshot grid does not match configured grid")
     phase = isinstance(f, ScalarField)
-    if not all(np.isfinite(a).all() for a in ((f.values,) if phase else (f.x, f.y))):
+    arrays = (f.values,) if phase else (f.x, f.y)
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ConfigError(f"{key} '{path}' holds a non-finite value")
-    # a phase field past the limit counts as blown up at step 0
-    if phase and np.abs(f.values).max() > PHI_BLOWUP_LIMIT:
-        raise ConfigError(f"{key} '{path}' holds |phi| above the blow-up limit {PHI_BLOWUP_LIMIT:g}")
+    # a field past the limit that simulate applies to later nodes counts as blown up at step 0
+    if max(np.abs(a).max() for a in arrays) > PHI_BLOWUP_LIMIT:
+        raise ConfigError(f"{key} '{path}' holds |{'phi' if phase else 'v'}| above the "
+                          f"blow-up limit {PHI_BLOWUP_LIMIT:g}")
     return f
 
 
@@ -234,7 +237,12 @@ def build_initial(cfg: RunConfig, grid: GridSpec) -> tuple[FaceField, ScalarFiel
     if cfg["init.v_path"]:
         v0 = _read_snapshot(read_face, "init.v_path", cfg["init.v_path"], grid)
     else:
-        v0 = swirl_velocity(grid, cfg["init.swirl"])
+        # sized on the unit flow first: a huge swirl overflows while its flow is formed
+        swirl, unit = cfg["init.swirl"], swirl_velocity(grid, 1.0)
+        if abs(swirl) * float(max(np.abs(unit.x).max(), np.abs(unit.y).max())) > PHI_BLOWUP_LIMIT:
+            raise ConfigError(f"init.swirl = {swirl:g} makes the initial |v| exceed the "
+                              f"blow-up limit {PHI_BLOWUP_LIMIT:g}")
+        v0 = swirl_velocity(grid, swirl)
     return v0, phi
 
 

@@ -23,7 +23,10 @@ superposition exact to roundoff and pushes the defect of the sensitivity
 against forward differencing down to the quadratic remainder.
 
 ``solve_linearized`` returns the psi series only: psi is all that its
-readers (the Frechet defect, the duality pairing) read.  The velocity w is
+readers (the Frechet defect, the duality pairing) read.  A reader that
+needs less passes a per-node map ``read(k, psi_k)`` and gets its results
+instead: no psi is kept (the refined duality check keeps the tracking
+terms of each psi_k).  The velocity w is
 the sweep's carry from one step to the next, and the pressure q is dropped.
 The base nodes store (v, phi) only, so at the top of step n the sweep
 builds the base (mu, omega) with one ``mu_of_phi`` call and theta_n
@@ -35,6 +38,8 @@ exactly zero along the evolution.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -92,12 +97,16 @@ def solve_linearized(
     base: Trajectory,
     h: FaceField | StepSeries | None,
     params: PhysParams,
-) -> list[ScalarField]:
+    read: Callable[[int, ScalarField], object] | None = None,
+) -> list:
     """Solve the sensitivity system with zero initial data along ``base``, for
     the force perturbation series ``h`` (a force series as in ``simulate``;
     a step-built one is formed step by step inside the sweep).
 
-    Returns psi at every node t_0..t_N, psi(t_0) = 0 first.
+    Returns psi at every node t_0..t_N, psi(t_0) = 0 first.  With a per-node
+    map ``read(k, psi_k)`` it returns ``read``'s results in that order
+    instead: ``read`` runs on each psi as the sweep forms it (after its
+    finiteness check), and no psi is kept.
     """
     n_steps = base.time.n_steps
     check_steps(h, base.grid, n_steps, "perturbation")
@@ -105,7 +114,8 @@ def solve_linearized(
     b0 = base.states[0]  # zero data with the base's batch axes, if any
     w = FaceField.zeros(base.grid, *b0.phi.values.shape[:-2])
     psi = ScalarField(base.grid, np.zeros_like(b0.phi.values))
-    out = [psi]
+    read = read or (lambda k, psi: psi)
+    out = [read(0, psi)]
     for n in range(n_steps):
         b = base.states[n]
         mu, omega = mu_of_phi(b.phi, params)
@@ -114,5 +124,5 @@ def solve_linearized(
         w, psi = linearized_step(b, base.states[n + 1], w, psi, theta, mu, h_n,
                                  base.time.dt, params)
         check_finite(n + 1, {"psi": psi.values}, {"w.x": w.x, "w.y": w.y})
-        out.append(psi)
+        out.append(read(n + 1, psi))
     return out

@@ -30,7 +30,10 @@ checks: mass, energy, and the Frechet, duality and gradient bases read
 Frechet and duality the seeded ``ControlProblem.sensitivity``.  Each check
 reports the same numbers whether it runs alone or after the others.
 Frechet and gradient each batch their perturbed solves into one forward
-sweep (``ControlProblem.simulate_many``).
+sweep (``ControlProblem.simulate_many``).  The refined duality problem is
+read by no other check, so its adjoint and sensitivity sweeps reduce each
+va and psi to its pairing terms as they form it (a per-node ``read`` map):
+only its base trajectory is cached, and neither series is ever held.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adjoint import solve_adjoint
 from .control import ControlProblem, evaluate_cost, inner_q, reduced_gradient
 from .control import smooth_direction
 from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
+from .linearized import solve_linearized
 from .state import StepSeries, Trajectory, energy_balance_residual, simulate, trapezoid_weights
 
 FRECHET_EPSILONS = (1e-1, 5e-2, 2.5e-2)
@@ -154,22 +159,43 @@ def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     )
 
 
-def duality_gap(problem: ControlProblem, seed: int = 0) -> dict:
-    """Both sides of the adjoint/sensitivity pairing for a seeded direction."""
-    time, cost, base, adj = problem.time, problem.cost, problem.base, problem.base_adjoint
-    h, lin = problem.sensitivity(seed)
-    dt = time.dt
+def duality_gap(problem: ControlProblem, seed: int = 0, shared: bool = True) -> dict:
+    """Both sides of the adjoint/sensitivity pairing for a seeded direction.
 
-    lhs = sum(
-        dt * face_inner(h[n], adj[n]) for n in range(time.n_steps)
-    )
-    # trapezoid in time, matching the cost quadrature (psi(0) = 0)
-    rhs = cost.alpha2 * scalar_inner(
-        base.final.phi - cost.phi_omega, lin[-1]
-    )
-    for k, w in enumerate(trapezoid_weights(time.n_steps)[1:], start=1):
-        diff = base.states[k].phi - cost.phi_q[k]
-        rhs += cost.alpha1 * w * dt * scalar_inner(diff, lin[k])
+    Each side is a sum of per-node terms.  With ``shared`` the terms are read
+    off the problem's cached va series and seeded psi series, which the
+    Frechet and gradient checks read too.  Otherwise the adjoint and
+    sensitivity sweeps reduce each node to its terms as they form it, so
+    neither series is held; the numbers are the same, bit for bit.
+    """
+    time, cost, base, params = problem.time, problem.cost, problem.base, problem.params
+    dt, n_steps = time.dt, time.n_steps
+    weights = trapezoid_weights(n_steps)
+    h = problem.sensitivity(seed)[0] if shared else smooth_direction(problem.grid, time, seed)
+
+    def lhs_term(n: int, va: FaceField) -> float:  # no step of h reaches t_N
+        return dt * face_inner(h[n], va) if n < n_steps else 0.0
+
+    def rhs_terms(k: int, psi: ScalarField) -> tuple[float, float]:
+        """The running tracking term of node k and, at k = N, the terminal one."""
+        running = cost.alpha1 * weights[k] * dt * scalar_inner(base.states[k].phi - cost.phi_q[k], psi)
+        if k < n_steps:
+            return running, 0.0
+        return running, cost.alpha2 * scalar_inner(base.final.phi - cost.phi_omega, psi)
+
+    if shared:
+        lhs_terms = [lhs_term(n, va) for n, va in enumerate(problem.base_adjoint)]
+        rhs_nodes = [rhs_terms(k, psi) for k, psi in enumerate(problem.sensitivity(seed)[1])]
+    else:
+        lhs_terms = solve_adjoint(base, cost, params, lhs_term)
+        rhs_nodes = solve_linearized(base, h, params, rhs_terms)
+
+    # each side summed in ascending node order; the rhs is the trapezoid in
+    # time of the cost quadrature, from the terminal term on (psi(0) = 0)
+    lhs = sum(lhs_terms[:n_steps])
+    rhs = rhs_nodes[n_steps][1]
+    for running, _ in rhs_nodes[1:]:
+        rhs += running
     mism = abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "mismatch": mism}
 
@@ -187,7 +213,7 @@ def verify_duality(
     ]
     passed = gap["mismatch"] <= 1e-2
     if refined_problem is not None:
-        fine = duality_gap(refined_problem, seed)
+        fine = duality_gap(refined_problem, seed, shared=False)
         values["mismatch_refined"] = fine["mismatch"]
         lines.append(
             f"refined mismatch = {fine['mismatch']:.3e} (must shrink strictly)"

@@ -27,8 +27,9 @@ from nsch.config import (
 from nsch.control import optimize
 from nsch.errors import ConfigError
 from nsch.snapshots import read_face, read_scalar
-from nsch.state import PHI_BLOWUP_LIMIT
-from nsch.verification import CHECKS, verify
+from nsch.grid import face_inner, scalar_inner
+from nsch.state import PHI_BLOWUP_LIMIT, trapezoid_weights
+from nsch.verification import CHECKS, duality_gap, verify, verify_duality
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -305,7 +306,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "key, value",
         [("init.phi_path", np.nan), ("init.phi_path", np.inf), ("init.phi_path", 1e200),
-         ("init.v_path", np.nan)],
+         ("init.v_path", np.nan), ("init.v_path", 1e200)],
     )
     def test_bad_snapshot_values_exit_2(self, tmp_path, capsys, command, key, value):
         # a field the solver could only report as a blow-up is a bad input
@@ -326,6 +327,35 @@ class TestCli:
         rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    @pytest.mark.parametrize("swirl", ["1e200", "1e308", "-1e308"])
+    def test_huge_swirl_exit_2(self, tmp_path, capsys, command, swirl):
+        # refused before the flow is formed: 1e308 would overflow there (tier-1
+        # turns the RuntimeWarning into an error), 1e200 in the first step
+        cfg = write_cfg(tmp_path, SMALL.replace("init.swirl = 0.5", f"init.swirl = {swirl}"))
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "init.swirl" in err and f"blow-up limit {PHI_BLOWUP_LIMIT:g}" in err
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_swirl_limit_is_the_blow_up_limit(self, factor):
+        from nsch.config import swirl_velocity
+
+        cfg = RunConfig({"grid.nx": 12, "grid.ny": 12, "grid.lx": 8.0, "grid.ly": 8.0})
+        grid = build_grid(cfg)
+        unit = swirl_velocity(grid, 1.0)
+        swirl = factor * PHI_BLOWUP_LIMIT / max(np.abs(unit.x).max(), np.abs(unit.y).max())
+        cfg = RunConfig({**cfg.values, "init.swirl": swirl})
+        if factor > 1:
+            with pytest.raises(ConfigError, match="init.swirl"):
+                build_initial(cfg, grid)
+            return
+        v0, _ = build_initial(cfg, grid)  # the plain flow, whose peak passes simulate's check
+        ref = swirl_velocity(grid, swirl)
+        assert np.array_equal(v0.x, ref.x) and np.array_equal(v0.y, ref.y)
+        assert max(np.abs(v0.x).max(), np.abs(v0.y).max()) <= PHI_BLOWUP_LIMIT
 
     @pytest.mark.parametrize(
         "command, values, name",
@@ -583,6 +613,18 @@ class TestConfigProperty:
             assert np.isfinite(f.x).all() and np.isfinite(f.y).all()
 
 
+def cached_duality_gap(problem, seed) -> dict:
+    """Both sides of the duality pairing, each summed in ascending node order
+    over the problem's cached va and psi series."""
+    time, cost, base = problem.time, problem.cost, problem.base
+    adj, (h, lin), dt = problem.base_adjoint, problem.sensitivity(seed), time.dt
+    lhs = sum(dt * face_inner(h[n], adj[n]) for n in range(time.n_steps))
+    rhs = cost.alpha2 * scalar_inner(base.final.phi - cost.phi_omega, lin[-1])
+    for k, w in enumerate(trapezoid_weights(time.n_steps)[1:], start=1):
+        rhs += cost.alpha1 * w * dt * scalar_inner(base.states[k].phi - cost.phi_q[k], lin[k])
+    return {"lhs": lhs, "rhs": rhs, "mismatch": abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300)}
+
+
 def count_solves(monkeypatch) -> dict:
     """Count the forward, adjoint and sensitivity solves, in every nsch
     module that holds a binding of the solver, and the forward trajectories
@@ -637,6 +679,18 @@ class TestSharedBase:
         for order in (tuple(CHECKS), tuple(reversed(CHECKS))):
             shared = build_problem(cfg)
             assert {which: run(shared, which) for which in order} == fresh
+
+    def test_refined_duality_keeps_no_series(self, tmp_path):
+        cfg = RunConfig({**parse_config(write_cfg(tmp_path, SMALL)).values, "cost.target": "stripe"})
+        problem, refined = build_problem(cfg), build_problem(refine_config(cfg))
+        values = verify_duality(problem, refined, seed=3).values
+        # the refined sweeps reduced each va and psi as they formed it
+        assert "base_adjoint" not in vars(refined) and not refined._sensitivities
+        # the same numbers as the pairing over each problem's cached series
+        coarse, fine = cached_duality_gap(problem, 3), cached_duality_gap(refined, 3)
+        assert {k: values[k] for k in ("lhs", "rhs", "mismatch")} == coarse
+        assert values["mismatch_refined"] == fine["mismatch"]
+        assert duality_gap(refined, 3, shared=False) == duality_gap(refined, 3) == fine
 
     def test_problem_is_frozen(self, tmp_path):
         problem = build_problem(parse_config(write_cfg(tmp_path, SMALL)))

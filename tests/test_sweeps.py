@@ -1,7 +1,8 @@
 """Lean sweep outputs: ``solve_linearized`` returns the psi series and
 ``solve_adjoint`` the va series, and nothing else.  The full-state sweeps of
 ``oracles`` step the same way and keep what the steps carry; their psi and
-va match the solvers' bit for bit."""
+va match the solvers' bit for bit.  With a per-node map ``read(n, node)``
+a sweep returns what the map returns, node by node, and keeps no node."""
 
 import inspect
 
@@ -12,6 +13,7 @@ from nsch import (
     ControlBounds,
     ControlProblem,
     CostSpec,
+    FaceField,
     GridSpec,
     ScalarField,
     TimeSpec,
@@ -122,3 +124,46 @@ class TestLeanStructure:
                     [profile.x, profile.y, mod] + [psi.values for psi in lin])
         adj = problem.base_adjoint
         assert_only(adj, [a for va in adj for a in (va.x, va.y)])
+
+
+def run_sweep(kind, case, params, read=None):
+    """The adjoint or the sensitivity sweep of ``case``, with an optional map."""
+    base, h, cost = case
+    if kind == "adjoint":
+        return solve_adjoint(base, cost, params, read)
+    return solve_linearized(base, h, params, read)
+
+
+def node_arrays(node):
+    return (node.x, node.y) if isinstance(node, FaceField) else (node.values,)
+
+
+@pytest.mark.parametrize("kind", ["adjoint", "linearized"])
+class TestReadMap:
+    def test_called_once_per_node_in_sweep_order(self, case, params, kind):
+        calls = []
+        out = run_sweep(kind, case, params, lambda n, node: calls.append(n) or -n)
+        n_steps = TIME.n_steps
+        # the adjoint forms its nodes from T back to 0, the sensitivity from 0 on
+        order = range(n_steps, -1, -1) if kind == "adjoint" else range(n_steps + 1)
+        assert calls == list(order)
+        assert out == [-n for n in range(n_steps + 1)]  # in node order either way
+
+    def test_result_is_the_map_over_the_series(self, case, params, kind):
+        def read(n, node):
+            return n, [a.copy() for a in node_arrays(node)]
+
+        got = run_sweep(kind, case, params, read)
+        want = [read(n, node) for n, node in enumerate(run_sweep(kind, case, params))]
+        assert len(got) == len(want) == TIME.n_steps + 1
+        for (n, a), (m, b) in zip(got, want):
+            assert n == m and len(a) == len(b)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_float_map_keeps_no_array(self, case, params, kind):
+        def read(n, node):
+            return float(sum((a * a).sum() for a in node_arrays(node)))
+
+        got = run_sweep(kind, case, params, read)
+        assert list(reachable_arrays(got)) == []
+        assert got == [read(n, node) for n, node in enumerate(run_sweep(kind, case, params))]
