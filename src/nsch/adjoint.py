@@ -215,7 +215,9 @@ def solve_adjoint(
         va, phia = adjoint_step(
             base.states[n], base.states[n + 1], va, phia, source(n), dt, params
         )
-        check_finite(n, {"phia": phia.values}, {"va.x": va.x, "va.y": va.y})
+        # phia is linear in the cost weights, so the phase field's blow-up
+        # limit does not bound it: only an inf or NaN is a blow-up
+        check_finite(n, {}, {"phia": phia.values, "va.x": va.x, "va.y": va.y})
         out.append(read(n, va))
     out.reverse()
     return out

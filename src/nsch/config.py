@@ -46,7 +46,8 @@ Validation messages name the violated model assumption (A1, A2, A6) or
 the solver precondition so misconfigurations are actionable; a non-finite
 number, a negative seed, radius, width or snapshot stride, a grid cell so
 small that h**-6 overflows, a cost.alpha3 so small that 1/alpha3 overflows,
-a snapshot with a non-finite value, and an initial phi or v above the
+a cost.alpha1 or cost.alpha2 so large that its square overflows, a
+snapshot with a non-finite value, and an initial phi or v above the
 blow-up limit (``init.phi_path``, ``init.v_path``, ``init.swirl``) are
 rejected under their keys.
 """

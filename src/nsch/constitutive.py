@@ -204,6 +204,16 @@ class CostSpec:
             raise ConfigError(
                 "A6 violated: tracking weights are nonnegative and not all zeros"
             )
+        for name in ("alpha1", "alpha2"):
+            # the adjoint data, and so the reduced gradient, are linear in
+            # these weights, and the optimizer and the gradient check square
+            # the gradient
+            weight = float(getattr(self, name))
+            if weight * weight == np.inf:
+                raise ConfigError(
+                    f"cost.{name} = {weight:g} is too large: the reduced gradient "
+                    "scales with it, and its square overflows"
+                )
         if self.alpha3 > 0 and 1.0 / float(self.alpha3) == np.inf:
             raise ConfigError(
                 f"cost.alpha3 = {self.alpha3} is too small: the optimizer's first "

@@ -10,10 +10,10 @@ with trapezoid-in-time, cell-sum-in-space quadrature for the tracking term
 and the exact integral of the piecewise-constant control for the control
 term.  A control, like each direction and gradient, is one ``FaceField``
 whose leading axis is the step: ``u[n]`` acts on (t_n, t_{n+1}).  The
-reduced gradient is the series alpha3*u_n + va(t_n): the
-backward state at t_n already accounts for the transposed dynamics of the
-step (t_n, t_{n+1}) on which u_n acts, so the left-endpoint value is the
-consistent representative of int h . va over the step (checked against
+reduced gradient is the series alpha3*u_n + va(t_n) (``gradient_step``):
+the backward state at t_n already accounts for the transposed dynamics of
+the step (t_n, t_{n+1}) on which u_n acts, so the left-endpoint value is
+the consistent representative of int h . va over the step (checked against
 per-face derivatives of the discrete cost in the test suite).
 
 The admissible set is a componentwise box owned by the ``ControlProblem``
@@ -30,6 +30,13 @@ first line search starts from step0, and one after a pair with
 <du, dg>_Q <= 0 from twice the last accepted step, capped at step0.
 Trials are halved until the Armijo test on the projected step,
 J(u_s) <= J(u) - c1 <g, u - u_s>_Q, holds.
+
+The optimizer holds at most three control series and one trajectory
+(``optimize`` lists them per stage).  The adjoint sweep hands each va(t_n)
+to a per-node map that writes g_n into the gradient series and reduces
+step n's two BB terms, so no va series is built; until then the accepted
+iterate is kept as its formula P(u_prev - s g_prev) over the two series
+the BB step holds anyway.
 
 The seeded smooth directions are built here too.  Each is separable,
 profile(x) * mod(t_n), so ``smooth_direction`` holds the profile (one face
@@ -81,8 +88,10 @@ def inner_q(a: Iterable[FaceField], b: Iterable[FaceField], dt: float) -> float:
     return dt * sum(face_inner(a_n, b_n) for a_n, b_n in zip(a, b))
 
 
-def norm_q(a: FaceField, dt: float) -> float:
-    return float(np.sqrt(inner_q(a, a, dt)))
+def norm_q(a: Iterable[FaceField], dt: float) -> float:
+    """sqrt(inner_q(a, a, dt)), reading each step of ``a`` once (a generator
+    of step fields is reduced as it runs)."""
+    return float(np.sqrt(dt * sum(face_inner(a_n, a_n) for a_n in a)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +151,14 @@ def smooth_control_series(
     n_steps = time.n_steps
     out = FaceField(grid, np.empty((n_steps, grid.nx + 1, grid.ny)),
                     np.empty((n_steps, grid.nx, grid.ny + 1)))
-    for n, h_n in enumerate(smooth_direction(grid, time, seed, amplitude)):
-        out.x[n], out.y[n] = h_n.x, h_n.y
+    return store_steps(out, smooth_direction(grid, time, seed, amplitude))
+
+
+def store_steps(out: FaceField, series: Iterable[FaceField]) -> FaceField:
+    """Write step n of ``series`` into step n of the stored series ``out``,
+    in step order; step n of ``series`` may read step n of ``out``."""
+    for n, s_n in enumerate(series):
+        out[n] = s_n
     return out
 
 
@@ -304,20 +319,23 @@ def evaluate_cost(
     return total, {"track": j_track, "terminal": j_term, "control": j_ctrl}
 
 
+def gradient_step(u_n: FaceField, va_n: FaceField, alpha3: float) -> FaceField:
+    """Step n of the reduced gradient, alpha3*u_n + va(t_n)."""
+    return alpha3 * u_n + va_n
+
+
 def reduced_gradient(
     u: FaceField, adj: Sequence[FaceField], cost: CostSpec
 ) -> FaceField:
-    """Gradient series alpha3*u_n + va(t_n) of the reduced cost, from the
-    adjoint velocity series ``adj`` of ``solve_adjoint``."""
+    """Gradient series of the reduced cost, stored step by step
+    (``gradient_step``) from the adjoint velocity series ``adj`` of
+    ``solve_adjoint``."""
     if len(adj) != len(u.x) + 1:
         raise ConfigError(
             f"adjoint trajectory has {len(adj)} nodes, control has {len(u.x)} steps"
         )
-    g = cost.alpha3 * u
-    for g_n, a in zip(g, adj):  # in place: stacking the va would allocate a second series
-        g_n.x += a.x
-        g_n.y += a.y
-    return g
+    return store_steps(FaceField.zeros(u.grid, len(u.x)),
+                       (gradient_step(u_n, va_n, cost.alpha3) for u_n, va_n in zip(u, adj)))
 
 
 def project_admissible(u: FaceField, bounds: ControlBounds) -> FaceField:
@@ -333,11 +351,20 @@ def project_admissible(u: FaceField, bounds: ControlBounds) -> FaceField:
     return out
 
 
+def projected_step(
+    u: FaceField, g: FaceField, s: float, bounds: ControlBounds
+) -> StepSeries:
+    """The projected gradient step P(u - s g) of two stored series, formed
+    one step at a time."""
+    return StepSeries(len(g.x), lambda n: project_admissible(u[n] - s * g[n], bounds))
+
+
 def stationarity_residual(
     u: FaceField, g: FaceField, bounds: ControlBounds, dt: float
 ) -> float:
-    """Unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}."""
-    return norm_q(u - project_admissible(u - g, bounds), dt)
+    """Unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}, reduced one
+    step at a time as d_n = u_n - P(u_n - g_n)."""
+    return norm_q((u_n - project_admissible(u_n - g_n, bounds) for u_n, g_n in zip(u, g)), dt)
 
 
 def bound_violation(u: FaceField, bounds: ControlBounds) -> float:
@@ -369,12 +396,24 @@ def optimize(
     acceptable step, or when a rejected trial's Armijo decrease is below
     what J resolves (J minus it rounds to J).
 
-    A line search holds one trajectory at a time: the accepted trajectory
-    is released once its gradient is formed, a rejected trial before the
-    next one is simulated.
+    A line search holds one trajectory at a time and at most three control
+    series: the accepted trajectory is released once its gradient is
+    formed, a rejected trial before the next one is simulated.  What is
+    held, stage by stage:
+
+    * adjoint sweep: u_prev, g_prev, the gradient series g and the accepted
+      trajectory (u and g alone on the first sweep).  Step n of g and the
+      BB terms <du_n, dg_n>, <dg_n, dg_n> are formed as the sweep reaches
+      va(t_n), so neither the va series nor dg is built; the accepted
+      iterate is its formula P(u_prev - s g_prev);
+    * after the sweep: the iterate is stored over u_prev, one step at a
+      time, then g_prev is released, leaving u and g;
+    * line search: u, g, the trial series (each trial formed once, step by
+      step) and the trial's trajectory.
     """
     opts = options or OptimizerOptions()
     cost, bounds, dt = problem.cost, problem.bounds, problem.time.dt
+    grid, n_steps = problem.grid, problem.time.n_steps
     require_unit_mobility(problem.params, "the optimizer")
     report = OptimReport()
 
@@ -383,8 +422,19 @@ def optimize(
         report.n_simulations += 1
         return (traj, *evaluate_cost(traj, u, cost))
 
+    def read(n: int, va: FaceField) -> tuple[float, float] | None:
+        """Store g_n; with a previous iterate, return step n's BB terms."""
+        if n == n_steps:  # va(T) acts on no step
+            return None
+        u_n = u[n]
+        g[n] = g_n = gradient_step(u_n, va, cost.alpha3)
+        if u_prev is None:
+            return None
+        dg_n = g_n - g_prev[n]
+        return face_inner(u_n - u_prev[n], dg_n), face_inner(dg_n, dg_n)
+
     if u0 is None:
-        u0 = FaceField.zeros(problem.grid, problem.time.n_steps)
+        u0 = FaceField.zeros(grid, n_steps)
     u = project_admissible(u0, bounds)
     u0 = None  # not held through the run: only its projection is read
     report.max_bound_violation = bound_violation(u, bounds)
@@ -394,11 +444,13 @@ def optimize(
     s, last_step = step0, 0.0
     u_prev = g_prev = None
     for it in range(opts.max_iter + 1):
-        g = reduced_gradient(u, solve_adjoint(traj, cost, problem.params), cost)
+        g = FaceField.zeros(grid, n_steps)
+        bb_terms = solve_adjoint(traj, cost, problem.params, read)[:n_steps]
         traj = None
         if u_prev is not None:
-            bb = _bb2_step(u, u_prev, g, g_prev, dt)
+            u = store_steps(u_prev, u)
             u_prev = g_prev = None
+            bb = _bb2_step(bb_terms, dt)
             s = min(2.0 * last_step if bb is None else bb, step0)
         g_norm = norm_q(g, dt)
         if it == 0:
@@ -416,8 +468,9 @@ def optimize(
             report.reason = StopReason.MAX_ITER
             return u, report
 
+        u_trial = FaceField.zeros(grid, n_steps)
         for _ in range(opts.backtrack_max + 1):
-            u_trial = project_admissible(u - s * g, bounds)
+            store_steps(u_trial, projected_step(u, g, s, bounds))
             traj_trial, j_trial, comps_trial = evaluate(u_trial)
             target = j - opts.armijo_c1 * inner_q(g, (a - b for a, b in zip(u, u_trial)), dt)
             if j_trial <= target:
@@ -430,23 +483,23 @@ def optimize(
             if target == j:  # shorter steps decrease J even less
                 report.reason = StopReason.ROUNDOFF
                 return u, report
-            u_trial = traj_trial = None
+            traj_trial = None
             s *= 0.5
         else:
             report.reason = StopReason.LINE_SEARCH_FAILED
             return u, report
 
+        report.max_bound_violation = max(report.max_bound_violation,
+                                         bound_violation(u_trial, bounds))
         u_prev, g_prev, last_step = u, g, s
-        u, traj, j, comps = u_trial, traj_trial, j_trial, comps_trial
+        u = projected_step(u_prev, g_prev, last_step, bounds)  # u_trial, bit for bit
+        traj, j, comps = traj_trial, j_trial, comps_trial
         u_trial = traj_trial = None
-        report.max_bound_violation = max(report.max_bound_violation, bound_violation(u, bounds))
 
 
-def _bb2_step(
-    u: FaceField, u_prev: FaceField, g: FaceField, g_prev: FaceField, dt: float
-) -> float | None:
-    """Barzilai-Borwein step <du, dg>_Q / <dg, dg>_Q of the last iterate pair,
-    or None when <du, dg>_Q <= 0 (no positive curvature along du)."""
-    dg = [a - b for a, b in zip(g, g_prev)]
-    curvature = inner_q((a - b for a, b in zip(u, u_prev)), dg, dt)
-    return curvature / inner_q(dg, dg, dt) if curvature > 0 else None
+def _bb2_step(terms: Sequence[tuple[float, float]], dt: float) -> float | None:
+    """Barzilai-Borwein step <du, dg>_Q / <dg, dg>_Q of the last iterate pair
+    from its per-step terms (<du_n, dg_n>, <dg_n, dg_n>) in step order, or
+    None when <du, dg>_Q <= 0 (no positive curvature along du)."""
+    curvature = dt * sum(c for c, _ in terms)
+    return curvature / (dt * sum(d for _, d in terms)) if curvature > 0 else None

@@ -206,6 +206,9 @@ class FaceField:
     def __getitem__(self, m) -> "FaceField":  # member or step m, a view; iterating walks them
         return FaceField(self.grid, self.x[m], self.y[m])
 
+    def __setitem__(self, m, value: "FaceField") -> None:  # store member or step m
+        self.x[m], self.y[m] = value.x, value.y
+
     def zero_boundary_normal(self) -> "FaceField":
         """Return a copy with vanishing normal components on the walls."""
         out = self.copy()

@@ -6,15 +6,26 @@ reflected tangential ghosts for velocities), deliberately sharing no code
 with the vectorized package.  Dense operator matrices are assembled by
 applying the loop stencils to unit vectors.
 
-The full-state sweeps at the end are the exception: they run the package's
-own sensitivity and adjoint steps exactly as ``solve_linearized`` and
+The full-state sweeps are the exception: they run the package's own
+sensitivity and adjoint steps exactly as ``solve_linearized`` and
 ``solve_adjoint`` do, and keep the state each step carries, where the
-solvers return only the psi and va series.
+solvers return only the psi and va series.  So is the stored-series
+optimizer at the end, the projected-gradient loop kept as it was when it
+held whole series, on the package's cost, projection and adjoint.
 """
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from nsch.adjoint import require_unit_mobility, solve_adjoint
+from nsch.constitutive import CostSpec
+from nsch.control import (
+    ControlBounds, ControlProblem, OptimizerOptions, OptimReport, StopReason,
+    bound_violation, evaluate_cost, project_admissible,
+)
+from nsch.errors import ConfigError
+from nsch.grid import FaceField, face_inner
 
 
 # ---------------------------------------------------------------------------
@@ -449,3 +460,150 @@ def full_adjoint_sweep(base, cost, params):
         nodes.append(AdjointNode(*adjoint_step(base.states[n], base.states[n + 1], *nodes[-1],
                                                source(n), dt, params)))
     return nodes[::-1]
+
+
+# ---------------------------------------------------------------------------
+# stored-series optimizer
+#
+# ``control.optimize`` and its helpers as they were when the optimizer held
+# every control, gradient and va series whole; the step-by-step optimizer
+# must reproduce them bit for bit.
+
+
+def inner_q(a: Iterable[FaceField], b: Iterable[FaceField], dt: float) -> float:
+    """dt times the sum over steps of the L2(Omega) products of two series, or
+    of any iterables of step fields: a difference is reduced one step at a
+    time, since a freed whole-series temporary leaves a heap hole that the
+    solvers' per-step arrays fragment (it raised the optimizer's peak RSS)."""
+    return dt * sum(face_inner(a_n, b_n) for a_n, b_n in zip(a, b))
+
+
+def norm_q(a: FaceField, dt: float) -> float:
+    return float(np.sqrt(inner_q(a, a, dt)))
+
+
+def reduced_gradient(
+    u: FaceField, adj: Sequence[FaceField], cost: CostSpec
+) -> FaceField:
+    """Gradient series alpha3*u_n + va(t_n) of the reduced cost, from the
+    adjoint velocity series ``adj`` of ``solve_adjoint``."""
+    if len(adj) != len(u.x) + 1:
+        raise ConfigError(
+            f"adjoint trajectory has {len(adj)} nodes, control has {len(u.x)} steps"
+        )
+    g = cost.alpha3 * u
+    for g_n, a in zip(g, adj):  # in place: stacking the va would allocate a second series
+        g_n.x += a.x
+        g_n.y += a.y
+    return g
+
+
+def stationarity_residual(
+    u: FaceField, g: FaceField, bounds: ControlBounds, dt: float
+) -> float:
+    """Unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}."""
+    return norm_q(u - project_admissible(u - g, bounds), dt)
+
+
+def optimize(
+    problem: ControlProblem,
+    u0: FaceField | None = None,
+    options: OptimizerOptions | None = None,
+) -> tuple[FaceField, OptimReport]:
+    """Spectral projected gradient descent with Armijo backtracking in the
+    problem's box.
+
+    Each line search starts from the Barzilai-Borwein (BB2) step
+    <du, dg>_Q / <dg, dg>_Q, with du = u_k - u_{k-1} and dg = g_k - g_{k-1},
+    capped at step0 = 1/alpha3 (1 when alpha3 = 0).  The first line search
+    starts from step0, and one after a pair with <du, dg>_Q <= 0 from twice
+    the last accepted step, capped at step0.  The step is halved until the
+    projected trial u_s = P(u - s g) passes the Armijo test
+    J(u_s) <= J(u) - c1 <g, u - u_s>_Q, which is J(u) - c1 s ||g||^2
+    where no bound is active.  The loop stops (``OptimReport.reason``) when
+    the unit-step fixed-point residual falls below tol * ||g_0||, after
+    max_iter accepted iterations, when backtrack_max halvings find no
+    acceptable step, or when a rejected trial's Armijo decrease is below
+    what J resolves (J minus it rounds to J).
+
+    A line search holds one trajectory at a time: the accepted trajectory
+    is released once its gradient is formed, a rejected trial before the
+    next one is simulated.
+    """
+    opts = options or OptimizerOptions()
+    cost, bounds, dt = problem.cost, problem.bounds, problem.time.dt
+    require_unit_mobility(problem.params, "the optimizer")
+    report = OptimReport()
+
+    def evaluate(u: FaceField):
+        traj = problem.simulate(u)
+        report.n_simulations += 1
+        return (traj, *evaluate_cost(traj, u, cost))
+
+    if u0 is None:
+        u0 = FaceField.zeros(problem.grid, problem.time.n_steps)
+    u = project_admissible(u0, bounds)
+    u0 = None  # not held through the run: only its projection is read
+    report.max_bound_violation = bound_violation(u, bounds)
+    traj, j, comps = evaluate(u)
+
+    step0 = 1.0 / cost.alpha3 if cost.alpha3 > 0 else 1.0
+    s, last_step = step0, 0.0
+    u_prev = g_prev = None
+    for it in range(opts.max_iter + 1):
+        g = reduced_gradient(u, solve_adjoint(traj, cost, problem.params), cost)
+        traj = None
+        if u_prev is not None:
+            bb = _bb2_step(u, u_prev, g, g_prev, dt)
+            u_prev = g_prev = None
+            s = min(2.0 * last_step if bb is None else bb, step0)
+        g_norm = norm_q(g, dt)
+        if it == 0:
+            report.initial_grad_norm = g_norm
+        residual = stationarity_residual(u, g, bounds, dt)
+        report.add(
+            iter=it, J=j, J_track=comps["track"], J_terminal=comps["terminal"],
+            J_control=comps["control"], grad_norm=g_norm, stationarity=residual,
+            step=last_step, accepted=1,
+        )
+        if residual <= opts.tol * report.initial_grad_norm:
+            report.reason = StopReason.CONVERGED
+            return u, report
+        if it == opts.max_iter:
+            report.reason = StopReason.MAX_ITER
+            return u, report
+
+        for _ in range(opts.backtrack_max + 1):
+            u_trial = project_admissible(u - s * g, bounds)
+            traj_trial, j_trial, comps_trial = evaluate(u_trial)
+            target = j - opts.armijo_c1 * inner_q(g, (a - b for a, b in zip(u, u_trial)), dt)
+            if j_trial <= target:
+                break
+            report.add(
+                iter=it + 1, J=j_trial, J_track=comps_trial["track"],
+                J_terminal=comps_trial["terminal"], J_control=comps_trial["control"],
+                grad_norm=g_norm, stationarity=residual, step=s, accepted=0,
+            )
+            if target == j:  # shorter steps decrease J even less
+                report.reason = StopReason.ROUNDOFF
+                return u, report
+            u_trial = traj_trial = None
+            s *= 0.5
+        else:
+            report.reason = StopReason.LINE_SEARCH_FAILED
+            return u, report
+
+        u_prev, g_prev, last_step = u, g, s
+        u, traj, j, comps = u_trial, traj_trial, j_trial, comps_trial
+        u_trial = traj_trial = None
+        report.max_bound_violation = max(report.max_bound_violation, bound_violation(u, bounds))
+
+
+def _bb2_step(
+    u: FaceField, u_prev: FaceField, g: FaceField, g_prev: FaceField, dt: float
+) -> float | None:
+    """Barzilai-Borwein step <du, dg>_Q / <dg, dg>_Q of the last iterate pair,
+    or None when <du, dg>_Q <= 0 (no positive curvature along du)."""
+    dg = [a - b for a, b in zip(g, g_prev)]
+    curvature = inner_q((a - b for a, b in zip(u, u_prev)), dg, dt)
+    return curvature / inner_q(dg, dg, dt) if curvature > 0 else None

@@ -53,6 +53,15 @@ init.preset = bubble
 init.swirl = 0.5
 """
 
+# the default 16 x 16 box on 12^2 cells, tracking a stripe
+STRIPE_TARGET = """
+grid.nx = 12
+grid.ny = 12
+time.T = 0.004
+time.dt = 1e-3
+cost.target = stripe
+"""
+
 
 class TestParsing:
     def test_minimal_file_fills_defaults(self, tmp_path):
@@ -356,6 +365,24 @@ class TestCli:
         ref = swirl_velocity(grid, swirl)
         assert np.array_equal(v0.x, ref.x) and np.array_equal(v0.y, ref.y)
         assert max(np.abs(v0.x).max(), np.abs(v0.y).max()) <= PHI_BLOWUP_LIMIT
+
+    @pytest.mark.parametrize("command", [["optimize"], ["verify", "duality"], ["verify", "gradient"]])
+    @pytest.mark.parametrize("weight", ["cost.alpha2 = 1e7", "cost.alpha1 = 1e10"])
+    def test_large_weight_is_no_adjoint_blow_up(self, tmp_path, command, weight):
+        # phia scales with the weights and passes the phase field's blow-up
+        # limit here, but stays finite
+        cfg = write_cfg(tmp_path, STRIPE_TARGET + weight + "\n")
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", [["optimize"], ["verify", "duality"]])
+    @pytest.mark.parametrize("key, value", [("cost.alpha1", "1e308"), ("cost.alpha2", "1e308"),
+                                            ("cost.alpha1", "1e300"), ("cost.alpha2", "1e300")])
+    def test_overflowing_weight_exit_2(self, tmp_path, capsys, command, key, value):
+        # 1e308 overflows the adjoint data, 1e300 the square of the gradient
+        cfg = write_cfg(tmp_path, STRIPE_TARGET + f"{key} = {value}\n")
+        rc = main([*command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{key} = {float(value):g} is too large" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, values, name",

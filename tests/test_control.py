@@ -1,5 +1,6 @@
 """Cost, reduced gradient, projection and the projected-gradient loop."""
 
+import gc
 import weakref
 from dataclasses import FrozenInstanceError, replace
 
@@ -33,6 +34,7 @@ from nsch import (
 from nsch.config import bubble_phase, stripe_phase, swirl_velocity
 from nsch.control import inner_q, norm_q
 
+import oracles
 from conftest import random_face, stack_faces
 
 
@@ -52,16 +54,29 @@ def small_problem(params, alpha1=1.0, alpha2=1.0, alpha3=0.1, n=8, T=0.004, dt=1
 
 
 def record_iterates(monkeypatch):
-    """Record the (u, g) pair of every gradient ``optimize`` forms."""
-    pairs = []
+    """Record the (u, g) pair of every gradient ``optimize`` forms.
 
-    def recorded(u, adj, cost):
-        g = real(u, adj, cost)
-        pairs.append((u, g))
-        return g
+    The optimizer forms g_n through ``control.gradient_step`` as its adjoint
+    sweep reaches step n, last step first, and later overwrites the series
+    in place, so each step is copied as it is formed and a sweep's steps are
+    stacked in step order when ``solve_adjoint`` returns."""
+    pairs, steps = [], []
 
-    real = control.reduced_gradient
-    monkeypatch.setattr(control, "reduced_gradient", recorded)
+    def recorded_step(u_n, va_n, alpha3):
+        g_n = real_step(u_n, va_n, alpha3)
+        steps.append((u_n.copy(), g_n.copy()))
+        return g_n
+
+    def recorded_sweep(*args, **kwargs):
+        out = real_sweep(*args, **kwargs)
+        u_steps, g_steps = zip(*steps[::-1])
+        pairs.append((stack_faces(u_steps), stack_faces(g_steps)))
+        steps.clear()
+        return out
+
+    real_step, real_sweep = control.gradient_step, control.solve_adjoint
+    monkeypatch.setattr(control, "gradient_step", recorded_step)
+    monkeypatch.setattr(control, "solve_adjoint", recorded_sweep)
     return pairs
 
 
@@ -404,6 +419,80 @@ class TestOptimize:
         assert any(row[8] == 0 for row in rep.rows)
         assert len(alive_at_start) == rep.n_simulations > 2
         assert alive_at_start == [0] * rep.n_simulations
+
+    def test_at_most_three_control_series_per_sweep(self, params, monkeypatch):
+        # at the last read of each adjoint sweep the optimizer holds u and g
+        # (first sweep) or u_prev, g_prev and g (later sweeps), and the sweep
+        # keeps no va; the 10^2 grid and 9 steps are this test's own, so no
+        # other test's series is counted
+        problem = small_problem(params, alpha3=1e-6, n=10, T=0.009)
+        n_steps = problem.time.n_steps
+        held_at_last_read = []
+
+        def root(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        def stored_series():
+            gc.collect()
+            return len({id(root(f.x)) for f in gc.get_objects()
+                        if isinstance(f, FaceField) and f.grid == problem.grid
+                        and f.x.ndim == 3 and len(f.x) == n_steps})
+
+        def tracked(base, cost, params, read):
+            def counted(n, va):
+                out = read(n, va)
+                if n == 0:
+                    held_at_last_read.append(stored_series())
+                return out
+            out = real(base, cost, params, counted)
+            assert not any(isinstance(r, FaceField) for r in out)
+            return out
+
+        real = control.solve_adjoint
+        monkeypatch.setattr(control, "solve_adjoint", tracked)
+        _, rep = optimize(problem, None, OptimizerOptions(tol=1e-8, max_iter=4))
+        assert any(row[8] == 0 for row in rep.rows)
+        assert len(held_at_last_read) == len(rep.accepted_J()) > 2
+        assert held_at_last_read[0] <= 2
+        assert max(held_at_last_read[1:]) <= 3
+
+    @pytest.mark.parametrize(
+        "setup, u0_seed, opts, reason",
+        [(dict(alpha1=0.0, alpha2=0.0, alpha3=0.5), 3,
+          OptimizerOptions(tol=1e-10, max_iter=5), StopReason.CONVERGED),
+         (dict(alpha3=1e-6, T=0.004), None, OptimizerOptions(tol=1e-2, max_iter=20),
+          StopReason.CONVERGED),
+         (dict(alpha3=1e-6, T=0.006), None, OptimizerOptions(tol=1e-6, max_iter=4),
+          StopReason.CONVERGED),
+         (dict(alpha3=1e-6, T=0.004), None, OptimizerOptions(tol=1e-12, max_iter=1),
+          StopReason.MAX_ITER),
+         (dict(alpha3=1e-6, T=0.004), None,
+          OptimizerOptions(tol=1e-12, max_iter=3, backtrack_max=0, armijo_c1=0.999),
+          StopReason.LINE_SEARCH_FAILED),
+         (dict(alpha3=1e-3, T=0.004, bounds=(-0.05, 0.05)), None,
+          OptimizerOptions(tol=1e-8, max_iter=10), StopReason.ROUNDOFF),
+         # reaches the doubling fallback (test_doubling_fallback_without_positive_curvature)
+         (dict(alpha1=0.0, alpha3=1e-6, T=1.0, dt=0.05, bounds=(-10.0, 10.0)), None,
+          OptimizerOptions(tol=1e-5, max_iter=6), StopReason.MAX_ITER)],
+    )
+    def test_matches_the_stored_series_optimizer(self, params, setup, u0_seed, opts, reason):
+        setup = dict(setup)
+        bounds = ControlBounds(*setup.pop("bounds", (-1.0, 1.0)))
+        problem = replace(small_problem(params, **setup), bounds=bounds)
+        u0 = None
+        if u0_seed is not None:
+            rng = np.random.default_rng(u0_seed)
+            u0 = stack_faces([random_face(problem.grid, rng, scale=0.3)
+                              for _ in range(problem.time.n_steps)])
+        u, rep = optimize(problem, u0, opts)
+        u_ref, ref = oracles.optimize(problem, u0, opts)
+        assert rep.reason is ref.reason is reason
+        assert repr(rep.rows) == repr(ref.rows)
+        assert repr((rep.n_simulations, rep.initial_grad_norm, rep.max_bound_violation)) == repr(
+            (ref.n_simulations, ref.initial_grad_norm, ref.max_bound_violation))
+        assert np.array_equal(u.x, u_ref.x) and np.array_equal(u.y, u_ref.y)
 
     def test_mobility_guardrail(self):
         problem = replace(small_problem(PhysParams()), params=PhysParams(mob_amp=0.5))
