@@ -33,7 +33,7 @@ init.width            0.0        stripe half-width (>= 0; 0 = ly/4)
 init.swirl            0.0        amplitude of the solenoidal initial flow
 init.phi_path         (none)     phase snapshot for preset=snapshot
 init.v_path           (none)     velocity snapshot (optional)
-optimizer.tol         1e-3       relative stationarity tolerance
+optimizer.tol         1e-3       stop at stationarity <= tol x first
 optimizer.max_iter    50         accepted-iteration cap
 optimizer.armijo_c1   1e-4       Armijo sufficient-decrease constant
 optimizer.backtrack   30         max step halvings per iteration

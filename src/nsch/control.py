@@ -20,7 +20,8 @@ The admissible set is a componentwise box owned by the ``ControlProblem``
 (a control field carries no bounds); its L2 projection is the pointwise
 clamp (boundary normal faces are not control degrees of freedom and stay
 pinned at zero).  First-order stationarity is monitored through the
-unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}.
+unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}, and the loop stops
+when it falls below tol times its first value.
 
 The optimizer is spectral projected gradient (Barzilai & Borwein, IMA J.
 Numer. Anal. 8, 1988; Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000):
@@ -31,12 +32,14 @@ first line search starts from step0, and one after a pair with
 Trials are halved until the Armijo test on the projected step,
 J(u_s) <= J(u) - c1 <g, u - u_s>_Q, holds.
 
-The optimizer holds at most three control series and one trajectory
-(``optimize`` lists them per stage).  The adjoint sweep hands each va(t_n)
-to a per-node map that writes g_n into the gradient series and reduces
-step n's two BB terms, so no va series is built; until then the accepted
-iterate is kept as its formula P(u_prev - s g_prev) over the two series
-the BB step holds anyway.
+The optimizer allocates three control series once and rotates them: u,
+the gradient g and a work buffer (``optimize`` lists what each holds per
+stage).  Each trial P(u - s g) is written in place into the work buffer;
+an accepted trial becomes u, and the old u's buffer is overwritten in
+place with du = u - u_prev.  The adjoint sweep hands each va(t_n) to a
+per-node map that forms g_n, reduces step n's two BB terms against du_n
+and g_prev,n, and only then writes g_n over g_prev,n, so no va series is
+built.  Sums of floats run left to right (``ordered_sum``).
 
 The seeded smooth directions are built here too.  Each is separable,
 profile(x) * mod(t_n), so ``smooth_direction`` holds the profile (one face
@@ -80,18 +83,27 @@ class ControlBounds:
             raise ConfigError(f"admissible set is empty: u_min exceeds u_max or is NaN ({self})")
 
 
+def ordered_sum(terms: Iterable[float]) -> float:
+    """The float sum of ``terms``, added left to right.  The builtin ``sum``
+    is compensated from Python 3.12 on, so it gives other bits there."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def inner_q(a: Iterable[FaceField], b: Iterable[FaceField], dt: float) -> float:
     """dt times the sum over steps of the L2(Omega) products of two series, or
     of any iterables of step fields: a difference is reduced one step at a
     time, since a freed whole-series temporary leaves a heap hole that the
     solvers' per-step arrays fragment (it raised the optimizer's peak RSS)."""
-    return dt * sum(face_inner(a_n, b_n) for a_n, b_n in zip(a, b))
+    return dt * ordered_sum(face_inner(a_n, b_n) for a_n, b_n in zip(a, b))
 
 
 def norm_q(a: Iterable[FaceField], dt: float) -> float:
     """sqrt(inner_q(a, a, dt)), reading each step of ``a`` once (a generator
     of step fields is reduced as it runs)."""
-    return float(np.sqrt(dt * sum(face_inner(a_n, a_n) for a_n in a)))
+    return float(np.sqrt(dt * ordered_sum(face_inner(a_n, a_n) for a_n in a)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +163,7 @@ def smooth_control_series(
     n_steps = time.n_steps
     out = FaceField(grid, np.empty((n_steps, grid.nx + 1, grid.ny)),
                     np.empty((n_steps, grid.nx, grid.ny + 1)))
-    return store_steps(out, smooth_direction(grid, time, seed, amplitude))
-
-
-def store_steps(out: FaceField, series: Iterable[FaceField]) -> FaceField:
-    """Write step n of ``series`` into step n of the stored series ``out``,
-    in step order; step n of ``series`` may read step n of ``out``."""
-    for n, s_n in enumerate(series):
+    for n, s_n in enumerate(smooth_direction(grid, time, seed, amplitude)):
         out[n] = s_n
     return out
 
@@ -167,7 +173,10 @@ class OptimizerOptions:
     """Knobs of the projected-gradient loop.
 
     ``tol`` is relative: the loop stops when the unit-step fixed-point
-    residual drops below tol * ||g_0||_{L2(Q)}.
+    residual ||u - P(u - g)||_{L2(Q)} drops below tol times its value at the
+    first iterate.  The residual is in the units of u, capped by the box,
+    so it is compared with itself and not with ||g_0||, which grows with
+    the cost weights.
     """
 
     tol: float = 1e-3
@@ -324,39 +333,22 @@ def gradient_step(u_n: FaceField, va_n: FaceField, alpha3: float) -> FaceField:
     return alpha3 * u_n + va_n
 
 
-def reduced_gradient(
-    u: FaceField, adj: Sequence[FaceField], cost: CostSpec
-) -> FaceField:
-    """Gradient series of the reduced cost, stored step by step
-    (``gradient_step``) from the adjoint velocity series ``adj`` of
-    ``solve_adjoint``."""
-    if len(adj) != len(u.x) + 1:
-        raise ConfigError(
-            f"adjoint trajectory has {len(adj)} nodes, control has {len(u.x)} steps"
-        )
-    return store_steps(FaceField.zeros(u.grid, len(u.x)),
-                       (gradient_step(u_n, va_n, cost.alpha3) for u_n, va_n in zip(u, adj)))
-
-
 def project_admissible(u: FaceField, bounds: ControlBounds) -> FaceField:
     """Componentwise clamp onto the box (the L2-orthogonal projection).
 
     Boundary normal faces are not control degrees of freedom and are kept
     at zero after clamping.
     """
-    out = FaceField(u.grid, np.clip(u.x, bounds.u_min, bounds.u_max),
-                    np.clip(u.y, bounds.u_min, bounds.u_max))
-    out.x[..., [0, -1], :] = 0.0
-    out.y[..., [0, -1]] = 0.0
-    return out
+    return _clamp(u.copy(), bounds)
 
 
-def projected_step(
-    u: FaceField, g: FaceField, s: float, bounds: ControlBounds
-) -> StepSeries:
-    """The projected gradient step P(u - s g) of two stored series, formed
-    one step at a time."""
-    return StepSeries(len(g.x), lambda n: project_admissible(u[n] - s * g[n], bounds))
+def _clamp(u: FaceField, bounds: ControlBounds) -> FaceField:
+    """``project_admissible`` in place: clip u to the box, pin the walls."""
+    np.clip(u.x, bounds.u_min, bounds.u_max, out=u.x)
+    np.clip(u.y, bounds.u_min, bounds.u_max, out=u.y)
+    u.x[..., [0, -1], :] = 0.0
+    u.y[..., [0, -1]] = 0.0
+    return u
 
 
 def stationarity_residual(
@@ -364,7 +356,7 @@ def stationarity_residual(
 ) -> float:
     """Unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}, reduced one
     step at a time as d_n = u_n - P(u_n - g_n)."""
-    return norm_q((u_n - project_admissible(u_n - g_n, bounds) for u_n, g_n in zip(u, g)), dt)
+    return norm_q((u_n - _clamp(u_n - g_n, bounds) for u_n, g_n in zip(u, g)), dt)
 
 
 def bound_violation(u: FaceField, bounds: ControlBounds) -> float:
@@ -391,25 +383,26 @@ def optimize(
     projected trial u_s = P(u - s g) passes the Armijo test
     J(u_s) <= J(u) - c1 <g, u - u_s>_Q, which is J(u) - c1 s ||g||^2
     where no bound is active.  The loop stops (``OptimReport.reason``) when
-    the unit-step fixed-point residual falls below tol * ||g_0||, after
-    max_iter accepted iterations, when backtrack_max halvings find no
-    acceptable step, or when a rejected trial's Armijo decrease is below
-    what J resolves (J minus it rounds to J).
+    the unit-step fixed-point residual falls below tol times its first
+    value, after max_iter accepted iterations, when backtrack_max halvings
+    find no acceptable step, or when a rejected trial's Armijo decrease is
+    below what J resolves (J minus it rounds to J).
 
-    A line search holds one trajectory at a time and at most three control
-    series: the accepted trajectory is released once its gradient is
-    formed, a rejected trial before the next one is simulated.  What is
-    held, stage by stage:
+    The run allocates three control series and rotates them: u, the
+    gradient g and a work buffer (from the first line search on).  It holds
+    one trajectory at a time: the accepted trajectory is released once its
+    gradient is formed, a rejected trial before the next one is simulated.
+    Stage by stage:
 
-    * adjoint sweep: u_prev, g_prev, the gradient series g and the accepted
-      trajectory (u and g alone on the first sweep).  Step n of g and the
-      BB terms <du_n, dg_n>, <dg_n, dg_n> are formed as the sweep reaches
-      va(t_n), so neither the va series nor dg is built; the accepted
-      iterate is its formula P(u_prev - s g_prev);
-    * after the sweep: the iterate is stored over u_prev, one step at a
-      time, then g_prev is released, leaving u and g;
-    * line search: u, g, the trial series (each trial formed once, step by
-      step) and the trial's trajectory.
+    * adjoint sweep: u, g, the work buffer holding du = u - u_prev, and the
+      accepted trajectory (u and g alone on the first sweep).  As the sweep
+      reaches va(t_n) it forms g_n, then dg_n = g_n - g_prev,n and the BB
+      terms <du_n, dg_n>, <dg_n, dg_n>, and only then writes g_n over
+      g_prev,n, so neither the va series nor dg is built;
+    * line search: u, g, and the trial P(u - s g) written in place into
+      the work buffer, with the trial's trajectory;
+    * on acceptance the trial's buffer becomes u, and the old u's buffer is
+      overwritten in place with du for the next sweep.
     """
     opts = options or OptimizerOptions()
     cost, bounds, dt = problem.cost, problem.bounds, problem.time.dt
@@ -423,15 +416,16 @@ def optimize(
         return (traj, *evaluate_cost(traj, u, cost))
 
     def read(n: int, va: FaceField) -> tuple[float, float] | None:
-        """Store g_n; with a previous iterate, return step n's BB terms."""
+        """Write g_n over g_prev,n; after a step, return step n's BB terms."""
         if n == n_steps:  # va(T) acts on no step
             return None
-        u_n = u[n]
-        g[n] = g_n = gradient_step(u_n, va, cost.alpha3)
-        if u_prev is None:
-            return None
-        dg_n = g_n - g_prev[n]
-        return face_inner(u_n - u_prev[n], dg_n), face_inner(dg_n, dg_n)
+        g_n = gradient_step(u[n], va, cost.alpha3)
+        terms = None
+        if it > 0:
+            dg_n = g_n - g[n]
+            terms = face_inner(work[n], dg_n), face_inner(dg_n, dg_n)
+        g[n] = g_n
+        return terms
 
     if u0 is None:
         u0 = FaceField.zeros(grid, n_steps)
@@ -439,40 +433,39 @@ def optimize(
     u0 = None  # not held through the run: only its projection is read
     report.max_bound_violation = bound_violation(u, bounds)
     traj, j, comps = evaluate(u)
+    g, work = FaceField.zeros(grid, n_steps), None
 
     step0 = 1.0 / cost.alpha3 if cost.alpha3 > 0 else 1.0
     s, last_step = step0, 0.0
-    u_prev = g_prev = None
     for it in range(opts.max_iter + 1):
-        g = FaceField.zeros(grid, n_steps)
         bb_terms = solve_adjoint(traj, cost, problem.params, read)[:n_steps]
         traj = None
-        if u_prev is not None:
-            u = store_steps(u_prev, u)
-            u_prev = g_prev = None
+        if it > 0:
             bb = _bb2_step(bb_terms, dt)
             s = min(2.0 * last_step if bb is None else bb, step0)
         g_norm = norm_q(g, dt)
-        if it == 0:
-            report.initial_grad_norm = g_norm
         residual = stationarity_residual(u, g, bounds, dt)
+        if it == 0:
+            report.initial_grad_norm, residual0 = g_norm, residual
         report.add(
             iter=it, J=j, J_track=comps["track"], J_terminal=comps["terminal"],
             J_control=comps["control"], grad_norm=g_norm, stationarity=residual,
             step=last_step, accepted=1,
         )
-        if residual <= opts.tol * report.initial_grad_norm:
+        if residual <= opts.tol * residual0:
             report.reason = StopReason.CONVERGED
             return u, report
         if it == opts.max_iter:
             report.reason = StopReason.MAX_ITER
             return u, report
 
-        u_trial = FaceField.zeros(grid, n_steps)
+        if work is None:
+            work = FaceField.zeros(grid, n_steps)
         for _ in range(opts.backtrack_max + 1):
-            store_steps(u_trial, projected_step(u, g, s, bounds))
-            traj_trial, j_trial, comps_trial = evaluate(u_trial)
-            target = j - opts.armijo_c1 * inner_q(g, (a - b for a, b in zip(u, u_trial)), dt)
+            for w, a, b in ((work.x, u.x, g.x), (work.y, u.y, g.y)):  # the trial P(u - s g)
+                np.subtract(a, np.multiply(b, s, out=w), out=w)
+            traj, j_trial, comps_trial = evaluate(_clamp(work, bounds))
+            target = j - opts.armijo_c1 * inner_q(g, (a - b for a, b in zip(u, work)), dt)
             if j_trial <= target:
                 break
             report.add(
@@ -483,23 +476,22 @@ def optimize(
             if target == j:  # shorter steps decrease J even less
                 report.reason = StopReason.ROUNDOFF
                 return u, report
-            traj_trial = None
+            traj = None
             s *= 0.5
         else:
             report.reason = StopReason.LINE_SEARCH_FAILED
             return u, report
 
-        report.max_bound_violation = max(report.max_bound_violation,
-                                         bound_violation(u_trial, bounds))
-        u_prev, g_prev, last_step = u, g, s
-        u = projected_step(u_prev, g_prev, last_step, bounds)  # u_trial, bit for bit
-        traj, j, comps = traj_trial, j_trial, comps_trial
-        u_trial = traj_trial = None
+        report.max_bound_violation = max(report.max_bound_violation, bound_violation(work, bounds))
+        u, work = work, u  # work holds du = u - u_prev until the next sweep
+        np.subtract(u.x, work.x, out=work.x)
+        np.subtract(u.y, work.y, out=work.y)
+        last_step, j, comps = s, j_trial, comps_trial
 
 
 def _bb2_step(terms: Sequence[tuple[float, float]], dt: float) -> float | None:
     """Barzilai-Borwein step <du, dg>_Q / <dg, dg>_Q of the last iterate pair
     from its per-step terms (<du_n, dg_n>, <dg_n, dg_n>) in step order, or
     None when <du, dg>_Q <= 0 (no positive curvature along du)."""
-    curvature = dt * sum(c for c, _ in terms)
-    return curvature / (dt * sum(d for _, d in terms)) if curvature > 0 else None
+    curvature = dt * ordered_sum(c for c, _ in terms)
+    return curvature / (dt * ordered_sum(d for _, d in terms)) if curvature > 0 else None

@@ -11,7 +11,8 @@ sensitivity and adjoint steps exactly as ``solve_linearized`` and
 ``solve_adjoint`` do, and keep the state each step carries, where the
 solvers return only the psi and va series.  So is the stored-series
 optimizer at the end, the projected-gradient loop kept as it was when it
-held whole series, on the package's cost, projection and adjoint.
+held whole series, on the package's cost, projection, adjoint and
+ordered sum.
 """
 
 from typing import Iterable, NamedTuple, Sequence
@@ -22,7 +23,7 @@ from nsch.adjoint import require_unit_mobility, solve_adjoint
 from nsch.constitutive import CostSpec
 from nsch.control import (
     ControlBounds, ControlProblem, OptimizerOptions, OptimReport, StopReason,
-    bound_violation, evaluate_cost, project_admissible,
+    bound_violation, evaluate_cost, ordered_sum, project_admissible,
 )
 from nsch.errors import ConfigError
 from nsch.grid import FaceField, face_inner
@@ -466,8 +467,9 @@ def full_adjoint_sweep(base, cost, params):
 # stored-series optimizer
 #
 # ``control.optimize`` and its helpers as they were when the optimizer held
-# every control, gradient and va series whole; the step-by-step optimizer
-# must reproduce them bit for bit.
+# every control, gradient and va series whole (with the stopping rule
+# against the first residual); the step-by-step optimizer must reproduce
+# them bit for bit.
 
 
 def inner_q(a: Iterable[FaceField], b: Iterable[FaceField], dt: float) -> float:
@@ -475,7 +477,7 @@ def inner_q(a: Iterable[FaceField], b: Iterable[FaceField], dt: float) -> float:
     of any iterables of step fields: a difference is reduced one step at a
     time, since a freed whole-series temporary leaves a heap hole that the
     solvers' per-step arrays fragment (it raised the optimizer's peak RSS)."""
-    return dt * sum(face_inner(a_n, b_n) for a_n, b_n in zip(a, b))
+    return dt * ordered_sum(face_inner(a_n, b_n) for a_n, b_n in zip(a, b))
 
 
 def norm_q(a: FaceField, dt: float) -> float:
@@ -521,10 +523,10 @@ def optimize(
     projected trial u_s = P(u - s g) passes the Armijo test
     J(u_s) <= J(u) - c1 <g, u - u_s>_Q, which is J(u) - c1 s ||g||^2
     where no bound is active.  The loop stops (``OptimReport.reason``) when
-    the unit-step fixed-point residual falls below tol * ||g_0||, after
-    max_iter accepted iterations, when backtrack_max halvings find no
-    acceptable step, or when a rejected trial's Armijo decrease is below
-    what J resolves (J minus it rounds to J).
+    the unit-step fixed-point residual falls below tol times its first
+    value, after max_iter accepted iterations, when backtrack_max halvings
+    find no acceptable step, or when a rejected trial's Armijo decrease is
+    below what J resolves (J minus it rounds to J).
 
     A line search holds one trajectory at a time: the accepted trajectory
     is released once its gradient is formed, a rejected trial before the
@@ -558,15 +560,15 @@ def optimize(
             u_prev = g_prev = None
             s = min(2.0 * last_step if bb is None else bb, step0)
         g_norm = norm_q(g, dt)
-        if it == 0:
-            report.initial_grad_norm = g_norm
         residual = stationarity_residual(u, g, bounds, dt)
+        if it == 0:
+            report.initial_grad_norm, residual0 = g_norm, residual
         report.add(
             iter=it, J=j, J_track=comps["track"], J_terminal=comps["terminal"],
             J_control=comps["control"], grad_norm=g_norm, stationarity=residual,
             step=last_step, accepted=1,
         )
-        if residual <= opts.tol * report.initial_grad_norm:
+        if residual <= opts.tol * residual0:
             report.reason = StopReason.CONVERGED
             return u, report
         if it == opts.max_iter:

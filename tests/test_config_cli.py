@@ -374,6 +374,15 @@ class TestCli:
         cfg = write_cfg(tmp_path, STRIPE_TARGET + weight + "\n")
         assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
+    def test_large_weight_takes_a_step(self, tmp_path, capsys):
+        # ||g_0|| grows with the weight while the stationarity residual is
+        # capped by the box, so the stop compares the residual with its own
+        # first value: the run moves before it converges
+        cfg = write_cfg(tmp_path, STRIPE_TARGET + "cost.alpha2 = 1e7\n")
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = capsys.readouterr().out
+        assert int(re.search(r"converged after (\d+) accepted steps", summary).group(1)) >= 1
+
     @pytest.mark.parametrize("command", [["optimize"], ["verify", "duality"]])
     @pytest.mark.parametrize("key, value", [("cost.alpha1", "1e308"), ("cost.alpha2", "1e308"),
                                             ("cost.alpha1", "1e300"), ("cost.alpha2", "1e300")])

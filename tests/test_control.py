@@ -24,7 +24,6 @@ from nsch import (
     evaluate_cost,
     optimize,
     project_admissible,
-    reduced_gradient,
     scalar_inner,
     simulate,
     solve_adjoint,
@@ -78,6 +77,23 @@ def record_iterates(monkeypatch):
     monkeypatch.setattr(control, "gradient_step", recorded_step)
     monkeypatch.setattr(control, "solve_adjoint", recorded_sweep)
     return pairs
+
+
+def stored_series(grid, n_steps):
+    """The distinct base arrays of the stored series alive now: the face
+    fields on ``grid`` with an ``n_steps``-long step axis."""
+
+    def root(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    gc.collect()
+    roots = {}
+    for f in gc.get_objects():
+        if isinstance(f, FaceField) and f.grid == grid and f.x.ndim == 3 and len(f.x) == n_steps:
+            roots.setdefault(id(root(f.x)), root(f.x))
+    return list(roots.values())
 
 
 def first_trial_steps(rep):
@@ -168,18 +184,18 @@ class TestReducedGradient:
         traj = problem.simulate(None)
         adj = solve_adjoint(traj, problem.cost, params)
         u = FaceField.zeros(problem.grid, problem.time.n_steps)
-        g = reduced_gradient(u, adj, problem.cost)
         for n in range(problem.time.n_steps):
-            assert np.abs(g[n].x - adj[n].x).max() == 0.0
+            g_n = control.gradient_step(u[n], adj[n], problem.cost.alpha3)
+            assert np.abs(g_n.x - adj[n].x).max() == 0.0
 
     def test_zero_adjoint_returns_scaled_u(self, params, rng):
         problem = small_problem(params, alpha1=0.0, alpha2=0.0, alpha3=1.0)
         traj = problem.simulate(None)
         adj = solve_adjoint(traj, problem.cost, params)
         u = stack_faces([random_face(problem.grid, rng) for _ in range(problem.time.n_steps)])
-        g = reduced_gradient(u, adj, problem.cost)
         for n in range(problem.time.n_steps):
-            assert np.abs(g[n].x - u[n].x).max() < 1e-14
+            g_n = control.gradient_step(u[n], adj[n], problem.cost.alpha3)
+            assert np.abs(g_n.x - u[n].x).max() < 1e-14
 
     def test_matches_discrete_cost_derivative(self, params):
         # dt * va(t_n) is the per-face derivative of the tracking part of
@@ -422,29 +438,18 @@ class TestOptimize:
 
     def test_at_most_three_control_series_per_sweep(self, params, monkeypatch):
         # at the last read of each adjoint sweep the optimizer holds u and g
-        # (first sweep) or u_prev, g_prev and g (later sweeps), and the sweep
-        # keeps no va; the 10^2 grid and 9 steps are this test's own, so no
-        # other test's series is counted
+        # (first sweep) or u, g and the work buffer holding du (later
+        # sweeps), and the sweep keeps no va; the 10^2 grid and 9 steps are
+        # this test's own, so no other test's series is counted
         problem = small_problem(params, alpha3=1e-6, n=10, T=0.009)
         n_steps = problem.time.n_steps
         held_at_last_read = []
-
-        def root(a):
-            while a.base is not None:
-                a = a.base
-            return a
-
-        def stored_series():
-            gc.collect()
-            return len({id(root(f.x)) for f in gc.get_objects()
-                        if isinstance(f, FaceField) and f.grid == problem.grid
-                        and f.x.ndim == 3 and len(f.x) == n_steps})
 
         def tracked(base, cost, params, read):
             def counted(n, va):
                 out = read(n, va)
                 if n == 0:
-                    held_at_last_read.append(stored_series())
+                    held_at_last_read.append(len(stored_series(problem.grid, n_steps)))
                 return out
             out = real(base, cost, params, counted)
             assert not any(isinstance(r, FaceField) for r in out)
@@ -457,6 +462,45 @@ class TestOptimize:
         assert len(held_at_last_read) == len(rep.accepted_J()) > 2
         assert held_at_last_read[0] <= 2
         assert max(held_at_last_read[1:]) <= 3
+
+    def test_three_control_series_allocated_per_run(self, params, monkeypatch):
+        # u's projection, g, and the work buffer of the first line search are
+        # the run's only series; counted at every forward solve and at every
+        # sweep's last read.  Each base array seen is kept, so a freed one's
+        # id cannot be reused for a later allocation.
+        problem = small_problem(params, alpha3=1e-6, n=10, T=0.009)
+        grid, n_steps = problem.grid, problem.time.n_steps
+        seen, held, allocated = {}, [], []
+
+        def count():
+            roots = stored_series(grid, n_steps)
+            held.append(len(roots))
+            for r in roots:
+                seen.setdefault(id(r), r)
+            allocated.append(len(seen))
+
+        def tracked_forward(*args, **kwargs):
+            count()
+            return real_forward(*args, **kwargs)
+
+        def tracked_sweep(base, cost, params, read):
+            def counted(n, va):
+                out = read(n, va)
+                if n == 0:
+                    count()
+                return out
+            return real_sweep(base, cost, params, counted)
+
+        real_forward, real_sweep = control.simulate, control.solve_adjoint
+        monkeypatch.setattr(control, "simulate", tracked_forward)
+        monkeypatch.setattr(control, "solve_adjoint", tracked_sweep)
+        _, rep = optimize(problem, None, OptimizerOptions(tol=1e-8, max_iter=4))
+        assert any(row[8] == 0 for row in rep.rows)
+        assert len(allocated) == rep.n_simulations + len(rep.accepted_J()) > 4
+        # first forward solve: u; first sweep: u, g; first trial: the work buffer
+        assert allocated[:3] == [1, 2, 3]
+        assert allocated[-1] == 3
+        assert max(held) <= 3
 
     @pytest.mark.parametrize(
         "setup, u0_seed, opts, reason",
