@@ -100,8 +100,12 @@ def cmd_optimize(args) -> int:
             f" after {options.backtrack_max} halvings at iterate {trial['iter'] - 1}: "
             f"J={accepted[-1]:.6e}, |g|={trial['grad_norm']:.3e}, last step={trial['step']:.3e}"
         )
+    certificate = (
+        "" if report.certificate is None
+        else f", optimality certificate ||u - P(-va/alpha3)||_Q = {report.certificate:.3e}"
+    )
     print(
-        f"optimizer stopped: {reason} after {len(accepted) - 1} accepted steps, "
+        f"optimizer stopped: {reason} after {len(accepted) - 1} accepted steps{certificate}, "
         f"J {accepted[0]:.6e} -> {accepted[-1]:.6e}, wrote {csv_path}"
     )
     return 1 if failed else 0

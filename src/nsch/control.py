@@ -21,7 +21,9 @@ The admissible set is a componentwise box owned by the ``ControlProblem``
 clamp (boundary normal faces are not control degrees of freedom and stay
 pinned at zero).  First-order stationarity is monitored through the
 unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}, and the loop stops
-when it falls below tol times its first value.
+when it falls below tol times its first value.  For alpha3 > 0 the paper's
+first-order condition is the projection formula u = P(-va/alpha3); its
+residual ||u - P(u - g/alpha3)||_{L2(Q)} is reported at the stop.
 
 The optimizer is spectral projected gradient (Barzilai & Borwein, IMA J.
 Numer. Anal. 8, 1988; Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000):
@@ -32,14 +34,15 @@ first line search starts from step0, and one after a pair with
 Trials are halved until the Armijo test on the projected step,
 J(u_s) <= J(u) - c1 <g, u - u_s>_Q, holds.
 
-The optimizer allocates three control series once and rotates them: u,
-the gradient g and a work buffer (``optimize`` lists what each holds per
-stage).  Each trial P(u - s g) is written in place into the work buffer;
-an accepted trial becomes u, and the old u's buffer is overwritten in
-place with du = u - u_prev.  The adjoint sweep hands each va(t_n) to a
-per-node map that forms g_n, reduces step n's two BB terms against du_n
-and g_prev,n, and only then writes g_n over g_prev,n, so no va series is
-built.  Sums of floats run left to right (``ordered_sum``).
+The optimizer holds two control series, u and the gradient g, and
+overwrites both in place (``optimize`` lists what it holds per stage).  A
+trial P(u - s g) is a formula, not a series: a ``StepSeries`` whose step n
+is formed from u_n and g_n where it is read (``projected_step``).  After
+an acceptance the adjoint sweep hands each va(t_n) to a per-node map that
+forms the accepted step, writes it over u_n, forms g_n, reduces step n's
+two BB terms against du_n and g_prev,n, and only then writes g_n over
+g_prev,n, so no va, du or dg series is built.  Sums of floats run left to
+right (``ordered_sum``).
 
 The seeded smooth directions are built here too.  Each is separable,
 profile(x) * mod(t_n), so ``smooth_direction`` holds the profile (one face
@@ -206,13 +209,16 @@ class StopReason(Enum):
 
 @dataclass
 class OptimReport:
-    """Per-trial optimizer history plus the termination reason."""
+    """Per-trial optimizer history plus the termination reason.  With
+    alpha3 > 0, ``certificate`` is ||u - P(u - g/alpha3)||_Q at the returned
+    u: the residual of the paper's first-order condition u = P(-va/alpha3)
+    (None for alpha3 = 0; no CSV column)."""
 
     rows: list[tuple] = field(default_factory=list)
     reason: StopReason | None = None
     n_simulations: int = 0
-    initial_grad_norm: float = 0.0
     max_bound_violation: float = 0.0
+    certificate: float | None = None
 
     COLUMNS = (
         "iter", "J", "J_track", "J_terminal", "J_control",
@@ -343,12 +349,22 @@ def project_admissible(u: FaceField, bounds: ControlBounds) -> FaceField:
 
 
 def _clamp(u: FaceField, bounds: ControlBounds) -> FaceField:
-    """``project_admissible`` in place: clip u to the box, pin the walls."""
-    np.clip(u.x, bounds.u_min, bounds.u_max, out=u.x)
-    np.clip(u.y, bounds.u_min, bounds.u_max, out=u.y)
-    u.x[..., [0, -1], :] = 0.0
-    u.y[..., [0, -1]] = 0.0
+    """``project_admissible`` in place: clip u to the box (``ndarray.clip``
+    gives np.clip's bits without its dispatch), then zero the first and last
+    face rows, the walls, through one strided view per component."""
+    u.x.clip(bounds.u_min, bounds.u_max, out=u.x)
+    u.y.clip(bounds.u_min, bounds.u_max, out=u.y)
+    u.x[..., ::u.grid.nx, :] = 0.0
+    u.y[..., ::u.grid.ny] = 0.0
     return u
+
+
+def projected_step(u_n: FaceField, g_n: FaceField, s: float, bounds: ControlBounds) -> FaceField:
+    """P(u_n - s g_n), a new face field: step n of a projected-gradient trial."""
+    out = g_n * s
+    np.subtract(u_n.x, out.x, out=out.x)
+    np.subtract(u_n.y, out.y, out=out.y)
+    return _clamp(out, bounds)
 
 
 def stationarity_residual(
@@ -386,23 +402,24 @@ def optimize(
     the unit-step fixed-point residual falls below tol times its first
     value, after max_iter accepted iterations, when backtrack_max halvings
     find no acceptable step, or when a rejected trial's Armijo decrease is
-    below what J resolves (J minus it rounds to J).
+    below what J resolves (J minus it rounds to J).  At every stop with
+    alpha3 > 0 the report holds the paper's optimality certificate
+    ||u - P(u - g/alpha3)||_Q = ||u - P(-va/alpha3)||_Q.
 
-    The run allocates three control series and rotates them: u, the
-    gradient g and a work buffer (from the first line search on).  It holds
+    The run allocates two control series, u and the gradient g, and holds
     one trajectory at a time: the accepted trajectory is released once its
     gradient is formed, a rejected trial before the next one is simulated.
     Stage by stage:
 
-    * adjoint sweep: u, g, the work buffer holding du = u - u_prev, and the
-      accepted trajectory (u and g alone on the first sweep).  As the sweep
-      reaches va(t_n) it forms g_n, then dg_n = g_n - g_prev,n and the BB
-      terms <du_n, dg_n>, <dg_n, dg_n>, and only then writes g_n over
-      g_prev,n, so neither the va series nor dg is built;
-    * line search: u, g, and the trial P(u - s g) written in place into
-      the work buffer, with the trial's trajectory;
-    * on acceptance the trial's buffer becomes u, and the old u's buffer is
-      overwritten in place with du for the next sweep.
+    * line search: u, g, and the trial's trajectory.  The trial P(u - s g)
+      is a ``StepSeries``: the forward solve, the cost and the Armijo
+      product each form its step n from u_n and g_n as they read it;
+    * adjoint sweep: u, g and the accepted trajectory (whose control is
+      P(u - s g) at the accepted step s).  As the sweep reaches va(t_n) it
+      forms that step, du_n = u_new,n - u_n, writes u_new,n over u_n, then
+      forms g_n, dg_n = g_n - g_prev,n and the BB terms <du_n, dg_n>,
+      <dg_n, dg_n>, and only then writes g_n over g_prev,n, so neither the
+      va series nor du or dg is built.
     """
     opts = options or OptimizerOptions()
     cost, bounds, dt = problem.cost, problem.bounds, problem.time.dt
@@ -410,22 +427,38 @@ def optimize(
     require_unit_mobility(problem.params, "the optimizer")
     report = OptimReport()
 
-    def evaluate(u: FaceField):
+    def evaluate(u: FaceField | StepSeries):
         traj = problem.simulate(u)
         report.n_simulations += 1
         return (traj, *evaluate_cost(traj, u, cost))
 
+    def trial(s: float) -> StepSeries:
+        return StepSeries(n_steps, lambda n: projected_step(u[n], g[n], s, bounds))
+
     def read(n: int, va: FaceField) -> tuple[float, float] | None:
-        """Write g_n over g_prev,n; after a step, return step n's BB terms."""
+        """Write g_n over g_prev,n.  After a step, first advance u_n to it in
+        place, and return step n's BB terms."""
         if n == n_steps:  # va(T) acts on no step
             return None
-        g_n = gradient_step(u[n], va, cost.alpha3)
-        terms = None
-        if it > 0:
-            dg_n = g_n - g[n]
-            terms = face_inner(work[n], dg_n), face_inner(dg_n, dg_n)
+        if it == 0:
+            g[n] = gradient_step(u[n], va, cost.alpha3)
+            return None
+        u_new = projected_step(u[n], g[n], last_step, bounds)
+        report.max_bound_violation = max(report.max_bound_violation,
+                                         bound_violation(u_new, bounds))
+        du_n = u_new - u[n]
+        u[n] = u_new
+        g_n = gradient_step(u_new, va, cost.alpha3)
+        dg_n = g_n - g[n]
         g[n] = g_n
-        return terms
+        return face_inner(du_n, dg_n), face_inner(dg_n, dg_n)
+
+    def stop(reason: StopReason) -> tuple[FaceField, OptimReport]:
+        report.reason = reason
+        if cost.alpha3 > 0:  # step0 = 1/alpha3
+            report.certificate = norm_q(
+                (u_n - projected_step(u_n, g_n, step0, bounds) for u_n, g_n in zip(u, g)), dt)
+        return u, report
 
     if u0 is None:
         u0 = FaceField.zeros(grid, n_steps)
@@ -433,7 +466,7 @@ def optimize(
     u0 = None  # not held through the run: only its projection is read
     report.max_bound_violation = bound_violation(u, bounds)
     traj, j, comps = evaluate(u)
-    g, work = FaceField.zeros(grid, n_steps), None
+    g = FaceField.zeros(grid, n_steps)
 
     step0 = 1.0 / cost.alpha3 if cost.alpha3 > 0 else 1.0
     s, last_step = step0, 0.0
@@ -446,26 +479,21 @@ def optimize(
         g_norm = norm_q(g, dt)
         residual = stationarity_residual(u, g, bounds, dt)
         if it == 0:
-            report.initial_grad_norm, residual0 = g_norm, residual
+            residual0 = residual
         report.add(
             iter=it, J=j, J_track=comps["track"], J_terminal=comps["terminal"],
             J_control=comps["control"], grad_norm=g_norm, stationarity=residual,
             step=last_step, accepted=1,
         )
         if residual <= opts.tol * residual0:
-            report.reason = StopReason.CONVERGED
-            return u, report
+            return stop(StopReason.CONVERGED)
         if it == opts.max_iter:
-            report.reason = StopReason.MAX_ITER
-            return u, report
+            return stop(StopReason.MAX_ITER)
 
-        if work is None:
-            work = FaceField.zeros(grid, n_steps)
         for _ in range(opts.backtrack_max + 1):
-            for w, a, b in ((work.x, u.x, g.x), (work.y, u.y, g.y)):  # the trial P(u - s g)
-                np.subtract(a, np.multiply(b, s, out=w), out=w)
-            traj, j_trial, comps_trial = evaluate(_clamp(work, bounds))
-            target = j - opts.armijo_c1 * inner_q(g, (a - b for a, b in zip(u, work)), dt)
+            u_s = trial(s)
+            traj, j_trial, comps_trial = evaluate(u_s)
+            target = j - opts.armijo_c1 * inner_q(g, (a - b for a, b in zip(u, u_s)), dt)
             if j_trial <= target:
                 break
             report.add(
@@ -474,19 +502,13 @@ def optimize(
                 grad_norm=g_norm, stationarity=residual, step=s, accepted=0,
             )
             if target == j:  # shorter steps decrease J even less
-                report.reason = StopReason.ROUNDOFF
-                return u, report
+                return stop(StopReason.ROUNDOFF)
             traj = None
             s *= 0.5
         else:
-            report.reason = StopReason.LINE_SEARCH_FAILED
-            return u, report
+            return stop(StopReason.LINE_SEARCH_FAILED)
 
-        report.max_bound_violation = max(report.max_bound_violation, bound_violation(work, bounds))
-        u, work = work, u  # work holds du = u - u_prev until the next sweep
-        np.subtract(u.x, work.x, out=work.x)
-        np.subtract(u.y, work.y, out=work.y)
-        last_step, j, comps = s, j_trial, comps_trial
+        last_step, j, comps = s, j_trial, comps_trial  # the next sweep advances u by s
 
 
 def _bb2_step(terms: Sequence[tuple[float, float]], dt: float) -> float | None:

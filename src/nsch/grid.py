@@ -157,10 +157,6 @@ class ScalarField:
         _require_single(self.values)
         return float(self.values.mean())
 
-    def max_abs(self) -> float:
-        _require_single(self.values)
-        return float(np.abs(self.values).max())
-
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return ScalarField(self.grid, self.values + other.values)
 
@@ -215,10 +211,6 @@ class FaceField:
         out.x[_FIRST[0]] = out.x[_LAST[0]] = 0.0
         out.y[_FIRST[1]] = out.y[_LAST[1]] = 0.0
         return out
-
-    def max_abs(self) -> float:
-        _require_single(self.x)
-        return float(max(np.abs(self.x).max(), np.abs(self.y).max()))
 
     def __add__(self, other: "FaceField") -> "FaceField":
         return FaceField(self.grid, self.x + other.x, self.y + other.y)

@@ -69,6 +69,12 @@ def stack_faces(faces):
     return FaceField(faces[0].grid, np.stack([f.x for f in faces]), np.stack([f.y for f in faces]))
 
 
+def max_abs(f):
+    """Largest absolute value of one cell or face field."""
+    arrays = (f.values,) if isinstance(f, ScalarField) else (f.x, f.y)
+    return float(max(np.abs(a).max() for a in arrays))
+
+
 def l2_norm(f):
     """Discrete L2 norm of a cell field, sqrt(sum f^2 * cell_volume)."""
     return float(np.sqrt((f.values**2).sum() * f.grid.cell_volume))

@@ -562,7 +562,7 @@ def optimize(
         g_norm = norm_q(g, dt)
         residual = stationarity_residual(u, g, bounds, dt)
         if it == 0:
-            report.initial_grad_norm, residual0 = g_norm, residual
+            residual0 = residual
         report.add(
             iter=it, J=j, J_track=comps["track"], J_terminal=comps["terminal"],
             J_control=comps["control"], grad_norm=g_norm, stationarity=residual,

@@ -31,6 +31,8 @@ from nsch.grid import face_inner, scalar_inner
 from nsch.state import PHI_BLOWUP_LIMIT, trapezoid_weights
 from nsch.verification import CHECKS, duality_gap, verify, verify_duality
 
+from conftest import max_abs
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -187,7 +189,7 @@ class TestPresets:
         cfg = RunConfig({"init.preset": "equilibrium", "grid.nx": "8", "grid.ny": "8"})
         v0, phi0 = build_initial(cfg, build_grid(cfg))
         assert np.abs(phi0.values - 1.0).max() == 0.0
-        assert v0.max_abs() == 0.0
+        assert max_abs(v0) == 0.0
 
     def test_bubble_range_and_sign(self):
         cfg = RunConfig({"grid.nx": "32", "grid.ny": "32"})
@@ -502,6 +504,22 @@ class TestCli:
         rows = [ln.split(",") for ln in lines[1:]]
         accepted_j = [float(r[1]) for r in rows if r[8] == "1"]
         assert all(b <= a for a, b in zip(accepted_j, accepted_j[1:]))
+
+    @pytest.mark.parametrize("alpha3", ["1e-6", "0"])
+    def test_optimize_prints_the_certificate(self, tmp_path, capsys, alpha3):
+        # the residual of u = P(-va/alpha3) stands next to the stop reason;
+        # with alpha3 = 0 there is no such condition and nothing is printed
+        cfg = write_cfg(tmp_path, STRIPE_TARGET + f"cost.alpha3 = {alpha3}\noptimizer.max_iter = 3\n")
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = capsys.readouterr().out
+        parsed = parse_config(cfg)
+        _, rep = optimize(build_problem(parsed), None, build_optimizer_options(parsed))
+        label = "optimality certificate ||u - P(-va/alpha3)||_Q"
+        if alpha3 == "0":
+            assert rep.certificate is None and label not in summary
+        else:
+            assert f"accepted steps, {label} = {rep.certificate:.3e}, J " in summary
+        assert "certificate" not in (tmp_path / "out" / "optim_report.csv").read_text()
 
     def test_verify_mass_pass_exit_0(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL)
