@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 import nsch
-from nsch.config import RunConfig, build_problem, reference_control, build_grid, build_time, build_bounds
+from nsch.config import RunConfig, build_problem, reference_control
 from nsch.control import norm_q
 
 OUT = "demo_output"
@@ -37,7 +37,7 @@ cfg = RunConfig({
     "cost.target_amplitude": 1.0,
 })
 problem = build_problem(cfg)
-u_ref = reference_control(cfg, build_grid(cfg), build_time(cfg), build_bounds(cfg))
+u_ref = reference_control(cfg)
 
 print("optimizing (one forward + one adjoint solve per accepted step) ...")
 u_opt, report = nsch.optimize(

@@ -176,10 +176,10 @@ def adjoint_step(
 def solve_adjoint(
     base: Trajectory,
     cost: CostSpec,
-    params: PhysParams,
     read: Callable[[int, FaceField], object] | None = None,
 ) -> list:
-    """March the adjoint system from T back to 0 along a stored trajectory.
+    """March the adjoint system from T back to 0 along a stored trajectory,
+    with the physics ``base.params`` that the trajectory was run with.
 
     Returns va at every node t_0..t_N (index matching the forward
     trajectory), the zero terminal va(T) last.  With a per-node map
@@ -187,9 +187,8 @@ def solve_adjoint(
     ``read`` runs on each va as the sweep forms it (n = N down to 0, after
     its finiteness check), and no va is kept.
     """
+    params, n_steps, dt = base.params, base.time.n_steps, base.time.dt
     require_unit_mobility(params, "the adjoint solver")
-    n_steps = base.time.n_steps
-    dt = base.time.dt
     if len(cost.phi_q) != n_steps + 1:
         raise ConfigError(
             f"running target has {len(cost.phi_q)} nodes, need {n_steps + 1}"

@@ -260,10 +260,11 @@ def build_optimizer_options(cfg: RunConfig) -> OptimizerOptions:
     )
 
 
-def reference_control(cfg: RunConfig, grid: GridSpec, time: TimeSpec, bounds: ControlBounds) -> FaceField:
+def reference_control(cfg: RunConfig) -> FaceField:
     """Seeded smooth admissible control used to manufacture tracking targets."""
-    u = smooth_control_series(grid, time, cfg["cost.target_seed"], cfg["cost.target_amplitude"])
-    return project_admissible(u, bounds)
+    u = smooth_control_series(build_grid(cfg), build_time(cfg), cfg["cost.target_seed"],
+                              cfg["cost.target_amplitude"])
+    return project_admissible(u, build_bounds(cfg))
 
 
 def build_problem(cfg: RunConfig) -> ControlProblem:
@@ -283,7 +284,7 @@ def build_problem(cfg: RunConfig) -> ControlProblem:
     a1, a2, a3 = cfg["cost.alpha1"], cfg["cost.alpha2"], cfg["cost.alpha3"]
     n_nodes = time.n_steps + 1
     if target == "tracking":
-        u_ref = reference_control(cfg, grid, time, bounds)
+        u_ref = reference_control(cfg)
         ref = simulate(v0, phi0, u_ref, time, params)
         cost = CostSpec(a1, a2, a3, [s.phi for s in ref.states], ref.final.phi)
     elif target == "initial":

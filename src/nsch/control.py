@@ -19,11 +19,12 @@ per-face derivatives of the discrete cost in the test suite).
 The admissible set is a componentwise box owned by the ``ControlProblem``
 (a control field carries no bounds); its L2 projection is the pointwise
 clamp (boundary normal faces are not control degrees of freedom and stay
-pinned at zero).  First-order stationarity is monitored through the
-unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}, and the loop stops
+pinned at zero).  One formula, the fixed-point residual
+||u - P(u - s g)||_{L2(Q)} (``stationarity_residual``), serves both
+stationarity measures.  The loop monitors its unit step s = 1 and stops
 when it falls below tol times its first value.  For alpha3 > 0 the paper's
 first-order condition is the projection formula u = P(-va/alpha3); its
-residual ||u - P(u - g/alpha3)||_{L2(Q)} is reported at the stop.
+residual, the step s = 1/alpha3, is reported at the stop.
 
 The optimizer is spectral projected gradient (Barzilai & Borwein, IMA J.
 Numer. Anal. 8, 1988; Birgin, Martinez & Raydan, SIAM J. Optim. 10, 2000):
@@ -37,12 +38,13 @@ J(u_s) <= J(u) - c1 <g, u - u_s>_Q, holds.
 The optimizer holds two control series, u and the gradient g, and
 overwrites both in place (``optimize`` lists what it holds per stage).  A
 trial P(u - s g) is a formula, not a series: a ``StepSeries`` whose step n
-is formed from u_n and g_n where it is read (``projected_step``).  After
-an acceptance the adjoint sweep hands each va(t_n) to a per-node map that
-forms the accepted step, writes it over u_n, forms g_n, reduces step n's
-two BB terms against du_n and g_prev,n, and only then writes g_n over
-g_prev,n, so no va, du or dg series is built.  Sums of floats run left to
-right (``ordered_sum``).
+is formed from u_n and g_n where it is read (``projected_step``).  Every
+adjoint sweep hands each va(t_n) to a per-node map that forms the accepted
+step, writes it over u_n, forms g_n, reduces step n's two BB terms against
+du_n and g_prev,n, and only then writes g_n over g_prev,n, so no va, du or
+dg series is built.  The first sweep runs the same map with step 0: u is
+already projected, so P(u_n - 0 g_n) is u_n bit for bit.  Sums of floats
+run left to right (``ordered_sum``).
 
 The seeded smooth directions are built here too.  Each is separable,
 profile(x) * mod(t_n), so ``smooth_direction`` holds the profile (one face
@@ -294,7 +296,7 @@ class ControlProblem:
     @cached_property
     def base_adjoint(self) -> list[FaceField]:
         """The adjoint velocity series va of the cost along ``base``."""
-        return solve_adjoint(self.base, self.cost, self.params)
+        return solve_adjoint(self.base, self.cost)
 
     def sensitivity(self, seed: int) -> tuple[StepSeries, list[ScalarField]]:
         """The unit seeded direction ``smooth_direction(grid, time, seed)``,
@@ -302,7 +304,7 @@ class ControlProblem:
         sensitivity along ``base``."""
         if seed not in self._sensitivities:
             h = smooth_direction(self.grid, self.time, seed)
-            self._sensitivities[seed] = (h, solve_linearized(self.base, h, self.params))
+            self._sensitivities[seed] = (h, solve_linearized(self.base, h))
         return self._sensitivities[seed]
 
 
@@ -368,11 +370,11 @@ def projected_step(u_n: FaceField, g_n: FaceField, s: float, bounds: ControlBoun
 
 
 def stationarity_residual(
-    u: FaceField, g: FaceField, bounds: ControlBounds, dt: float
+    u: FaceField, g: FaceField, bounds: ControlBounds, dt: float, s: float = 1.0
 ) -> float:
-    """Unit-step fixed-point residual ||u - P(u - g)||_{L2(Q)}, reduced one
-    step at a time as d_n = u_n - P(u_n - g_n)."""
-    return norm_q((u_n - _clamp(u_n - g_n, bounds) for u_n, g_n in zip(u, g)), dt)
+    """Fixed-point residual ||u - P(u - s g)||_{L2(Q)} of step s (the unit
+    step by default), reduced one step at a time as u_n - P(u_n - s g_n)."""
+    return norm_q((u_n - projected_step(u_n, g_n, s, bounds) for u_n, g_n in zip(u, g)), dt)
 
 
 def bound_violation(u: FaceField, bounds: ControlBounds) -> float:
@@ -415,11 +417,11 @@ def optimize(
       is a ``StepSeries``: the forward solve, the cost and the Armijo
       product each form its step n from u_n and g_n as they read it;
     * adjoint sweep: u, g and the accepted trajectory (whose control is
-      P(u - s g) at the accepted step s).  As the sweep reaches va(t_n) it
-      forms that step, du_n = u_new,n - u_n, writes u_new,n over u_n, then
-      forms g_n, dg_n = g_n - g_prev,n and the BB terms <du_n, dg_n>,
-      <dg_n, dg_n>, and only then writes g_n over g_prev,n, so neither the
-      va series nor du or dg is built.
+      P(u - s g) at the accepted step s, and s = 0 on the first sweep).
+      As every sweep reaches va(t_n) it forms that step, du_n = u_new,n -
+      u_n, writes u_new,n over u_n, then forms g_n, dg_n = g_n - g_prev,n
+      and the BB terms <du_n, dg_n>, <dg_n, dg_n>, and only then writes g_n
+      over g_prev,n, so neither the va series nor du or dg is built.
     """
     opts = options or OptimizerOptions()
     cost, bounds, dt = problem.cost, problem.bounds, problem.time.dt
@@ -436,12 +438,10 @@ def optimize(
         return StepSeries(n_steps, lambda n: projected_step(u[n], g[n], s, bounds))
 
     def read(n: int, va: FaceField) -> tuple[float, float] | None:
-        """Write g_n over g_prev,n.  After a step, first advance u_n to it in
-        place, and return step n's BB terms."""
+        """Advance u_n in place by the last accepted step (0 before the first
+        sweep: P(u_n - 0 g_n) is u_n bit for bit), write g_n over g_prev,n,
+        and return step n's BB terms."""
         if n == n_steps:  # va(T) acts on no step
-            return None
-        if it == 0:
-            g[n] = gradient_step(u[n], va, cost.alpha3)
             return None
         u_new = projected_step(u[n], g[n], last_step, bounds)
         report.max_bound_violation = max(report.max_bound_violation,
@@ -456,22 +456,20 @@ def optimize(
     def stop(reason: StopReason) -> tuple[FaceField, OptimReport]:
         report.reason = reason
         if cost.alpha3 > 0:  # step0 = 1/alpha3
-            report.certificate = norm_q(
-                (u_n - projected_step(u_n, g_n, step0, bounds) for u_n, g_n in zip(u, g)), dt)
+            report.certificate = stationarity_residual(u, g, bounds, dt, step0)
         return u, report
 
     if u0 is None:
         u0 = FaceField.zeros(grid, n_steps)
     u = project_admissible(u0, bounds)
     u0 = None  # not held through the run: only its projection is read
-    report.max_bound_violation = bound_violation(u, bounds)
     traj, j, comps = evaluate(u)
     g = FaceField.zeros(grid, n_steps)
 
     step0 = 1.0 / cost.alpha3 if cost.alpha3 > 0 else 1.0
     s, last_step = step0, 0.0
     for it in range(opts.max_iter + 1):
-        bb_terms = solve_adjoint(traj, cost, problem.params, read)[:n_steps]
+        bb_terms = solve_adjoint(traj, cost, read)[:n_steps]
         traj = None
         if it > 0:
             bb = _bb2_step(bb_terms, dt)

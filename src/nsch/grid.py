@@ -41,11 +41,14 @@ pure-derivative solves fix that gauge mode by returning the zero-mean
 solution.
 
 The inverse symbols of the direct solves here and in :mod:`nsch.mac` are
-built, checked and cached once per (grid, coefficients) key: :func:`cached_symbol`.
+built, checked and cached once per (grid, coefficients) key by
+``functools.cache``; a build that raises stores nothing, so its checks run
+on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -227,22 +230,6 @@ class FaceField:
     __rmul__ = __mul__
 
 
-_SYMBOLS: dict = {}
-
-
-def cached_symbol(build):
-    """Memoize ``build(grid, *coefficients)`` in the one symbol cache; a
-    build that raises stores nothing, so its checks run on every call."""
-
-    def cached(*key):
-        value = _SYMBOLS.get((build, *key))
-        if value is None:
-            value = _SYMBOLS[(build, *key)] = build(*key)
-        return value
-
-    return cached
-
-
 def eigenvalues_1d(modes: np.ndarray, n: int, h: float) -> np.ndarray:
     """-(2 - 2 cos(pi k / n)) / h^2: the 1-D second difference on cell size h
     acting on the cosine or sine mode k of an n-cell line, for k in ``modes``."""
@@ -393,7 +380,7 @@ def helmholtz_poly_solve(
     return ScalarField(grid, out)
 
 
-@cached_symbol
+@functools.cache
 def _poly_inverse_symbol(grid: GridSpec, a0, a1, a2, a3) -> tuple[np.ndarray, bool]:
     # (1/symbol, gauge); the inverse is zero on a singular constant mode.  A
     # mode is singular when its terms cancel to roundoff, judged against the

@@ -96,19 +96,19 @@ def linearized_step(
 def solve_linearized(
     base: Trajectory,
     h: FaceField | StepSeries | None,
-    params: PhysParams,
     read: Callable[[int, ScalarField], object] | None = None,
 ) -> list:
-    """Solve the sensitivity system with zero initial data along ``base``, for
-    the force perturbation series ``h`` (a force series as in ``simulate``;
-    a step-built one is formed step by step inside the sweep).
+    """Solve the sensitivity system with zero initial data along ``base``, with
+    its physics ``base.params``, for the force perturbation series ``h`` (a
+    force series as in ``simulate``; a step-built one is formed step by step
+    inside the sweep).
 
     Returns psi at every node t_0..t_N, psi(t_0) = 0 first.  With a per-node
     map ``read(k, psi_k)`` it returns ``read``'s results in that order
     instead: ``read`` runs on each psi as the sweep forms it (after its
     finiteness check), and no psi is kept.
     """
-    n_steps = base.time.n_steps
+    params, n_steps = base.params, base.time.n_steps
     check_steps(h, base.grid, n_steps, "perturbation")
 
     b0 = base.states[0]  # zero data with the base's batch axes, if any

@@ -15,15 +15,17 @@ The per-component Helmholtz solves (I - c*Lap) used by the semi-implicit
 viscous step are diagonalized exactly: sine transforms of type I along the
 component's own direction (Dirichlet at wall faces) and of type II along
 the transverse direction (reflection ghosts).  Their inverse symbols
-1/(1 - c*lam) are cached once per (grid, c) key in :mod:`nsch.grid`.
+1/(1 - c*lam) are cached once per (grid, c) key (``functools.cache``).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import fft
 
-from .grid import FaceField, GridSpec, ScalarField, cached_symbol, diff, eigenvalues_1d, mid
+from .grid import FaceField, GridSpec, ScalarField, diff, eigenvalues_1d, mid
 from .grid import fft_workers, gradient_to_faces, to_walls
 
 
@@ -168,7 +170,7 @@ def strain_contraction(v: Stencils, w: Stencils) -> np.ndarray:
 # implicit component solves
 
 
-@cached_symbol
+@functools.cache
 def _face_inverse_symbols(grid: GridSpec, c: float):
     # 1/(1 - c*lam) for the x- and y-component Laplacians
     nx, ny = grid.nx, grid.ny

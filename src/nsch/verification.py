@@ -168,7 +168,7 @@ def duality_gap(problem: ControlProblem, seed: int = 0, shared: bool = True) -> 
     sensitivity sweeps reduce each node to its terms as they form it, so
     neither series is held; the numbers are the same, bit for bit.
     """
-    time, cost, base, params = problem.time, problem.cost, problem.base, problem.params
+    time, cost, base = problem.time, problem.cost, problem.base
     dt, n_steps = time.dt, time.n_steps
     weights = trapezoid_weights(n_steps)
     h = problem.sensitivity(seed)[0] if shared else smooth_direction(problem.grid, time, seed)
@@ -187,8 +187,8 @@ def duality_gap(problem: ControlProblem, seed: int = 0, shared: bool = True) -> 
         lhs_terms = [lhs_term(n, va) for n, va in enumerate(problem.base_adjoint)]
         rhs_nodes = [rhs_terms(k, psi) for k, psi in enumerate(problem.sensitivity(seed)[1])]
     else:
-        lhs_terms = solve_adjoint(base, cost, params, lhs_term)
-        rhs_nodes = solve_linearized(base, h, params, rhs_terms)
+        lhs_terms = solve_adjoint(base, cost, lhs_term)
+        rhs_nodes = solve_linearized(base, h, rhs_terms)
 
     # each side summed in ascending node order; the rhs is the trapezoid in
     # time of the cost quadrature, from the terminal term on (psi(0) = 0)

@@ -553,7 +553,7 @@ def optimize(
     s, last_step = step0, 0.0
     u_prev = g_prev = None
     for it in range(opts.max_iter + 1):
-        g = reduced_gradient(u, solve_adjoint(traj, cost, problem.params), cost)
+        g = reduced_gradient(u, solve_adjoint(traj, cost), cost)
         traj = None
         if u_prev is not None:
             bb = _bb2_step(u, u_prev, g, g_prev, dt)

@@ -93,7 +93,7 @@ class TestHomogeneity:
 class TestStoredConsistency:
     def test_divergence_free_at_every_node(self, base_small, params):
         cost = tracking_cost(base_small)
-        adj = solve_adjoint(base_small, cost, params)
+        adj = solve_adjoint(base_small, cost)
         for va in adj:
             assert max_abs(divergence_of_faces(va)) < 1e-8
 
@@ -113,18 +113,23 @@ class TestRestStateDecoupling:
             assert max_abs(a.va) < 1e-13
 
 
+def rerun(base, params):
+    """``base``'s initial data and times, simulated with ``params``."""
+    return simulate(base.states[0].v, base.states[0].phi, None, base.time, params)
+
+
 class TestMobilityGuardrail:
     def test_nonconstant_mobility_rejected(self, base_small):
-        p = PhysParams(mob_amp=0.5)
-        cost = tracking_cost(base_small)
+        base = rerun(base_small, PhysParams(mob_amp=0.5))
+        cost = tracking_cost(base)
         with pytest.raises(ConfigError, match="constant unit mobility"):
-            solve_adjoint(base_small, cost, p)
+            solve_adjoint(base, cost)
 
     def test_nonunit_constant_mobility_rejected(self, base_small):
-        p = PhysParams(mob_const=2.0)
-        cost = tracking_cost(base_small)
+        base = rerun(base_small, PhysParams(mob_const=2.0))
+        cost = tracking_cost(base)
         with pytest.raises(ConfigError, match="constant unit mobility"):
-            solve_adjoint(base_small, cost, p)
+            solve_adjoint(base, cost)
 
 
 def dense_adjoint_step_oracle(b0, b1, phia, va, source, dt, params):
@@ -334,5 +339,5 @@ class TestBlowUp:
         base = simulate(swirl_velocity(grid, 0.5), bubble_phase(grid), None, ts, params)
         base.states[1].phi.values[3, 3] = np.nan
         with pytest.raises(BlowUpError, match=r"at step 1 in phia$") as info:
-            solve_adjoint(base, tracking_cost(base), params)
+            solve_adjoint(base, tracking_cost(base))
         assert info.value.step == 1

@@ -182,7 +182,7 @@ class TestReducedGradient:
     def test_alpha3_zero_returns_va(self, params):
         problem = small_problem(params, alpha3=0.0)
         traj = problem.simulate(None)
-        adj = solve_adjoint(traj, problem.cost, params)
+        adj = solve_adjoint(traj, problem.cost)
         u = FaceField.zeros(problem.grid, problem.time.n_steps)
         for n in range(problem.time.n_steps):
             g_n = control.gradient_step(u[n], adj[n], problem.cost.alpha3)
@@ -191,7 +191,7 @@ class TestReducedGradient:
     def test_zero_adjoint_returns_scaled_u(self, params, rng):
         problem = small_problem(params, alpha1=0.0, alpha2=0.0, alpha3=1.0)
         traj = problem.simulate(None)
-        adj = solve_adjoint(traj, problem.cost, params)
+        adj = solve_adjoint(traj, problem.cost)
         u = stack_faces([random_face(problem.grid, rng) for _ in range(problem.time.n_steps)])
         for n in range(problem.time.n_steps):
             g_n = control.gradient_step(u[n], adj[n], problem.cost.alpha3)
@@ -205,11 +205,11 @@ class TestReducedGradient:
         problem = small_problem(params, alpha3=0.0, T=0.02)
         grid, ts, cost = problem.grid, problem.time, problem.cost
         base = problem.simulate(None)
-        adj = solve_adjoint(base, cost, params)
+        adj = solve_adjoint(base, cost)
         n_steps = ts.n_steps
 
         def tracking_derivative(h):
-            lin = solve_linearized(base, h, params)
+            lin = solve_linearized(base, h)
             val = cost.alpha2 * scalar_inner(
                 base.final.phi - cost.phi_omega, lin[-1]
             )
@@ -445,13 +445,13 @@ class TestOptimize:
         n_steps = problem.time.n_steps
         held_at_last_read = []
 
-        def tracked(base, cost, params, read):
+        def tracked(base, cost, read):
             def counted(n, va):
                 out = read(n, va)
                 if n == 0:
                     held_at_last_read.append(len(stored_series(problem.grid, n_steps)))
                 return out
-            out = real(base, cost, params, counted)
+            out = real(base, cost, counted)
             assert not any(isinstance(r, FaceField) for r in out)
             return out
 
@@ -482,13 +482,13 @@ class TestOptimize:
             count()
             return real_forward(*args, **kwargs)
 
-        def tracked_sweep(base, cost, params, read):
+        def tracked_sweep(base, cost, read):
             def counted(n, va):
                 out = read(n, va)
                 if n == 0:
                     count()
                 return out
-            return real_sweep(base, cost, params, counted)
+            return real_sweep(base, cost, counted)
 
         real_forward, real_sweep = control.simulate, control.solve_adjoint
         monkeypatch.setattr(control, "simulate", tracked_forward)
@@ -557,7 +557,7 @@ class TestOptimize:
         problem = replace(small_problem(params, **setup), bounds=bounds)
         u, rep = optimize(problem, None, opts)
         assert rep.reason is reason
-        va = solve_adjoint(problem.simulate(u), problem.cost, params)
+        va = solve_adjoint(problem.simulate(u), problem.cost)
         scale = -1.0 / problem.cost.alpha3
         ref = norm_q((u_n - project_admissible(va_n * scale, bounds) for u_n, va_n in zip(u, va)),
                      problem.time.dt)

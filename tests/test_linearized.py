@@ -56,7 +56,7 @@ class TestHomogeneity:
     def test_zero_h_list(self, base_small, params):
         grid = base_small.grid
         h = FaceField.zeros(grid, base_small.time.n_steps)
-        out = solve_linearized(base_small, h, params)
+        out = solve_linearized(base_small, h)
         assert max_abs(out[-1]) == 0.0
 
 
@@ -88,9 +88,9 @@ class TestLinearity:
         h1 = smooth_control_series(grid, ts, 5)
         h2 = smooth_control_series(grid, ts, 9)
         combo = 1.5 * h1 + (-2.0) * h2
-        o1 = solve_linearized(base_small, h1, params)
-        o2 = solve_linearized(base_small, h2, params)
-        o12 = solve_linearized(base_small, combo, params)
+        o1 = solve_linearized(base_small, h1)
+        o2 = solve_linearized(base_small, h2)
+        o12 = solve_linearized(base_small, combo)
         for l12, l1, l2 in zip(o12, o1, o2):
             expect = 1.5 * l1.values - 2.0 * l2.values
             assert np.abs(l12.values - expect).max() < 1e-11 * max(
@@ -101,7 +101,7 @@ class TestLinearity:
 class TestMeanConservation:
     def test_psi_mean_stays_zero(self, base_small, params):
         h = smooth_control_series(base_small.grid, base_small.time, 3)
-        out = solve_linearized(base_small, h, params)
+        out = solve_linearized(base_small, h)
         for psi in out:
             assert abs(psi.mean()) < 1e-12
 
@@ -257,7 +257,7 @@ class TestFrechetProperty:
         phi0, v0 = bubble_phase(grid), swirl_velocity(grid, 1.0)
         base = simulate(v0, phi0, None, ts, params)
         h = smooth_control_series(grid, ts, 3)
-        lin = solve_linearized(base, h, params)
+        lin = solve_linearized(base, h)
 
         def defect(eps):
             pert = simulate(v0, phi0, eps * h, ts, params)
@@ -273,10 +273,10 @@ class TestFrechetProperty:
 
     def test_h_length_mismatch(self, base_small, params):
         with pytest.raises(ConfigError):
-            solve_linearized(base_small, FaceField.zeros(base_small.grid, 1), params)
+            solve_linearized(base_small, FaceField.zeros(base_small.grid, 1))
         # a single field is not a series: it has no step axis
         with pytest.raises(ConfigError, match="perturbation series has no step axis"):
-            solve_linearized(base_small, FaceField.zeros(base_small.grid), params)
+            solve_linearized(base_small, FaceField.zeros(base_small.grid))
 
 
 class TestNonconstantMobility:
@@ -289,7 +289,7 @@ class TestNonconstantMobility:
         phi0, v0 = bubble_phase(grid), swirl_velocity(grid, 0.5)
         base = simulate(v0, phi0, None, ts, p)
         h = smooth_control_series(grid, ts, 3)
-        lin = solve_linearized(base, h, p)
+        lin = solve_linearized(base, h)
 
         def defect(eps):
             pert = simulate(v0, phi0, eps * h, ts, p)
@@ -398,5 +398,5 @@ class TestSharedScheme:
         h = smooth_control_series(base_small.grid, base_small.time, 3)
         h[1].x[2, 2] = np.nan
         with pytest.raises(BlowUpError, match=r"at step 2 in psi$") as info:
-            solve_linearized(base_small, h, params)
+            solve_linearized(base_small, h)
         assert info.value.step == 2

@@ -59,7 +59,7 @@ class TestCheckSteps:
         messages = []
         for solve, name in ((lambda: simulate(base.states[0].v, base.states[0].phi, series,
                                               TIME, params), "control"),
-                            (lambda: solve_linearized(base, series, params), "perturbation")):
+                            (lambda: solve_linearized(base, series), "perturbation")):
             with pytest.raises(ConfigError, match=f"^{name} series") as err:
                 solve()
             messages.append(str(err.value))
@@ -116,8 +116,8 @@ class TestEquivalence:
 
     def test_solve_linearized_either_kind(self, base, params):
         h = smooth_direction(GRID, TIME, 3)
-        for a, b in zip(solve_linearized(base, h, params),
-                        solve_linearized(base, stored(h), params), strict=True):
+        for a, b in zip(solve_linearized(base, h),
+                        solve_linearized(base, stored(h)), strict=True):
             assert np.array_equal(a.values, b.values)
 
 

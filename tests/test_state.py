@@ -391,8 +391,8 @@ class TestLeanTrajectory:
         n_steps = traj.time.n_steps
         tgt = stripe_phase(traj.grid)
         cost = CostSpec(1.0, 1.0, 0.1, [tgt] * (n_steps + 1), tgt)
-        solve_linearized(traj, smooth_control_series(traj.grid, traj.time, 3), params)
-        solve_adjoint(traj, cost, params)
+        solve_linearized(traj, smooth_control_series(traj.grid, traj.time, 3))
+        solve_adjoint(traj, cost)
         # each sweep builds mu (and the sensitivity theta) once per step, at the
         # node the step leaves: the final node of the sensitivity costs nothing
         assert calls == {"linearized": n_steps, "adjoint": n_steps, "state": 0, "theta": n_steps}
@@ -476,8 +476,8 @@ class TestFftWorkers:
             lin = oracles.full_linearized_sweep(base, h, params)
             adj = oracles.full_adjoint_sweep(base, cost, params)
             return ([a for s in base.states for a in (s.v.x, s.v.y, s.phi.values)]
-                    + [psi.values for psi in solve_linearized(base, h, params)]
-                    + [a for va in solve_adjoint(base, cost, params) for a in (va.x, va.y)]
+                    + [psi.values for psi in solve_linearized(base, h)]
+                    + [a for va in solve_adjoint(base, cost) for a in (va.x, va.y)]
                     + [a for s in lin for a in (s.w.x, s.w.y, s.psi.values, s.theta.values)]
                     + [a for s in adj for a in (s.va.x, s.va.y, s.phia.values)])
 

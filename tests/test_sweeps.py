@@ -63,21 +63,21 @@ def assert_only(obj, expected):
 class TestOracleSweeps:
     def test_psi_bit_identical(self, case, params):
         base, h, _ = case
-        lean = solve_linearized(base, h, params)
+        lean = solve_linearized(base, h)
         full = oracles.full_linearized_sweep(base, h, params)
         for psi, node in zip(lean, full, strict=True):
             assert np.array_equal(psi.values, node.psi.values)
 
     def test_va_bit_identical(self, case, params):
         base, _, cost = case
-        lean = solve_adjoint(base, cost, params)
+        lean = solve_adjoint(base, cost)
         full = oracles.full_adjoint_sweep(base, cost, params)
         for va, node in zip(lean, full, strict=True):
             assert np.array_equal(va.x, node.va.x) and np.array_equal(va.y, node.va.y)
 
     def test_batched_va_stacks_and_matches_members(self, case, params):
         base, h, cost = case
-        adj = solve_adjoint(base, cost, params)
+        adj = solve_adjoint(base, cost)
         # the zero terminal va carries the batch axes too, so the series stacks
         x, y = np.stack([va.x for va in adj]), np.stack([va.y for va in adj])
         lead = base.states[0].phi.values.shape[:-2]
@@ -87,14 +87,14 @@ class TestOracleSweeps:
             return
         for m, swirl in enumerate(SWIRLS):
             single = simulate(swirl_velocity(GRID, swirl), bubble_phase(GRID), h, TIME, params)
-            for k, va in enumerate(solve_adjoint(single, cost, params)):
+            for k, va in enumerate(solve_adjoint(single, cost)):
                 assert np.array_equal(x[k, m], va.x) and np.array_equal(y[k, m], va.y)
 
 
 class TestLeanStructure:
     def test_sensitivity_holds_only_psi(self, case, params):
         base, h, _ = case
-        lin = solve_linearized(base, h, params)
+        lin = solve_linearized(base, h)
         assert len(lin) == TIME.n_steps + 1
         assert all(isinstance(psi, ScalarField) for psi in lin)
         assert not lin[0].values.any()  # psi(0) = 0 first
@@ -102,7 +102,7 @@ class TestLeanStructure:
 
     def test_adjoint_holds_only_va(self, case, params):
         base, _, cost = case
-        adj = solve_adjoint(base, cost, params)
+        adj = solve_adjoint(base, cost)
         # one entry per node, the zero terminal va last: perfbench/run.py
         # reads len(adj) - 1 as the adjoint steps of a traced solve and
         # cross-checks it against the traced adjoint_step calls
@@ -130,8 +130,8 @@ def run_sweep(kind, case, params, read=None):
     """The adjoint or the sensitivity sweep of ``case``, with an optional map."""
     base, h, cost = case
     if kind == "adjoint":
-        return solve_adjoint(base, cost, params, read)
-    return solve_linearized(base, h, params, read)
+        return solve_adjoint(base, cost, read)
+    return solve_linearized(base, h, read)
 
 
 def node_arrays(node):
