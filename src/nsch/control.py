@@ -39,12 +39,11 @@ The optimizer holds two control series, u and the gradient g, and
 overwrites both in place (``optimize`` lists what it holds per stage).  A
 trial P(u - s g) is a formula, not a series: a ``StepSeries`` whose step n
 is formed from u_n and g_n where it is read (``projected_step``).  Every
-adjoint sweep hands each va(t_n) to a per-node map that forms the accepted
-step, writes it over u_n, forms g_n, reduces step n's two BB terms against
-du_n and g_prev,n, and only then writes g_n over g_prev,n, so no va, du or
-dg series is built.  The first sweep runs the same map with step 0: u is
-already projected, so P(u_n - 0 g_n) is u_n bit for bit.  Sums of floats
-run left to right (``ordered_sum``).
+adjoint sweep hands each va(t_n) to a per-node map that reads step n of the
+accepted run's control, writes it over u_n, forms g_n, reduces step n's two
+BB terms against du_n and g_prev,n, and only then writes g_n over g_prev,n,
+so no va, du or dg series is built.  Sums of floats run left to right
+(``ordered_sum``).
 
 The seeded smooth directions are built here too.  Each is separable,
 profile(x) * mod(t_n), so ``smooth_direction`` holds the profile (one face
@@ -67,7 +66,7 @@ import numpy as np
 
 from .adjoint import require_unit_mobility, solve_adjoint
 from .constitutive import CostSpec, PhysParams
-from .errors import ConfigError
+from .errors import BlowUpError, ConfigError
 from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
 from .linearized import solve_linearized
 from .state import (
@@ -271,7 +270,7 @@ class ControlProblem:
         """``[self.simulate(u) for u in controls]`` bit for bit, as one forward
         sweep with a leading batch axis: the batched force of step n stacks the
         members' step-n fields when the sweep reads it; the trajectories are
-        views."""
+        views, and each records its own member's control."""
         grid, b, n_steps = self.grid, len(controls), self.time.n_steps
         for c in controls:
             check_steps(c, grid, n_steps, "control")
@@ -285,8 +284,8 @@ class ControlProblem:
         phi0 = ScalarField(grid, np.stack([self.phi0.values] * b))
         batch = simulate(v0, phi0, u, self.time, self.params).states
         return [Trajectory(grid, self.time, self.params,
-                           [State(s.v[m], s.phi[m]) for s in batch])
-                for m in range(b)]
+                           [State(s.v[m], s.phi[m]) for s in batch], c)
+                for m, c in enumerate(controls)]
 
     @cached_property
     def base(self) -> Trajectory:
@@ -308,12 +307,9 @@ class ControlProblem:
         return self._sensitivities[seed]
 
 
-def evaluate_cost(
-    traj: Trajectory, u: FaceField | StepSeries | None, cost: CostSpec
-) -> tuple[float, dict]:
-    """Evaluate J and its three components on a trajectory/control pair."""
-    n = traj.time.n_steps
-    check_steps(u, traj.grid, n, "control")
+def evaluate_cost(traj: Trajectory, cost: CostSpec) -> tuple[float, dict]:
+    """J and its three components on a trajectory and its ``control``."""
+    n, u = traj.time.n_steps, traj.control
     if len(cost.phi_q) != n + 1:
         raise ConfigError(f"running target has {len(cost.phi_q)} nodes, need {n + 1}")
     dt = traj.time.dt
@@ -404,7 +400,8 @@ def optimize(
     the unit-step fixed-point residual falls below tol times its first
     value, after max_iter accepted iterations, when backtrack_max halvings
     find no acceptable step, or when a rejected trial's Armijo decrease is
-    below what J resolves (J minus it rounds to J).  At every stop with
+    below what J resolves (J minus it rounds to J).  A trial whose forward
+    solve blows up is a rejected trial with J = inf.  At every stop with
     alpha3 > 0 the report holds the paper's optimality certificate
     ||u - P(u - g/alpha3)||_Q = ||u - P(-va/alpha3)||_Q.
 
@@ -416,12 +413,12 @@ def optimize(
     * line search: u, g, and the trial's trajectory.  The trial P(u - s g)
       is a ``StepSeries``: the forward solve, the cost and the Armijo
       product each form its step n from u_n and g_n as they read it;
-    * adjoint sweep: u, g and the accepted trajectory (whose control is
-      P(u - s g) at the accepted step s, and s = 0 on the first sweep).
-      As every sweep reaches va(t_n) it forms that step, du_n = u_new,n -
-      u_n, writes u_new,n over u_n, then forms g_n, dg_n = g_n - g_prev,n
-      and the BB terms <du_n, dg_n>, <dg_n, dg_n>, and only then writes g_n
-      over g_prev,n, so neither the va series nor du or dg is built.
+    * adjoint sweep: u, g and the accepted trajectory, whose control is u on
+      the first sweep and P(u - s g) at the accepted step s after it.  As
+      every sweep reaches va(t_n) it reads that control's step n, du_n =
+      u_new,n - u_n, writes u_new,n over u_n, then forms g_n, dg_n = g_n -
+      g_prev,n and the BB terms <du_n, dg_n>, <dg_n, dg_n>, and only then
+      writes g_n over g_prev,n, so neither the va series nor du or dg is built.
     """
     opts = options or OptimizerOptions()
     cost, bounds, dt = problem.cost, problem.bounds, problem.time.dt
@@ -430,20 +427,19 @@ def optimize(
     report = OptimReport()
 
     def evaluate(u: FaceField | StepSeries):
+        report.n_simulations += 1  # a solve that blows up counts too
         traj = problem.simulate(u)
-        report.n_simulations += 1
-        return (traj, *evaluate_cost(traj, u, cost))
+        return (traj, *evaluate_cost(traj, cost))
 
     def trial(s: float) -> StepSeries:
         return StepSeries(n_steps, lambda n: projected_step(u[n], g[n], s, bounds))
 
     def read(n: int, va: FaceField) -> tuple[float, float] | None:
-        """Advance u_n in place by the last accepted step (0 before the first
-        sweep: P(u_n - 0 g_n) is u_n bit for bit), write g_n over g_prev,n,
-        and return step n's BB terms."""
+        """Advance u_n in place to step n of the accepted run's control, write
+        g_n over g_prev,n, and return step n's BB terms."""
         if n == n_steps:  # va(T) acts on no step
             return None
-        u_new = projected_step(u[n], g[n], last_step, bounds)
+        u_new = traj.control[n]  # a trial step reads u_n and g_n: read it first
         report.max_bound_violation = max(report.max_bound_violation,
                                          bound_violation(u_new, bounds))
         du_n = u_new - u[n]
@@ -490,7 +486,10 @@ def optimize(
 
         for _ in range(opts.backtrack_max + 1):
             u_s = trial(s)
-            traj, j_trial, comps_trial = evaluate(u_s)
+            try:
+                traj, j_trial, comps_trial = evaluate(u_s)
+            except BlowUpError:  # a step too long for the forward solve
+                j_trial, comps_trial = np.inf, dict.fromkeys(comps, np.inf)
             target = j - opts.armijo_c1 * inner_q(g, (a - b for a, b in zip(u, u_s)), dt)
             if j_trial <= target:
                 break

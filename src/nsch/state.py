@@ -120,14 +120,17 @@ class State:
 
 @dataclass
 class Trajectory:
-    """Forward states at t_n = n*dt, n = 0..N; the per-node ``diagnostics``
-    (one series per DIAGNOSTIC_COLUMNS entry) are computed from them on first
-    read and cached."""
+    """Forward states at t_n = n*dt, n = 0..N, and the force series
+    ``control`` they were run with (None if unforced); the per-node
+    ``diagnostics`` (one series per DIAGNOSTIC_COLUMNS entry) are computed
+    from them on first read and cached.  A ``StepSeries`` control is formed
+    again where it is read, so read its step n before changing its inputs."""
 
     grid: GridSpec
     time: TimeSpec
     params: PhysParams
     states: list[State]
+    control: FaceField | StepSeries | None = None
 
     @cached_property
     def diagnostics(self) -> dict[str, np.ndarray]:
@@ -313,10 +316,11 @@ def simulate(
     """Run the forward solver and record the state at every node.
 
     ``u`` is the body-force series, a face field with a leading step axis or
-    a ``StepSeries`` (or None for an unforced run).  The initial velocity is
-    projected once so the stored v(0) is discretely divergence-free.  Fields
-    with a leading batch axis run one problem per member in one sweep; so does
-    each step field of the force (``ControlProblem.simulate_many``).
+    a ``StepSeries`` (or None for an unforced run), kept as the trajectory's
+    ``control``.  The initial velocity is projected once so the stored v(0)
+    is discretely divergence-free.  Fields with a leading batch axis run one
+    problem per member in one sweep; so does each step field of the force
+    (``ControlProblem.simulate_many``).
     """
     grid = phi0.grid
     n_steps = time.n_steps
@@ -334,7 +338,7 @@ def simulate(
         del mu
         check_finite(n + 1, {"phi": phi.values, "v.x": v.x, "v.y": v.y})
         states.append(State(v, phi))
-    return Trajectory(grid=grid, time=time, params=params, states=states)
+    return Trajectory(grid=grid, time=time, params=params, states=states, control=u)
 
 
 def energy_balance_residual(traj: Trajectory) -> float:

@@ -231,7 +231,7 @@ def verify_gradient(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     dirs = [smooth_direction(grid, time, seed + 1000 * i + 7)
             for i in range(GRADIENT_DIRECTIONS)]
     pm = [u for h in dirs for u in _perturbations(grid, h, (eps, -eps))]  # one batch
-    costs = [evaluate_cost(traj, u, cost)[0] for traj, u in zip(problem.simulate_many(pm), pm)]
+    costs = [evaluate_cost(traj, cost)[0] for traj in problem.simulate_many(pm)]
 
     adj_dirs, fd_dirs, rel_errors = [], [], []
     for i, h in enumerate(dirs):

@@ -540,7 +540,7 @@ def optimize(
     def evaluate(u: FaceField):
         traj = problem.simulate(u)
         report.n_simulations += 1
-        return (traj, *evaluate_cost(traj, u, cost))
+        return (traj, *evaluate_cost(traj, cost))
 
     if u0 is None:
         u0 = FaceField.zeros(problem.grid, problem.time.n_steps)

@@ -385,6 +385,29 @@ class TestCli:
         summary = capsys.readouterr().out
         assert int(re.search(r"converged after (\d+) accepted steps", summary).group(1)) >= 1
 
+    def test_blown_trial_is_a_rejected_trial(self, tmp_path, capsys):
+        # in a box of +-1e10 the first trial step 1/alpha3 = 1e7 blows up
+        # the forward solve: that trial is rejected, counted as a solve and
+        # recorded with J = inf, and the halved steps go on
+        cfg = write_cfg(tmp_path, STRIPE_TARGET + "cost.alpha2 = 1e7\n"
+                        "bounds.u_min = -1e10\nbounds.u_max = 1e10\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert int(re.search(r"after (\d+) accepted steps", summary).group(1)) >= 1
+        rows = (out / "optim_report.csv").read_text().splitlines()[1:]
+        assert rows[1].startswith("1,inf,inf,inf,inf,") and rows[1].endswith(",0")
+        run = parse_config(cfg)
+        _, rep = optimize(build_problem(run), None, build_optimizer_options(run))
+        assert rep.n_simulations == len(rep.rows) == len(rows)
+
+    def test_initial_solve_blow_up_exit_1(self, tmp_path, capsys):
+        # only a line-search trial may blow up: a blow-up of the first
+        # solve, at u = 0, stops the run and names its step and field
+        cfg = write_cfg(tmp_path, SMALL.replace("init.swirl = 0.5", "init.swirl = 5e5"))
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "blow-up detected at step 1 in v.x" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["optimize"], ["verify", "duality"]])
     @pytest.mark.parametrize("key, value", [("cost.alpha1", "1e308"), ("cost.alpha2", "1e308"),
                                             ("cost.alpha1", "1e300"), ("cost.alpha2", "1e300")])

@@ -109,35 +109,35 @@ class TestEvaluateCost:
     def test_perfect_tracking_zero_cost(self, params):
         grid = GridSpec(8, 8, 4.0, 4.0)
         ts = TimeSpec(0.004, 1e-3)
-        traj = simulate(FaceField.zeros(grid), bubble_phase(grid), None, ts, params)
-        cost = CostSpec(1.0, 1.0, 1.0, [s.phi for s in traj.states], traj.final.phi)
         u = FaceField.zeros(grid, ts.n_steps)
-        j, comps = evaluate_cost(traj, u, cost)
+        traj = simulate(FaceField.zeros(grid), bubble_phase(grid), u, ts, params)
+        cost = CostSpec(1.0, 1.0, 1.0, [s.phi for s in traj.states], traj.final.phi)
+        j, comps = evaluate_cost(traj, cost)
         assert j == pytest.approx(0.0, abs=1e-16)
 
     def test_unit_control_on_unit_square(self, params):
         # alpha3 = 2, |u| = 1 in x, |Omega| = 1, T = 1 => J = 1 exactly
         grid = GridSpec(8, 8, 1.0, 1.0)
         ts = TimeSpec(1.0, 0.125)
-        traj = simulate(FaceField.zeros(grid), ScalarField.full(grid, 1.0), None, ts, params)
         u = FaceField.zeros(grid, ts.n_steps)
         for f in u:
             f.x[:, :] = 1.0
+        traj = simulate(FaceField.zeros(grid), ScalarField.full(grid, 1.0), u, ts, params)
         zero = ScalarField.zeros(grid)
         cost = CostSpec(0.0, 0.0, 2.0, [zero] * (ts.n_steps + 1), zero)
-        j, comps = evaluate_cost(traj, u, cost)
+        j, comps = evaluate_cost(traj, cost)
         assert j == pytest.approx(1.0, rel=1e-13)
         assert comps["control"] == pytest.approx(1.0, rel=1e-13)
 
     def test_against_double_loop_oracle(self, params, rng):
         grid = GridSpec(6, 5, 1.5, 1.2)
         ts = TimeSpec(0.004, 1e-3)
-        traj = simulate(FaceField.zeros(grid), bubble_phase(grid), None, ts, params)
         n = ts.n_steps
         tgt = [ScalarField(grid, rng.standard_normal((6, 5))) for _ in range(n + 1)]
         cost = CostSpec(0.7, 1.3, 2.1, tgt, tgt[-1])
         u = stack_faces([random_face(grid, rng) for _ in range(n)])
-        j, _ = evaluate_cost(traj, u, cost)
+        traj = simulate(FaceField.zeros(grid), bubble_phase(grid), u, ts, params)
+        j, _ = evaluate_cost(traj, cost)
 
         # naive summation oracle
         vol = grid.cell_volume
@@ -169,13 +169,12 @@ class TestEvaluateCost:
         assert j == pytest.approx(jt + jterm + jc, rel=1e-12)
 
     def test_grid_time_mismatch(self, params):
+        # the cost reads the control of the run, so the run rejects a
+        # control of the wrong length
         grid = GridSpec(8, 8, 4.0, 4.0)
         ts = TimeSpec(0.004, 1e-3)
-        traj = simulate(FaceField.zeros(grid), bubble_phase(grid), None, ts, params)
-        zero = ScalarField.zeros(grid)
-        cost = CostSpec(1.0, 0.0, 0.0, [zero] * (ts.n_steps + 1), zero)
-        with pytest.raises(ConfigError):
-            evaluate_cost(traj, FaceField.zeros(grid, 2), cost)
+        with pytest.raises(ConfigError, match="2 entries, need 4"):
+            simulate(FaceField.zeros(grid), bubble_phase(grid), FaceField.zeros(grid, 2), ts, params)
 
 
 class TestReducedGradient:
@@ -361,6 +360,41 @@ class TestOptimize:
         assert rep.reason is reason
         assert rep.n_simulations == calls["forward"] == len(rep.rows)
         assert calls["adjoint"] == accepted + 1
+
+    def test_projected_steps_formed_per_trial(self, params, monkeypatch):
+        # an N-step trial forms 3N+1 steps: N in its forward solve, 1 in the
+        # solve's step check, N in the cost and N in the Armijo product; the
+        # first adjoint sweep reads the stored u and forms none, a later one
+        # reads the N steps of its accepted trial
+        marks, formed = [], [0]
+
+        def counted_step(*args):
+            formed[0] += 1
+            return real_step(*args)
+
+        def marked(name, fn):
+            def wrapper(*args, **kwargs):
+                marks.append((name, formed[0]))
+                out = fn(*args, **kwargs)
+                if name == "sweep":
+                    marks.append(("sweep end", formed[0]))
+                return out
+            return wrapper
+
+        real_step = control.projected_step
+        monkeypatch.setattr(control, "projected_step", counted_step)
+        monkeypatch.setattr(control, "simulate", marked("forward", control.simulate))
+        monkeypatch.setattr(control, "solve_adjoint", marked("sweep", control.solve_adjoint))
+        problem = small_problem(params, alpha1=0.0, alpha3=1e-6, T=1.0, dt=0.05)
+        problem = replace(problem, bounds=ControlBounds(-10.0, 10.0))
+        _, rep = optimize(problem, None, OptimizerOptions(tol=1e-5, max_iter=6))
+        n = problem.time.n_steps
+        assert any(row[8] == 0 for row in rep.rows)
+        trials = [b - a for (name, a), (_, b) in zip(marks[1:], marks[2:]) if name == "forward"]
+        sweeps = [b - a for (name, a), (_, b) in zip(marks, marks[1:]) if name == "sweep"]
+        assert len(trials) == rep.n_simulations - 1 and trials == [3 * n + 1] * len(trials)
+        assert len(sweeps) == len(rep.accepted_J()) > 2
+        assert sweeps == [0] + [n] * (len(sweeps) - 1)
 
     def test_stops_at_the_roundoff_of_J(self, params):
         # after one step the bounds pin the iterate: the projected step's
@@ -587,7 +621,7 @@ class TestQuadratureAndOptions:
         n, dt = ts.n_steps, ts.dt
         tgt = [ScalarField(grid, rng.standard_normal((6, 5))) for _ in range(n + 1)]
         cost = CostSpec(0.7, 1.3, 2.1, tgt, tgt[-1])
-        _, comps = evaluate_cost(traj, None, cost)
+        _, comps = evaluate_cost(traj, cost)
         j_track = 0.0
         for k, state in enumerate(traj.states):
             w = 0.5 if k in (0, n) else 1.0
@@ -629,7 +663,8 @@ class TestSimulateMany:
                 assert set(vars(b)) == {"v", "phi"}
                 for x, y in ((a.v.x, b.v.x), (a.v.y, b.v.y), (a.phi.values, b.phi.values)):
                     assert np.array_equal(x, y)
-            assert evaluate_cost(traj, u, problem.cost) == evaluate_cost(ref, u, problem.cost)
+            assert traj.control is u
+            assert evaluate_cost(traj, problem.cost) == evaluate_cost(ref, problem.cost)
 
     def test_member_diagnostics_equal_single_runs(self, params, rng):
         problem = small_problem(params, n=10, T=0.005)
