@@ -173,8 +173,9 @@ class TestEvaluateCost:
         # control of the wrong length
         grid = GridSpec(8, 8, 4.0, 4.0)
         ts = TimeSpec(0.004, 1e-3)
+        u = FaceField.zeros(grid, 2)
         with pytest.raises(ConfigError, match="2 entries, need 4"):
-            simulate(FaceField.zeros(grid), bubble_phase(grid), FaceField.zeros(grid, 2), ts, params)
+            simulate(FaceField.zeros(grid), bubble_phase(grid), u, ts, params)
 
 
 class TestReducedGradient:
