@@ -48,7 +48,7 @@ print(f"balance defect at dt/2    : {nsch.energy_balance_residual(half):.3e} (ab
 
 csv_path = os.path.join(OUT, "bubble_diagnostics.csv")
 write_diagnostics_csv(csv_path, traj)
-write_scalar(os.path.join(OUT, "bubble_phi_start.nschf"), traj.states[0].phi, "phi", 0.0)
+write_scalar(os.path.join(OUT, "bubble_phi_start.nschf"), traj[0].phi, "phi", 0.0)
 write_scalar(os.path.join(OUT, "bubble_phi_end.nschf"), traj.final.phi, "phi", time.T)
 print(f"wrote {csv_path} and phase snapshots")
 

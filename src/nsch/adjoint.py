@@ -199,7 +199,7 @@ def solve_adjoint(
     def source(n: int) -> ScalarField | None:
         if cost.alpha1 == 0.0:
             return None
-        misfit = base.states[n].phi - cost.phi_q[n]
+        misfit = base[n].phi - cost.phi_q[n]
         return ScalarField(base.grid, cost.alpha1 * weights[n] * misfit.values)
 
     # the half-weighted final tracking node rides along with the terminal data
@@ -212,7 +212,7 @@ def solve_adjoint(
 
     for n in range(n_steps - 1, -1, -1):
         va, phia = adjoint_step(
-            base.states[n], base.states[n + 1], va, phia, source(n), dt, params
+            base[n], base[n + 1], va, phia, source(n), dt, params
         )
         # phia is linear in the cost weights, so the phase field's blow-up
         # limit does not bound it: only an inf or NaN is a blow-up

@@ -22,6 +22,7 @@ line search, failed identity check), 2 on configuration errors.  The
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -41,13 +42,21 @@ def _load(args, seed: int | None = None) -> cfgmod.RunConfig:
     return cfg
 
 
-def _outdir(cfg) -> str:
-    path = cfg["output.dir"]
+@contextlib.contextmanager
+def _writing(cfg):
+    """Writes under ``output.dir``: an OSError (a name taken by a file or a
+    directory, a denied permission) is a ConfigError naming ``output.dir``
+    and the file."""
     try:
-        os.makedirs(path, exist_ok=True)
+        yield
     except OSError as exc:
-        raise ConfigError(f"output.dir '{path}' cannot be used as a directory: {exc}") from exc
-    return path
+        raise ConfigError(f"output.dir '{cfg['output.dir']}' cannot be written: {exc}") from exc
+
+
+def _outdir(cfg) -> str:
+    with _writing(cfg):
+        os.makedirs(cfg["output.dir"], exist_ok=True)
+    return cfg["output.dir"]
 
 
 def cmd_simulate(args) -> int:
@@ -62,10 +71,11 @@ def cmd_simulate(args) -> int:
 
     traj = simulate(v0, phi0, None, time, params)
     csv_path = os.path.join(outdir, "diagnostics.csv")
-    write_diagnostics_csv(csv_path, traj)
     stride = cfg["output.snapshot_stride"]
-    if stride > 0:
-        write_trajectory_snapshots(outdir, traj, stride)
+    with _writing(cfg):
+        write_diagnostics_csv(csv_path, traj)
+        if stride > 0:
+            write_trajectory_snapshots(outdir, traj, stride)
     d = traj.diagnostics
     print(
         f"simulated {time.n_steps} steps on {grid.nx}x{grid.ny}: "
@@ -83,14 +93,15 @@ def cmd_optimize(args) -> int:
 
     u_opt, report = optimize(problem, None, options)
     csv_path = os.path.join(outdir, "optim_report.csv")
-    report.to_csv(csv_path)
     stride = cfg["output.snapshot_stride"]
-    if stride > 0:
-        for n in range(0, problem.time.n_steps, stride):
-            write_face(
-                os.path.join(outdir, f"u_{n:06d}.nschv"),
-                u_opt[n], "u", n * problem.time.dt,
-            )
+    with _writing(cfg):
+        report.to_csv(csv_path)
+        if stride > 0:
+            for n in range(0, problem.time.n_steps, stride):
+                write_face(
+                    os.path.join(outdir, f"u_{n:06d}.nschv"),
+                    u_opt[n], "u", n * problem.time.dt,
+                )
     accepted = report.accepted_J()
     failed = report.reason is StopReason.LINE_SEARCH_FAILED
     reason = report.reason.value

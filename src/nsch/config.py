@@ -286,7 +286,7 @@ def build_problem(cfg: RunConfig) -> ControlProblem:
     if target == "tracking":
         u_ref = reference_control(cfg)
         ref = simulate(v0, phi0, u_ref, time, params)
-        cost = CostSpec(a1, a2, a3, [s.phi for s in ref.states], ref.final.phi)
+        cost = CostSpec(a1, a2, a3, [s.phi for s in ref], ref.final.phi)
     elif target == "initial":
         cost = CostSpec(a1, a2, a3, [phi0] * n_nodes, phi0)
     elif target == "stripe":

@@ -282,9 +282,8 @@ class ControlProblem:
         u = StepSeries(n_steps, batched)
         v0 = FaceField(grid, np.stack([self.v0.x] * b), np.stack([self.v0.y] * b))
         phi0 = ScalarField(grid, np.stack([self.phi0.values] * b))
-        batch = simulate(v0, phi0, u, self.time, self.params).states
-        return [Trajectory(grid, self.time, self.params,
-                           [State(s.v[m], s.phi[m]) for s in batch], c)
+        batch = simulate(v0, phi0, u, self.time, self.params)
+        return [Trajectory(self.time, self.params, [State(s.v[m], s.phi[m]) for s in batch], c)
                 for m, c in enumerate(controls)]
 
     @cached_property
@@ -316,7 +315,7 @@ def evaluate_cost(traj: Trajectory, cost: CostSpec) -> tuple[float, dict]:
 
     j_track = 0.0
     if cost.alpha1 > 0:
-        for k, (state, w) in enumerate(zip(traj.states, trapezoid_weights(n))):
+        for k, (state, w) in enumerate(zip(traj, trapezoid_weights(n))):
             diff = state.phi - cost.phi_q[k]
             j_track += 0.5 * cost.alpha1 * w * dt * scalar_inner(diff, diff)
 

@@ -86,8 +86,11 @@ def set_fft_workers(n: int) -> None:
     _FFT_WORKERS = n
 
 
-# Smallest cell size whose h**-6, the scale of the sixth-order phase symbol, is finite.
+# Smallest cell size whose h**-6, the scale of the sixth-order phase symbol, is
+# finite, and largest whose h**2, the scale of the second difference, is (which
+# also keeps hx*hy finite).
 MIN_CELL_SIZE = np.finfo(float).max ** (-1.0 / 6.0)
+MAX_CELL_SIZE = np.finfo(float).max ** 0.5
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,8 @@ class GridSpec:
         for name, h in (("lx/nx", self.hx), ("ly/ny", self.hy)):
             if not h > MIN_CELL_SIZE:
                 raise ValueError(f"cell size {name} = {h:.3g} is too small: h**-6 overflows")
+            if not h <= MAX_CELL_SIZE:
+                raise ValueError(f"cell size {name} = {h:.3g} is too large: h**2 overflows")
 
     @property
     def hx(self) -> float:

@@ -111,17 +111,17 @@ def solve_linearized(
     params, n_steps = base.params, base.time.n_steps
     check_steps(h, base.grid, n_steps, "perturbation")
 
-    b0 = base.states[0]  # zero data with the base's batch axes, if any
+    b0 = base[0]  # zero data with the base's batch axes, if any
     w = FaceField.zeros(base.grid, *b0.phi.values.shape[:-2])
     psi = ScalarField(base.grid, np.zeros_like(b0.phi.values))
     read = read or (lambda k, psi: psi)
     out = [read(0, psi)]
     for n in range(n_steps):
-        b = base.states[n]
+        b = base[n]
         mu, omega = mu_of_phi(b.phi, params)
         theta = linearized_chemical_potentials(psi, b.phi, omega, params)
         h_n = h[n] if h is not None else None
-        w, psi = linearized_step(b, base.states[n + 1], w, psi, theta, mu, h_n,
+        w, psi = linearized_step(b, base[n + 1], w, psi, theta, mu, h_n,
                                  base.time.dt, params)
         check_finite(n + 1, {"psi": psi.values}, {"w.x": w.x, "w.y": w.y})
         out.append(read(n + 1, psi))

@@ -99,7 +99,7 @@ def write_trajectory_snapshots(outdir, traj: Trajectory, stride: int = 1) -> lis
     """Write per-node phi/velocity snapshots every ``stride`` nodes, node n
     stamped with its time n*dt."""
     paths = []
-    for n, s in enumerate(traj.states):
+    for n, s in enumerate(traj):
         if n % stride:
             continue
         t = n * traj.time.dt

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,9 +124,11 @@ class Trajectory:
     ``control`` they were run with (None if unforced); the per-node
     ``diagnostics`` (one series per DIAGNOSTIC_COLUMNS entry) are computed
     from them on first read and cached.  A ``StepSeries`` control is formed
-    again where it is read, so read its step n before changing its inputs."""
+    again where it is read, so read its step n before changing its inputs.
 
-    grid: GridSpec
+    Read the nodes by index ``traj[n]`` (negative as for a list), by
+    iteration, ``len`` and ``final``: ``states`` is only their storage."""
+
     time: TimeSpec
     params: PhysParams
     states: list[State]
@@ -135,17 +137,27 @@ class Trajectory:
     @cached_property
     def diagnostics(self) -> dict[str, np.ndarray]:
         dt = self.time.dt
-        rows = [(n, n * dt) + _node_diagnostics(s, self.params) for n, s in enumerate(self.states)]
+        rows = [(n, n * dt) + _node_diagnostics(s, self.params) for n, s in enumerate(self)]
         return {
             name: np.array([row[i] for row in rows]) for i, name in enumerate(DIAGNOSTIC_COLUMNS)
         }
 
+    @property
+    def grid(self) -> GridSpec:
+        return self[0].phi.grid
+
     def __len__(self) -> int:
         return len(self.states)
 
+    def __getitem__(self, n: int) -> State:
+        return self.states[n]
+
+    def __iter__(self) -> Iterator[State]:
+        return iter(self.states)
+
     @property
     def final(self) -> State:
-        return self.states[-1]
+        return self[-1]
 
 
 def check_finite(step: int, bounded: dict, unbounded: dict | None = None) -> None:
@@ -322,9 +334,8 @@ def simulate(
     problem per member in one sweep; so does each step field of the force
     (``ControlProblem.simulate_many``).
     """
-    grid = phi0.grid
     n_steps = time.n_steps
-    check_steps(u, grid, n_steps, "control")
+    check_steps(u, phi0.grid, n_steps, "control")
 
     v0p, _ = project_divergence_free(v0.zero_boundary_normal(), 1.0)
     states = [State(v0p, phi0.copy())]
@@ -338,7 +349,7 @@ def simulate(
         del mu
         check_finite(n + 1, {"phi": phi.values, "v.x": v.x, "v.y": v.y})
         states.append(State(v, phi))
-    return Trajectory(grid=grid, time=time, params=params, states=states, control=u)
+    return Trajectory(time=time, params=params, states=states, control=u)
 
 
 def energy_balance_residual(traj: Trajectory) -> float:

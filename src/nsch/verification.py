@@ -94,7 +94,7 @@ def _perturbations(grid: GridSpec, h: StepSeries, epsilons) -> list[StepSeries]:
 
 
 def verify_mass(problem: ControlProblem) -> VerifyReport:
-    means = np.array([s.phi.mean() for s in problem.base.states])
+    means = np.array([s.phi.mean() for s in problem.base])
     dev = float(np.abs(means - means[0]).max())
     passed = dev <= 1e-12
     return VerifyReport(
@@ -137,7 +137,7 @@ def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
     def defect(eps: float, pert: Trajectory) -> float:
         diffs = [
             ScalarField(grid, p.phi.values - b.phi.values - eps * psi.values)
-            for p, b, psi in zip(pert.states, base.states, lin)
+            for p, b, psi in zip(pert, base, lin)
         ]
         return phi_l2q_norm(diffs, time.dt) / eps
 
@@ -178,7 +178,7 @@ def duality_gap(problem: ControlProblem, seed: int = 0, shared: bool = True) -> 
 
     def rhs_terms(k: int, psi: ScalarField) -> tuple[float, float]:
         """The running tracking term of node k and, at k = N, the terminal one."""
-        running = cost.alpha1 * weights[k] * dt * scalar_inner(base.states[k].phi - cost.phi_q[k], psi)
+        running = cost.alpha1 * weights[k] * dt * scalar_inner(base[k].phi - cost.phi_q[k], psi)
         if k < n_steps:
             return running, 0.0
         return running, cost.alpha2 * scalar_inner(base.final.phi - cost.phi_omega, psi)

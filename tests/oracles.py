@@ -417,16 +417,16 @@ def full_linearized_sweep(base, h, params):
     from nsch import FaceField, ScalarField, linearized_step
     from nsch.constitutive import linearized_chemical_potentials, mu_of_phi
 
-    b0 = base.states[0]
+    b0 = base[0]
     w = FaceField.zeros(base.grid, *b0.phi.values.shape[:-2])
     psi = ScalarField(base.grid, np.zeros_like(b0.phi.values))
     nodes = []
-    for n, b in enumerate(base.states):
+    for n, b in enumerate(base):
         mu, omega = mu_of_phi(b.phi, params)
         nodes.append(LinearizedNode(w, psi, linearized_chemical_potentials(psi, b.phi, omega, params)))
         if n < base.time.n_steps:
             h_n = h[n] if h is not None else None
-            w, psi = linearized_step(b, base.states[n + 1], *nodes[-1], mu, h_n, base.time.dt,
+            w, psi = linearized_step(b, base[n + 1], *nodes[-1], mu, h_n, base.time.dt,
                                      params)
     return nodes
 
@@ -449,7 +449,7 @@ def full_adjoint_sweep(base, cost, params):
     def source(n):
         if cost.alpha1 == 0.0:
             return None
-        misfit = base.states[n].phi - cost.phi_q[n]
+        misfit = base[n].phi - cost.phi_q[n]
         return ScalarField(base.grid, cost.alpha1 * weights[n] * misfit.values)
 
     va, phia = adjoint_terminal(base.final.phi, cost)
@@ -458,7 +458,7 @@ def full_adjoint_sweep(base, cost, params):
         phia = ScalarField(base.grid, phia.values + dt * s_n.values)
     nodes = [AdjointNode(va, phia)]
     for n in range(n_steps - 1, -1, -1):
-        nodes.append(AdjointNode(*adjoint_step(base.states[n], base.states[n + 1], *nodes[-1],
+        nodes.append(AdjointNode(*adjoint_step(base[n], base[n + 1], *nodes[-1],
                                                source(n), dt, params)))
     return nodes[::-1]
 

@@ -81,7 +81,7 @@ def test_criterion_02_equilibrium_fixed_point():
         None, TimeSpec(T_FINAL, DT), params,
     )
     dev = 0.0
-    for n, s in enumerate(traj.states):
+    for n, s in enumerate(traj):
         mu, omega = mu_of_phi(s.phi, params)
         dev = max(
             dev,

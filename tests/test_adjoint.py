@@ -115,7 +115,7 @@ class TestRestStateDecoupling:
 
 def rerun(base, params):
     """``base``'s initial data and times, simulated with ``params``."""
-    return simulate(base.states[0].v, base.states[0].phi, None, base.time, params)
+    return simulate(base[0].v, base[0].phi, None, base.time, params)
 
 
 class TestMobilityGuardrail:
@@ -213,7 +213,7 @@ class TestDenseOracle:
     def test_single_backward_step_matches(self, base_small, params, rng):
         grid = base_small.grid
         dt = base_small.time.dt
-        b0, b1 = base_small.states[0], base_small.states[1]
+        b0, b1 = base_small[0], base_small[1]
         cost = tracking_cost(base_small)
         va1, phia1 = adjoint_terminal(b1.phi, cost)
         source = ScalarField(grid, random_scalar(grid, rng).values)
@@ -337,7 +337,7 @@ class TestBlowUp:
         grid = GridSpec(6, 6, 3.0, 3.0)
         ts = TimeSpec(0.006, 2e-3)
         base = simulate(swirl_velocity(grid, 0.5), bubble_phase(grid), None, ts, params)
-        base.states[1].phi.values[3, 3] = np.nan
+        base[1].phi.values[3, 3] = np.nan
         with pytest.raises(BlowUpError, match=r"at step 1 in phia$") as info:
             solve_adjoint(base, tracking_cost(base))
         assert info.value.step == 1

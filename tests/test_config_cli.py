@@ -431,14 +431,37 @@ class TestCli:
          ("simulate", {"output.snapshot_stride": "-1"}, "output.snapshot_stride must be nonnegative"),
          ("optimize", {"cost.alpha3": "5e-324"}, "cost.alpha3"),
          ("simulate", {"time.T": "0"}, "time.T = 0.0 must cover at least one time step"),
-         ("optimize", {"time.T": "-0.1"}, "time.T = -0.1 must cover at least one time step")],
+         ("optimize", {"time.T": "-0.1"}, "time.T = -0.1 must cover at least one time step"),
+         # a cell whose h**2 overflows
+         *((command, {"grid.lx": "1e300"}, "grid: cell size lx/nx = 8.33e+298 is too large")
+           for command in ("simulate", "optimize", "verify all")),
+         *((command, {"grid.lx": "1e160", "grid.ly": "1e160"},
+            "grid: cell size lx/nx = 8.33e+158 is too large")
+           for command in ("simulate", "optimize", "verify all")),
+         ("simulate", {"grid.ly": "1e300"}, "grid: cell size ly/ny = 8.33e+298 is too large")],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, values, name):
         text = "\n".join(ln for ln in SMALL.splitlines() if ln.split(" =")[0] not in values)
         cfg = write_cfg(tmp_path, text + "".join(f"\n{k} = {v}" for k, v in values.items()))
-        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        rc = main([*command.split(), "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("simulate", "diagnostics.csv"), ("simulate", "phi_000002.nschf"),
+         ("simulate", "v_000000.nschv"), ("optimize", "optim_report.csv"),
+         ("optimize", "u_000002.nschv")],
+    )
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, command, name):
+        # an output file name taken by a directory
+        cfg = write_cfg(tmp_path, SMALL + "output.snapshot_stride = 2\noptimizer.max_iter = 2\n")
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        rc = main([command, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "output.dir" in err and str(out / name) in err
 
     @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "out_is_a_file"])
     def test_bad_path_exit_2(self, tmp_path, capsys, case):
@@ -616,8 +639,8 @@ class TestCli:
             u, name, t_u = read_face(out / f"u_{n:06d}.nschv")
             assert t_phi == t_v == t_u == n * dt
             assert name == "u"
-            assert np.array_equal(phi.values, traj.states[n].phi.values)
-            assert np.array_equal(v.x, traj.states[n].v.x) and np.array_equal(v.y, traj.states[n].v.y)
+            assert np.array_equal(phi.values, traj[n].phi.values)
+            assert np.array_equal(v.x, traj[n].v.x) and np.array_equal(v.y, traj[n].v.y)
             assert np.array_equal(u.x, u_opt[n].x) and np.array_equal(u.y, u_opt[n].y)
 
 
@@ -698,7 +721,7 @@ def cached_duality_gap(problem, seed) -> dict:
     lhs = sum(dt * face_inner(h[n], adj[n]) for n in range(time.n_steps))
     rhs = cost.alpha2 * scalar_inner(base.final.phi - cost.phi_omega, lin[-1])
     for k, w in enumerate(trapezoid_weights(time.n_steps)[1:], start=1):
-        rhs += cost.alpha1 * w * dt * scalar_inner(base.states[k].phi - cost.phi_q[k], lin[k])
+        rhs += cost.alpha1 * w * dt * scalar_inner(base[k].phi - cost.phi_q[k], lin[k])
     return {"lhs": lhs, "rhs": rhs, "mismatch": abs(lhs - rhs) / max(abs(lhs) + abs(rhs), 1e-300)}
 
 

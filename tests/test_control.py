@@ -111,7 +111,7 @@ class TestEvaluateCost:
         ts = TimeSpec(0.004, 1e-3)
         u = FaceField.zeros(grid, ts.n_steps)
         traj = simulate(FaceField.zeros(grid), bubble_phase(grid), u, ts, params)
-        cost = CostSpec(1.0, 1.0, 1.0, [s.phi for s in traj.states], traj.final.phi)
+        cost = CostSpec(1.0, 1.0, 1.0, [s.phi for s in traj], traj.final.phi)
         j, comps = evaluate_cost(traj, cost)
         assert j == pytest.approx(0.0, abs=1e-16)
 
@@ -142,7 +142,7 @@ class TestEvaluateCost:
         # naive summation oracle
         vol = grid.cell_volume
         jt = 0.0
-        for k, s in enumerate(traj.states):
+        for k, s in enumerate(traj):
             w = 0.5 if k in (0, n) else 1.0
             acc = 0.0
             for i in range(grid.nx):
@@ -215,7 +215,7 @@ class TestReducedGradient:
             )
             for k in range(1, n_steps + 1):
                 w = 0.5 if k == n_steps else 1.0
-                diff = base.states[k].phi - cost.phi_q[k]
+                diff = base[k].phi - cost.phi_q[k]
                 val += cost.alpha1 * w * ts.dt * scalar_inner(diff, lin[k])
             return val
 
@@ -624,7 +624,7 @@ class TestQuadratureAndOptions:
         cost = CostSpec(0.7, 1.3, 2.1, tgt, tgt[-1])
         _, comps = evaluate_cost(traj, cost)
         j_track = 0.0
-        for k, state in enumerate(traj.states):
+        for k, state in enumerate(traj):
             w = 0.5 if k in (0, n) else 1.0
             diff = state.phi - tgt[k]
             j_track += 0.5 * 0.7 * w * dt * scalar_inner(diff, diff)
@@ -660,7 +660,7 @@ class TestSimulateMany:
         for u, traj in zip(controls, problem.simulate_many(controls)):
             ref = problem.simulate(u)
             assert len(traj) == len(ref) == problem.time.n_steps + 1
-            for a, b in zip(ref.states, traj.states):
+            for a, b in zip(ref, traj):
                 assert set(vars(b)) == {"v", "phi"}
                 for x, y in ((a.v.x, b.v.x), (a.v.y, b.v.y), (a.phi.values, b.phi.values)):
                     assert np.array_equal(x, y)

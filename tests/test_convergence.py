@@ -11,24 +11,39 @@ adjoint velocity va belong to the stripe tracking problem of ``nsch
 verify``.  An order is log2(d_k / d_{k+1}) of two successive differences
 d_k, each the root-mean-square of the difference of a field at one
 resolution and at the next finer one.  Space differences compare a grid
-with the 2 x 2 cell average of the next finer grid.
+with the 2 x 2 cell average of the next finer grid (the 2-face average
+across the faces for v.x).
 
-At T = 0.02 the velocity and psi are not yet in their asymptotic range in
-space: a wall layer of width about sqrt(nu t) forms after t = 0 and spans
-only one or two cells on these grids.  Their space orders need T = 0.2 and
-are not pinned here.  Run with ``pytest -s`` to see the observed orders.
+A wall layer of width about sqrt(nu t) forms after t = 0.  At T = 0.02 it
+is only one or two cells wide on these grids, so the velocity and psi are
+not yet in their asymptotic range in space there.  The velocity's space
+order is therefore taken at T = 0.2, where the layer (sqrt(0.2) = 0.45)
+spans several cells of the finer grids: T is chosen from the layer width,
+not from the grid.  psi's space order at T = 0.2 needs the 192^2 sweep
+(its 96^2/192^2 pair reads 2.02, the coarser pair 1.45), which costs more
+than this file's time budget allows, so it is not pinned here.  Run with
+``pytest -s`` to see the observed orders.
+
+The optimizer on ``configs/quick.cfg`` takes the same accepted steps at
+two ``refine_config`` levels, so its stop does not hang on the grid.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from nsch import simulate
 from nsch.config import (
-    RunConfig, build_grid, build_initial, build_params, build_problem, build_time,
+    RunConfig, build_grid, build_initial, build_optimizer_options, build_params, build_problem,
+    build_time, parse_config, refine_config,
 )
+from nsch.control import StopReason, optimize
 
 TIME_ORDER = 0.9
 SPACE_ORDER = 1.8
+QUICK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "configs", "quick.cfg")
 
 
 def config(n, T, dt, **extra):
@@ -49,6 +64,11 @@ def rms(a):
 def cell_average(a):
     """The 2 x 2 cell average of a cell field onto the next coarser grid."""
     return 0.25 * (a[0::2, 0::2] + a[1::2, 0::2] + a[0::2, 1::2] + a[1::2, 1::2])
+
+
+def x_face_average(a):
+    """The average of the two fine x-faces that make up each coarse x-face."""
+    return 0.5 * (a[0::2, 0::2] + a[0::2, 1::2])
 
 
 def observed_orders(fields, restrict=lambda a: a):
@@ -72,6 +92,9 @@ def orders():
     # space: dt = 1e-3 with the grid refined from 24^2 to 192^2
     phis = [final_state(config(n, 0.02, 1e-3)).phi.values for n in (24, 48, 96, 192)]
     found["space phi"] = observed_orders(phis, cell_average)
+    # space at T = 0.2 (the wall layer's width, see above), dt = 2e-3
+    vxs = [final_state(config(n, 0.2, 2e-3)).v.x for n in (24, 48, 96, 192)]
+    found["space v.x"] = observed_orders(vxs, x_face_average)
     print("observed orders: " + ", ".join(
         f"{name} {' '.join(f'{q:.3f}' for q in qs)}" for name, qs in found.items()))
     return found
@@ -92,3 +115,16 @@ def test_sweeps_are_first_order_in_time(orders, name):
 def test_phase_field_is_second_order_in_space(orders):
     # phi(T) at T = 0.02 on 24^2 -> 192^2
     assert orders["space phi"][-1] >= SPACE_ORDER
+
+
+def test_velocity_is_second_order_in_space(orders):
+    # v.x(T) at T = 0.2, dt = 2e-3 on 24^2 -> 192^2
+    assert orders["space v.x"][-1] >= SPACE_ORDER
+
+
+def test_optimizer_steps_do_not_depend_on_the_grid():
+    # quick.cfg at 32^2, dt = 1e-3 and at 64^2, dt = 5e-4
+    cfg = parse_config(QUICK)
+    for level in (cfg, refine_config(cfg)):
+        _, report = optimize(build_problem(level), None, build_optimizer_options(level))
+        assert (report.reason, len(report.accepted_J()) - 1) == (StopReason.CONVERGED, 3)

@@ -20,7 +20,7 @@ from nsch import (
     project_divergence_free,
     scalar_inner,
 )
-from nsch.grid import MIN_CELL_SIZE, diff, mid, to_walls
+from nsch.grid import MAX_CELL_SIZE, MIN_CELL_SIZE, diff, mid, to_walls
 
 from conftest import apply_poly_laplacian, l2_norm, random_face, random_scalar, random_solenoidal
 from conftest import max_abs, stack_faces
@@ -38,6 +38,13 @@ def test_gridspec_validation():
     with pytest.raises(ValueError, match="ly/ny"):
         GridSpec(8, 8, 1.0, 8 * MIN_CELL_SIZE)
     assert np.isfinite(GridSpec(8, 8, 1.0, 16 * MIN_CELL_SIZE).hy ** -6)
+    # and one whose h**2 overflows the second difference's scale
+    with pytest.raises(ValueError, match=r"lx/nx = 1.25e\+299 is too large: h\*\*2 overflows"):
+        GridSpec(8, 8, 1e300, 1.0)
+    with pytest.raises(ValueError, match="ly/ny"):
+        GridSpec(8, 8, 1.0, 16 * MAX_CELL_SIZE)
+    g = GridSpec(8, 8, 8 * MAX_CELL_SIZE, 8 * MAX_CELL_SIZE)
+    assert np.isfinite(g.hx ** 2) and np.isfinite(g.cell_volume)
     g = GridSpec(8, 4, 2.0, 1.0)
     assert g.hx == pytest.approx(0.25)
     assert g.hy == pytest.approx(0.25)

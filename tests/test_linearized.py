@@ -64,7 +64,7 @@ class TestLinearity:
     def test_superposition_single_step(self, base_small, params, rng):
         grid = base_small.grid
         dt = base_small.time.dt
-        b0, b1 = base_small.states[0], base_small.states[1]
+        b0, b1 = base_small[0], base_small[1]
 
         w1, psi1 = random_solenoidal(grid, rng), random_scalar(grid, rng)
         w2, psi2 = random_solenoidal(grid, rng), random_scalar(grid, rng)
@@ -110,7 +110,7 @@ class TestAuxiliaryConsistency:
     def test_w_aux_and_theta_recomputable(self, base_small, params):
         h = smooth_control_series(base_small.grid, base_small.time, 3)
         out = oracles.full_linearized_sweep(base_small, h, params)
-        for lin, bstate in zip(out, base_small.states):
+        for lin, bstate in zip(out, base_small):
             omega = mu_of_phi(bstate.phi, params)[1]
             theta = linearized_chemical_potentials(lin.psi, bstate.phi, omega, params)
             assert np.abs(lin.theta.values - theta.values).max() < 1e-12 * max(
@@ -204,7 +204,7 @@ class TestDenseOracle:
     def test_single_step_matches(self, base_small, params, rng):
         grid = base_small.grid
         dt = base_small.time.dt
-        b0, b1 = base_small.states[0], base_small.states[1]
+        b0, b1 = base_small[0], base_small[1]
         w = random_solenoidal(grid, rng, scale=0.4)
         psi = random_scalar(grid, rng, scale=0.4)
         h = random_face(grid, rng, scale=0.5)
@@ -237,9 +237,9 @@ class TestFrozenCoefficients:
                 wx, wy = oracles.face_unvec(e[:dim_w], grid.nx, grid.ny)
                 psi = e[dim_w:].reshape(grid.nx, grid.ny)
                 lin = make_lin_state(
-                    traj.states[n], FaceField(grid, wx, wy), ScalarField(grid, psi), params
+                    traj[n], FaceField(grid, wx, wy), ScalarField(grid, psi), params
                 )
-                out_w, out_psi = step(traj.states[n], traj.states[n + 1], lin, None, ts.dt, params)
+                out_w, out_psi = step(traj[n], traj[n + 1], lin, None, ts.dt, params)
                 mat[:, k] = np.concatenate(
                     [oracles.face_vec(out_w.x, out_w.y), out_psi.values.ravel()]
                 )
@@ -263,7 +263,7 @@ class TestFrechetProperty:
             pert = simulate(v0, phi0, eps * h, ts, params)
             diffs = [
                 ScalarField(grid, p.phi.values - b.phi.values - eps * psi.values)
-                for p, b, psi in zip(pert.states, base.states, lin)
+                for p, b, psi in zip(pert, base, lin)
             ]
             return phi_l2q_norm(diffs, ts.dt) / eps
 
@@ -295,7 +295,7 @@ class TestNonconstantMobility:
             pert = simulate(v0, phi0, eps * h, ts, p)
             diffs = [
                 ScalarField(grid, a.phi.values - b.phi.values - eps * psi.values)
-                for a, b, psi in zip(pert.states, base.states, lin)
+                for a, b, psi in zip(pert, base, lin)
             ]
             return phi_l2q_norm(diffs, ts.dt) / eps
 
@@ -307,7 +307,7 @@ class TestStoredTheta:
     def test_stored_theta_reused_bit_identical(self, base_small, params):
         h = smooth_control_series(base_small.grid, base_small.time, 3)
         lin_n = oracles.full_linearized_sweep(base_small, h, params)[1]
-        b1, b2 = base_small.states[1], base_small.states[2]
+        b1, b2 = base_small[1], base_small[2]
         omega = mu_of_phi(b1.phi, params)[1]
         theta = linearized_chemical_potentials(lin_n.psi, b1.phi, omega, params)
         dt = base_small.time.dt
@@ -384,7 +384,7 @@ class TestSharedScheme:
         grid = GridSpec(10, 8, 5.0, 4.0)
         ts = TimeSpec(0.004, 2e-3)
         base = simulate(swirl_velocity(grid, 0.5), bubble_phase(grid), None, ts, p)
-        b0, b1 = base.states[0], base.states[1]
+        b0, b1 = base[0], base[1]
         lin_n = make_lin_state(
             b0, random_solenoidal(grid, rng), random_scalar(grid, rng, scale=0.1), p
         )

@@ -47,7 +47,7 @@ def stored(series) -> FaceField:
 
 
 def assert_same_states(a, b):
-    for s, t in zip(a.states, b.states, strict=True):
+    for s, t in zip(a, b, strict=True):
         for x, y in ((s.v.x, t.v.x), (s.v.y, t.v.y), (s.phi.values, t.phi.values)):
             assert np.array_equal(x, y)
 
@@ -57,7 +57,7 @@ class TestCheckSteps:
         """The series as the control of ``simulate`` and as the perturbation
         of ``solve_linearized``; the error message of each."""
         messages = []
-        for solve, name in ((lambda: simulate(base.states[0].v, base.states[0].phi, series,
+        for solve, name in ((lambda: simulate(base[0].v, base[0].phi, series,
                                               TIME, params), "control"),
                             (lambda: solve_linearized(base, series), "perturbation")):
             with pytest.raises(ConfigError, match=f"^{name} series") as err:

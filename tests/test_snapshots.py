@@ -117,5 +117,5 @@ class TestDiagnosticsCsv:
             v, _, t_v = read_face(p_v)
             # node n's time is n * dt, bit for bit
             assert t_phi == t_v == n * ts.dt
-            assert np.array_equal(phi.values, traj.states[n].phi.values)
-            assert np.array_equal(v.x, traj.states[n].v.x)
+            assert np.array_equal(phi.values, traj[n].phi.values)
+            assert np.array_equal(v.x, traj[n].v.x)

@@ -208,7 +208,7 @@ class TestSimulate:
         traj = simulate(
             FaceField.zeros(grid), ScalarField.full(grid, 1.0), None, ts, params
         )
-        for s in traj.states:
+        for s in traj:
             assert np.abs(s.phi.values - 1.0).max() < 1e-13
             assert max_abs(s.v) < 1e-13
 
@@ -216,7 +216,7 @@ class TestSimulate:
         grid = GridSpec(24, 24, 16.0, 16.0)
         ts = TimeSpec(0.05, 1e-3)
         traj = simulate(swirl_velocity(grid, 1.0), bubble_phase(grid), None, ts, params)
-        means = np.array([s.phi.mean() for s in traj.states])
+        means = np.array([s.phi.mean() for s in traj])
         assert np.abs(means - means[0]).max() <= 1e-12
 
     def test_divergence_stays_small(self, params):
@@ -291,7 +291,7 @@ class TestSimulate:
         d = traj.diagnostics
         total = d["kinetic"] + d["energy"]
         assert np.diff(total).max() <= 1e-11
-        assert max(max_abs(s.phi) for s in traj.states) < 1.2
+        assert max(max_abs(s.phi) for s in traj) < 1.2
         assert np.abs(d["mass"] - d["mass"][0]).max() < 1e-11
 
     def test_energy_decay_and_balance_convergence(self, params):
@@ -318,8 +318,8 @@ class TestSimulate:
         ts = TimeSpec(0.02, 5e-4)
         u = stack_faces([random_solenoidal(grid, rng, scale=0.5) for _ in range(ts.n_steps)])
         traj = simulate(FaceField.zeros(grid), bubble_phase(grid), u, ts, params)
-        work = sum(0.5 * ts.dt * (face_inner(u_n, traj.states[n].v)
-                                  + face_inner(u_n, traj.states[n + 1].v))
+        work = sum(0.5 * ts.dt * (face_inner(u_n, traj[n].v)
+                                  + face_inner(u_n, traj[n + 1].v))
                    for n, u_n in enumerate(u))
         res_without = energy_balance_residual(traj)
         assert abs(res_without - work) < abs(res_without)
@@ -337,11 +337,11 @@ class TestLeanTrajectory:
 
     def test_node_fields_are_exactly_v_phi(self, traj):
         assert [f.name for f in dataclasses.fields(State)] == ["v", "phi"]
-        for state in traj.states:
+        for state in traj:
             assert set(vars(state)) == {"v", "phi"}
 
     def test_only_v_phi_arrays_reachable(self, traj):
-        for state in traj.states:
+        for state in traj:
             found = {id(a) for a in reachable_arrays(state)}
             assert found == {id(state.v.x), id(state.v.y), id(state.phi.values)}
 
@@ -365,7 +365,7 @@ class TestLeanTrajectory:
                         TimeSpec(0.005, 1e-3), params)
         assert len(seen["ns_step"]) == len(seen["ch_step"]) == traj.time.n_steps
         for n, (a, b) in enumerate(zip(seen["ns_step"], seen["ch_step"])):
-            mu = mu_of_phi(traj.states[n].phi, params)[0]
+            mu = mu_of_phi(traj[n].phi, params)[0]
             assert np.array_equal(mu.values, a)
             assert np.array_equal(mu.values, b)
 
@@ -399,7 +399,7 @@ class TestLeanTrajectory:
 
     def test_diagnostics_match_row_by_row_rebuild(self, traj, params):
         rows = [(n, n * traj.time.dt) + _node_diagnostics(s, params)
-                for n, s in enumerate(traj.states)]
+                for n, s in enumerate(traj)]
         for i, name in enumerate(DIAGNOSTIC_COLUMNS):
             assert np.array_equal(traj.diagnostics[name], np.array([r[i] for r in rows]))
 
@@ -475,7 +475,7 @@ class TestFftWorkers:
             # the solvers' psi and va series, and the full states their steps carry
             lin = oracles.full_linearized_sweep(base, h, params)
             adj = oracles.full_adjoint_sweep(base, cost, params)
-            return ([a for s in base.states for a in (s.v.x, s.v.y, s.phi.values)]
+            return ([a for s in base for a in (s.v.x, s.v.y, s.phi.values)]
                     + [psi.values for psi in solve_linearized(base, h)]
                     + [a for va in solve_adjoint(base, cost) for a in (va.x, va.y)]
                     + [a for s in lin for a in (s.w.x, s.w.y, s.psi.values, s.theta.values)]

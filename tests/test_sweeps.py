@@ -80,7 +80,7 @@ class TestOracleSweeps:
         adj = solve_adjoint(base, cost)
         # the zero terminal va carries the batch axes too, so the series stacks
         x, y = np.stack([va.x for va in adj]), np.stack([va.y for va in adj])
-        lead = base.states[0].phi.values.shape[:-2]
+        lead = base[0].phi.values.shape[:-2]
         assert x.shape == (TIME.n_steps + 1, *lead, GRID.nx + 1, GRID.ny)
         assert y.shape == (TIME.n_steps + 1, *lead, GRID.nx, GRID.ny + 1)
         if not lead:
