@@ -58,8 +58,8 @@ print(f"wrote {csv_path}")
 
 # how much of the reference force was recovered (relative L2(Q) error)
 dt = problem.time.dt
-print(f"relative control recovery error: {norm_q(u_opt - u_ref, dt) / norm_q(u_ref, dt):.2f} "
-      "(1.0 would mean nothing recovered)")
+error = norm_q((a - b for a, b in zip(u_opt, u_ref)), dt) / norm_q(u_ref, dt)
+print(f"relative control recovery error: {error:.2f} (1.0 would mean nothing recovered)")
 
 try:
     import matplotlib

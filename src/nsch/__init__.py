@@ -36,7 +36,6 @@ from .control import (
     optimize,
     project_admissible,
     random_smooth_facefield,
-    smooth_control_series,
     smooth_direction,
     stationarity_residual,
 )

@@ -61,12 +61,12 @@ import numpy as np
 
 from .constitutive import CostSpec, PhysParams
 from .control import ControlBounds, ControlProblem, OptimizerOptions
-from .control import project_admissible, smooth_control_series
+from .control import project_admissible, smooth_direction
 from .errors import ConfigError
 from .grid import FaceField, GridSpec, ScalarField
 from .mac import stream_function_velocity
 from .snapshots import read_face, read_scalar
-from .state import PHI_BLOWUP_LIMIT, TimeSpec, simulate
+from .state import PHI_BLOWUP_LIMIT, StepSeries, TimeSpec, simulate
 
 _DEFAULTS: dict[str, object] = {
     "grid.nx": 64, "grid.ny": 64, "grid.lx": 16.0, "grid.ly": 16.0,
@@ -260,11 +260,12 @@ def build_optimizer_options(cfg: RunConfig) -> OptimizerOptions:
     )
 
 
-def reference_control(cfg: RunConfig) -> FaceField:
-    """Seeded smooth admissible control used to manufacture tracking targets."""
-    u = smooth_control_series(build_grid(cfg), build_time(cfg), cfg["cost.target_seed"],
-                              cfg["cost.target_amplitude"])
-    return project_admissible(u, build_bounds(cfg))
+def reference_control(cfg: RunConfig) -> StepSeries:
+    """Seeded smooth admissible control used to manufacture tracking targets:
+    step n is the seeded direction's step n clamped to the box."""
+    grid, time, bounds = build_grid(cfg), build_time(cfg), build_bounds(cfg)
+    h = smooth_direction(grid, time, cfg["cost.target_seed"], cfg["cost.target_amplitude"])
+    return StepSeries(grid, time.n_steps, lambda n: project_admissible(h[n], bounds))
 
 
 def build_problem(cfg: RunConfig) -> ControlProblem:

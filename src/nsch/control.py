@@ -48,8 +48,8 @@ so no va, du or dg series is built.  Sums of floats run left to right
 The seeded smooth directions are built here too.  Each is separable,
 profile(x) * mod(t_n), so ``smooth_direction`` holds the profile (one face
 field) and the modulation (n_steps numbers) and forms step n where it is
-read (a ``StepSeries``); ``smooth_control_series`` stacks it into a stored
-series, the tracking targets' reference control.  A ``ControlProblem``
+read (a ``StepSeries``); ``config.reference_control`` clamps its steps into
+the tracking targets' reference control.  A ``ControlProblem``
 keeps its unforced trajectory, its adjoint (the va series) and its seeded
 sensitivities (the direction and its psi series), each solved once on
 first read.
@@ -157,19 +157,7 @@ def smooth_direction(
     profile = random_smooth_facefield(grid, seed, amplitude)
     t_mid = (np.arange(time.n_steps) + 0.5) * time.dt
     mod = 1.0 + 0.5 * np.sin(2.0 * np.pi * t_mid / max(time.T, 1e-30))
-    return StepSeries(time.n_steps, lambda n: profile * mod[n])
-
-
-def smooth_control_series(
-    grid: GridSpec, time: TimeSpec, seed: int, amplitude: float = 1.0
-) -> FaceField:
-    """``smooth_direction`` stored as one face field with a leading step axis."""
-    n_steps = time.n_steps
-    out = FaceField(grid, np.empty((n_steps, grid.nx + 1, grid.ny)),
-                    np.empty((n_steps, grid.nx, grid.ny + 1)))
-    for n, s_n in enumerate(smooth_direction(grid, time, seed, amplitude)):
-        out[n] = s_n
-    return out
+    return StepSeries(grid, time.n_steps, lambda n: profile * mod[n])
 
 
 @dataclass
@@ -279,7 +267,7 @@ class ControlProblem:
             steps = [c[n] for c in controls]
             return FaceField(grid, np.stack([s.x for s in steps]), np.stack([s.y for s in steps]))
 
-        u = StepSeries(n_steps, batched)
+        u = StepSeries(grid, n_steps, batched)
         v0 = FaceField(grid, np.stack([self.v0.x] * b), np.stack([self.v0.y] * b))
         phi0 = ScalarField(grid, np.stack([self.phi0.values] * b))
         batch = simulate(v0, phi0, u, self.time, self.params)
@@ -431,7 +419,7 @@ def optimize(
         return (traj, *evaluate_cost(traj, cost))
 
     def trial(s: float) -> StepSeries:
-        return StepSeries(n_steps, lambda n: projected_step(u[n], g[n], s, bounds))
+        return StepSeries(grid, n_steps, lambda n: projected_step(u[n], g[n], s, bounds))
 
     def read(n: int, va: FaceField) -> tuple[float, float] | None:
         """Advance u_n in place to step n of the accepted run's control, write

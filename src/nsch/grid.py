@@ -91,6 +91,11 @@ def set_fft_workers(n: int) -> None:
 # also keeps hx*hy finite).
 MIN_CELL_SIZE = np.finfo(float).max ** (-1.0 / 6.0)
 MAX_CELL_SIZE = np.finfo(float).max ** 0.5
+# Largest domain edge.  Its square bounds the area lx*ly, which turns a cell
+# sum into an integral (mass, energy, L2 norms), the Poisson inverse symbol
+# 1/lambda_min ~ (l/pi)**2 and a squared distance in the domain; the square
+# stays 1e4 below the float maximum, so integrands up to 1e4 stay finite.
+MAX_DOMAIN_EDGE = 1e-2 * np.finfo(float).max ** 0.5
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,10 @@ class GridSpec:
                 raise ValueError(f"cell size {name} = {h:.3g} is too small: h**-6 overflows")
             if not h <= MAX_CELL_SIZE:
                 raise ValueError(f"cell size {name} = {h:.3g} is too large: h**2 overflows")
+        for name, edge in (("lx", self.lx), ("ly", self.ly)):
+            if not edge <= MAX_DOMAIN_EDGE:
+                raise ValueError(f"domain edge {name} = {edge:.3g} is too large: "
+                                 f"the limit is {MAX_DOMAIN_EDGE:.3g}")
 
     @property
     def hx(self) -> float:

@@ -176,13 +176,13 @@ def check_finite(step: int, bounded: dict, unbounded: dict | None = None) -> Non
 
 
 class StepSeries:
-    """A force series formed one step at a time: ``len(s)`` steps, and step
-    ``s[n]`` is ``build(n)``, a new face field on every read.  Its readers
-    index or iterate it as they do a stored ``FaceField`` with a leading step
-    axis, so a separable or perturbed series is never held whole."""
+    """A force series formed one step at a time: ``len(s)`` steps on ``grid``,
+    and step ``s[n]`` is ``build(n)``, a new face field on every read.  Its
+    readers index or iterate it as they do a stored ``FaceField`` with a
+    leading step axis, so a separable or perturbed series is never held whole."""
 
-    def __init__(self, n_steps: int, build: Callable[[int], FaceField]):
-        self.n_steps, self.build = n_steps, build
+    def __init__(self, grid: GridSpec, n_steps: int, build: Callable[[int], FaceField]):
+        self.grid, self.n_steps, self.build = grid, n_steps, build
 
     def __len__(self) -> int:
         return self.n_steps
@@ -196,8 +196,8 @@ class StepSeries:
 def check_steps(series: FaceField | StepSeries | None, grid: GridSpec, n_steps: int,
                 name: str) -> None:
     """Reject a force series -- a ``FaceField`` with a leading step axis or a
-    ``StepSeries`` -- without ``n_steps`` steps, or whose step field does not
-    fit ``grid``."""
+    ``StepSeries`` -- without ``n_steps`` steps, or on another grid than
+    ``grid``.  No step is formed."""
     if series is None:
         return
     stored = isinstance(series, FaceField)
@@ -206,9 +206,8 @@ def check_steps(series: FaceField | StepSeries | None, grid: GridSpec, n_steps: 
     found = len(series.x) if stored else len(series)
     if found != n_steps:
         raise ConfigError(f"{name} series has {found} entries, need {n_steps}")
-    shape, need = series[0].x.shape[-2:], (grid.nx + 1, grid.ny)
-    if shape != need:
-        raise ConfigError(f"{name} series has x-face steps of shape {shape}, the grid needs {need}")
+    if series.grid != grid:
+        raise ConfigError(f"{name} series lives on {series.grid}, the run on {grid}")
 
 
 def trapezoid_weights(n_steps: int) -> list[float]:

@@ -20,9 +20,9 @@ cosine profile of unit sup norm, with coefficients drawn from a seeded
 generator and shaped to vanish on boundary normal faces, times a smooth
 modulation in time; because the continuum field is fixed by the seed, the
 same direction can be re-sampled on a refined grid for convergence
-studies.  A direction, and each perturbed control u0 + eps*h, is a
-``StepSeries``: step n is formed where a solve or a sum reads it, so no
-check holds a whole direction or perturbation series.
+studies.  A direction, and each perturbed control eps*h about the zero
+control, is a ``StepSeries``: step n is formed where a solve or a sum reads
+it, so no check holds a whole direction or perturbation series.
 
 The unforced base work is solved once per problem and shared by the
 checks: mass, energy, and the Frechet, duality and gradient bases read
@@ -45,7 +45,7 @@ import numpy as np
 from .adjoint import solve_adjoint
 from .control import ControlProblem, evaluate_cost, gradient_step, inner_q, ordered_sum
 from .control import smooth_direction
-from .grid import FaceField, GridSpec, ScalarField, face_inner, scalar_inner
+from .grid import FaceField, ScalarField, face_inner, scalar_inner
 from .linearized import solve_linearized
 from .state import StepSeries, Trajectory, energy_balance_residual, simulate, trapezoid_weights
 
@@ -82,11 +82,10 @@ def phi_l2q_norm(fields: list[ScalarField], dt: float) -> float:
     return float(np.sqrt(total))
 
 
-def _perturbations(grid: GridSpec, h: StepSeries, epsilons) -> list[StepSeries]:
-    """The controls u0 + eps*h about the zero control u0, one per eps, each
-    formed step by step as ``u0_n + eps*h_n``."""
-    u0_n = FaceField.zeros(grid)
-    return [StepSeries(len(h), lambda n, e=e: u0_n + e * h[n]) for e in epsilons]
+def _perturbations(h: StepSeries, epsilons) -> list[StepSeries]:
+    """The controls eps*h about the zero control, one per eps, each formed
+    step by step as ``eps*h_n``."""
+    return [StepSeries(h.grid, len(h), lambda n, e=e: e * h[n]) for e in epsilons]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def verify_frechet(problem: ControlProblem, seed: int = 0) -> VerifyReport:
 
     eps_list = list(FRECHET_EPSILONS)
     all_eps = eps_list + [FRECHET_FLOOR_EPSILON]
-    *errors, floor = map(defect, all_eps, problem.simulate_many(_perturbations(grid, h, all_eps)))
+    *errors, floor = map(defect, all_eps, problem.simulate_many(_perturbations(h, all_eps)))
     ratios = [errors[i] / max(errors[i + 1], 1e-300) for i in range(len(errors) - 1)]
     ok = all(
         r >= 1.8 or errors[i + 1] <= 5.0 * floor for i, r in enumerate(ratios)
@@ -230,7 +229,7 @@ def verify_gradient(problem: ControlProblem, seed: int = 0) -> VerifyReport:
 
     dirs = [smooth_direction(grid, time, seed + 1000 * i + 7)
             for i in range(GRADIENT_DIRECTIONS)]
-    pm = [u for h in dirs for u in _perturbations(grid, h, (eps, -eps))]  # one batch
+    pm = [u for h in dirs for u in _perturbations(h, (eps, -eps))]  # one batch
     costs = [evaluate_cost(traj, cost)[0] for traj in problem.simulate_many(pm)]
 
     adj_dirs, fd_dirs, rel_errors = [], [], []

@@ -69,6 +69,11 @@ def stack_faces(faces):
     return FaceField(faces[0].grid, np.stack([f.x for f in faces]), np.stack([f.y for f in faces]))
 
 
+def stored(series) -> FaceField:
+    """A step-built series stacked into a stored one."""
+    return stack_faces(list(series))
+
+
 def max_abs(f):
     """Largest absolute value of one cell or face field."""
     arrays = (f.values,) if isinstance(f, ScalarField) else (f.x, f.y)

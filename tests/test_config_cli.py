@@ -27,7 +27,7 @@ from nsch.config import (
 from nsch.control import optimize
 from nsch.errors import ConfigError
 from nsch.snapshots import read_face, read_scalar
-from nsch.grid import face_inner, scalar_inner
+from nsch.grid import MAX_DOMAIN_EDGE, face_inner, scalar_inner
 from nsch.state import PHI_BLOWUP_LIMIT, trapezoid_weights
 from nsch.verification import CHECKS, duality_gap, verify, verify_duality
 
@@ -438,7 +438,15 @@ class TestCli:
          *((command, {"grid.lx": "1e160", "grid.ly": "1e160"},
             "grid: cell size lx/nx = 8.33e+158 is too large")
            for command in ("simulate", "optimize", "verify all")),
-         ("simulate", {"grid.ly": "1e300"}, "grid: cell size ly/ny = 8.33e+298 is too large")],
+         ("simulate", {"grid.ly": "1e300"}, "grid: cell size ly/ny = 8.33e+298 is too large"),
+         # a domain whose area or (edge/pi)**2 overflows, on cells that do not
+         *(("simulate", {"grid.lx": "5e154", "grid.ly": "5e154", "init.preset": preset},
+            "grid: domain edge lx = 5e+154 is too large")
+           for preset in ("bubble", "stripe", "equilibrium")),
+         ("simulate", {"grid.lx": "1e155", "grid.ly": "1", "init.preset": "stripe"},
+          "grid: domain edge lx = 1e+155 is too large"),
+         ("simulate", {"grid.lx": "2e154", "grid.ly": "2e154", "init.preset": "equilibrium"},
+          "grid: domain edge lx = 2e+154 is too large")],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, values, name):
         text = "\n".join(ln for ln in SMALL.splitlines() if ln.split(" =")[0] not in values)
@@ -446,6 +454,16 @@ class TestCli:
         rc = main([*command.split(), "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["bubble", "stripe", "equilibrium"])
+    def test_largest_domain_runs(self, tmp_path, preset):
+        # just inside the edge limit every preset runs clean (tier-1 turns an
+        # inf/NaN RuntimeWarning into an error)
+        text = SMALL.replace("init.preset = bubble", f"init.preset = {preset}")
+        for key in ("grid.lx", "grid.ly"):
+            text = text.replace(f"{key} = 8.0", f"{key} = {MAX_DOMAIN_EDGE:.17g}")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
         "command, name",

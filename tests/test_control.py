@@ -363,8 +363,8 @@ class TestOptimize:
         assert calls["adjoint"] == accepted + 1
 
     def test_projected_steps_formed_per_trial(self, params, monkeypatch):
-        # an N-step trial forms 3N+1 steps: N in its forward solve, 1 in the
-        # solve's step check, N in the cost and N in the Armijo product; the
+        # an N-step trial forms 3N steps: N in its forward solve, N in the
+        # cost and N in the Armijo product (the solve's step check forms none); the
         # first adjoint sweep reads the stored u and forms none, a later one
         # reads the N steps of its accepted trial
         marks, formed = [], [0]
@@ -393,7 +393,7 @@ class TestOptimize:
         assert any(row[8] == 0 for row in rep.rows)
         trials = [b - a for (name, a), (_, b) in zip(marks[1:], marks[2:]) if name == "forward"]
         sweeps = [b - a for (name, a), (_, b) in zip(marks, marks[1:]) if name == "sweep"]
-        assert len(trials) == rep.n_simulations - 1 and trials == [3 * n + 1] * len(trials)
+        assert len(trials) == rep.n_simulations - 1 and trials == [3 * n] * len(trials)
         assert len(sweeps) == len(rep.accepted_J()) > 2
         assert sweeps == [0] + [n] * (len(sweeps) - 1)
 

@@ -20,7 +20,7 @@ from nsch import (
     project_divergence_free,
     scalar_inner,
 )
-from nsch.grid import MAX_CELL_SIZE, MIN_CELL_SIZE, diff, mid, to_walls
+from nsch.grid import MAX_CELL_SIZE, MAX_DOMAIN_EDGE, MIN_CELL_SIZE, diff, mid, to_walls
 
 from conftest import apply_poly_laplacian, l2_norm, random_face, random_scalar, random_solenoidal
 from conftest import max_abs, stack_faces
@@ -43,8 +43,13 @@ def test_gridspec_validation():
         GridSpec(8, 8, 1e300, 1.0)
     with pytest.raises(ValueError, match="ly/ny"):
         GridSpec(8, 8, 1.0, 16 * MAX_CELL_SIZE)
-    g = GridSpec(8, 8, 8 * MAX_CELL_SIZE, 8 * MAX_CELL_SIZE)
-    assert np.isfinite(g.hx ** 2) and np.isfinite(g.cell_volume)
+    # and a domain whose area or squared edge overflows
+    with pytest.raises(ValueError, match=r"domain edge lx = 1.07e\+155 is too large"):
+        GridSpec(8, 8, 8 * MAX_CELL_SIZE, 8 * MAX_CELL_SIZE)
+    with pytest.raises(ValueError, match="domain edge ly"):
+        GridSpec(8, 8, 1.0, 1.01 * MAX_DOMAIN_EDGE)
+    g = GridSpec(8, 8, MAX_DOMAIN_EDGE, MAX_DOMAIN_EDGE)
+    assert np.isfinite(1e3 * g.lx * g.ly) and np.isfinite(g.hx ** 2) and np.isfinite(g.cell_volume)
     g = GridSpec(8, 4, 2.0, 1.0)
     assert g.hx == pytest.approx(0.25)
     assert g.hy == pytest.approx(0.25)

@@ -13,14 +13,14 @@ from nsch import (
     TimeSpec,
     linearized_step,
     simulate,
-    smooth_control_series,
+    smooth_direction,
     solve_linearized,
 )
 from nsch.config import bubble_phase, swirl_velocity
 from nsch.constitutive import linearized_chemical_potentials, mu_of_phi
 from nsch.verification import phi_l2q_norm
 
-from conftest import max_abs, random_face, random_scalar, random_solenoidal
+from conftest import max_abs, random_face, random_scalar, random_solenoidal, stored
 import oracles
 
 
@@ -85,8 +85,8 @@ class TestLinearity:
 
     def test_trajectory_linearity_in_h(self, base_small, params):
         grid, ts = base_small.grid, base_small.time
-        h1 = smooth_control_series(grid, ts, 5)
-        h2 = smooth_control_series(grid, ts, 9)
+        h1 = stored(smooth_direction(grid, ts, 5))
+        h2 = stored(smooth_direction(grid, ts, 9))
         combo = 1.5 * h1 + (-2.0) * h2
         o1 = solve_linearized(base_small, h1)
         o2 = solve_linearized(base_small, h2)
@@ -100,7 +100,7 @@ class TestLinearity:
 
 class TestMeanConservation:
     def test_psi_mean_stays_zero(self, base_small, params):
-        h = smooth_control_series(base_small.grid, base_small.time, 3)
+        h = smooth_direction(base_small.grid, base_small.time, 3)
         out = solve_linearized(base_small, h)
         for psi in out:
             assert abs(psi.mean()) < 1e-12
@@ -108,7 +108,7 @@ class TestMeanConservation:
 
 class TestAuxiliaryConsistency:
     def test_w_aux_and_theta_recomputable(self, base_small, params):
-        h = smooth_control_series(base_small.grid, base_small.time, 3)
+        h = smooth_direction(base_small.grid, base_small.time, 3)
         out = oracles.full_linearized_sweep(base_small, h, params)
         for lin, bstate in zip(out, base_small):
             omega = mu_of_phi(bstate.phi, params)[1]
@@ -256,7 +256,7 @@ class TestFrechetProperty:
         ts = TimeSpec(0.02, 1e-3)
         phi0, v0 = bubble_phase(grid), swirl_velocity(grid, 1.0)
         base = simulate(v0, phi0, None, ts, params)
-        h = smooth_control_series(grid, ts, 3)
+        h = stored(smooth_direction(grid, ts, 3))
         lin = solve_linearized(base, h)
 
         def defect(eps):
@@ -288,7 +288,7 @@ class TestNonconstantMobility:
         ts = TimeSpec(0.01, 1e-3)
         phi0, v0 = bubble_phase(grid), swirl_velocity(grid, 0.5)
         base = simulate(v0, phi0, None, ts, p)
-        h = smooth_control_series(grid, ts, 3)
+        h = stored(smooth_direction(grid, ts, 3))
         lin = solve_linearized(base, h)
 
         def defect(eps):
@@ -305,7 +305,7 @@ class TestNonconstantMobility:
 
 class TestStoredTheta:
     def test_stored_theta_reused_bit_identical(self, base_small, params):
-        h = smooth_control_series(base_small.grid, base_small.time, 3)
+        h = smooth_direction(base_small.grid, base_small.time, 3)
         lin_n = oracles.full_linearized_sweep(base_small, h, params)[1]
         b1, b2 = base_small[1], base_small[2]
         omega = mu_of_phi(b1.phi, params)[1]
@@ -395,7 +395,7 @@ class TestSharedScheme:
         assert np.array_equal(out_w.x, w_ref.x) and np.array_equal(out_w.y, w_ref.y)
 
     def test_non_finite_direction_names_step_and_field(self, base_small, params):
-        h = smooth_control_series(base_small.grid, base_small.time, 3)
+        h = stored(smooth_direction(base_small.grid, base_small.time, 3))
         h[1].x[2, 2] = np.nan
         with pytest.raises(BlowUpError, match=r"at step 2 in psi$") as info:
             solve_linearized(base_small, h)

@@ -1,7 +1,8 @@
 """Force series of both kinds: a stored ``FaceField`` with a leading step axis
-and a ``StepSeries`` that forms each step where it is read.  The solvers
-accept either, check both the same way, and give bit-identical results;
-the seeded directions and the verification perturbations are step-built."""
+and a ``StepSeries`` that forms each step where it is read.  Each names its
+grid.  The solvers accept either, check both the same way without forming a
+step, and give bit-identical results; the seeded directions, the reference
+control and the verification perturbations are step-built."""
 
 import numpy as np
 import pytest
@@ -13,15 +14,17 @@ from nsch import (
     CostSpec,
     FaceField,
     GridSpec,
+    StepSeries,
     TimeSpec,
+    project_admissible,
     simulate,
-    smooth_control_series,
     smooth_direction,
     solve_linearized,
 )
 from nsch import config, control, verification
+from nsch.state import check_steps
 
-from conftest import reachable_arrays
+from conftest import reachable_arrays, stored
 
 GRID = GridSpec(12, 10, 6.0, 5.0)
 TIME = TimeSpec(0.004, 1e-3)
@@ -38,12 +41,6 @@ def problem(params):
 @pytest.fixture
 def base(problem):
     return problem.base
-
-
-def stored(series) -> FaceField:
-    """A step-built series stacked into a stored one."""
-    steps = list(series)
-    return FaceField(steps[0].grid, np.stack([s.x for s in steps]), np.stack([s.y for s in steps]))
 
 
 def assert_same_states(a, b):
@@ -74,16 +71,34 @@ class TestCheckSteps:
         other = GridSpec(10, 10, 6.0, 5.0)
         h = smooth_direction(other, TIME, 3)
         for msg in self.run_both(h, base, params):
-            assert "x-face steps of shape (11, 10), the grid needs (13, 10)" in msg
+            assert msg.endswith(f"lives on {other}, the run on {GRID}")
 
     def test_stored_field_without_step_axis(self, base, params):
         for msg in self.run_both(FaceField.zeros(GRID), base, params):
             assert msg.endswith("has no step axis, need 4")
 
     def test_stored_series_off_the_grid(self, base, params):
-        for msg in self.run_both(smooth_control_series(GridSpec(12, 12, 6.0, 5.0), TIME, 3),
-                                 base, params):
-            assert "the grid needs (13, 10)" in msg
+        other = GridSpec(12, 12, 6.0, 5.0)
+        for msg in self.run_both(stored(smooth_direction(other, TIME, 3)), base, params):
+            assert msg.endswith(f"lives on {other}, the run on {GRID}")
+
+    def test_same_shape_other_lengths(self, base, params):
+        # a series on a grid of the run's shape but other edge lengths
+        other = GridSpec(12, 10, 7.0, 5.0)
+        h = smooth_direction(other, TIME, 3)
+        for series in (h, stored(h)):
+            for msg in self.run_both(series, base, params):
+                assert msg.endswith(f"lives on {other}, the run on {GRID}")
+
+    def test_check_forms_no_step(self, base, params):
+        h = smooth_direction(GRID, TIME, 3)
+        calls = []
+        counted = StepSeries(GRID, TIME.n_steps, lambda n: calls.append(n) or h[n])
+        check_steps(counted, GRID, TIME.n_steps, "control")
+        assert calls == []
+        # a run forms each step once, as it reads it
+        simulate(base[0].v, base[0].phi, counted, TIME, params)
+        assert calls == list(range(TIME.n_steps))
 
     def test_steps_outside_the_series(self):
         h = smooth_direction(GRID, TIME, 3)
@@ -95,19 +110,24 @@ class TestCheckSteps:
 
 class TestEquivalence:
     @pytest.mark.parametrize("refined", [False, True], ids=["base", "refined"])
-    def test_direction_steps_are_the_stored_series(self, refined):
-        cfg = config.RunConfig({"grid.nx": 12, "grid.ny": 10, "time.T": 0.004, "time.dt": 1e-3})
+    def test_reference_control_is_the_clamped_stored_series(self, refined):
+        # step by step, the reference control is the whole-series clamp of
+        # the stored direction, bit for bit
+        cfg = config.RunConfig({"grid.nx": 12, "grid.ny": 10, "time.T": 0.004, "time.dt": 1e-3,
+                                "cost.target_seed": 3, "cost.target_amplitude": 1.7})
         if refined:
             cfg = config.refine_config(cfg)
         grid, time = config.build_grid(cfg), config.build_time(cfg)
-        h, ref = smooth_direction(grid, time, 3, 0.7), smooth_control_series(grid, time, 3, 0.7)
-        assert ref.x.shape[0] == len(h) == time.n_steps
+        ref = config.reference_control(cfg)
+        whole = project_admissible(stored(smooth_direction(grid, time, 3, 1.7)),
+                                   config.build_bounds(cfg))
+        assert ref.grid == grid and len(ref) == len(whole.x) == time.n_steps
         for n in range(time.n_steps):
-            assert np.array_equal(h[n].x, ref[n].x) and np.array_equal(h[n].y, ref[n].y)
+            assert np.array_equal(ref[n].x, whole[n].x) and np.array_equal(ref[n].y, whole[n].y)
 
     def test_simulate_many_either_kind(self, problem):
         h = smooth_direction(problem.grid, problem.time, 3)
-        built = verification._perturbations(problem.grid, h, (0.5, -0.25, 1e-3))
+        built = verification._perturbations(h, (0.5, -0.25, 1e-3))
         trajs = problem.simulate_many(built)
         for a, b, u in zip(trajs, problem.simulate_many([stored(u) for u in built]), built,
                            strict=True):
@@ -139,6 +159,6 @@ class TestStepBuiltPerturbations:
         assert len(forces) == 1  # one batched sweep
         steps, shapes = forces[0]
         assert steps == n_steps
-        # the profiles and modulations of the directions, and the zero u0 step
+        # the profiles and modulations of the directions
         assert (grid.nx + 1, grid.ny) in shapes and (n_steps,) in shapes
         assert set(shapes) <= single

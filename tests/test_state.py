@@ -24,7 +24,7 @@ from nsch import (
     mu_of_phi,
     ns_step,
     simulate,
-    smooth_control_series,
+    smooth_direction,
     solve_adjoint,
     solve_linearized,
 )
@@ -391,7 +391,7 @@ class TestLeanTrajectory:
         n_steps = traj.time.n_steps
         tgt = stripe_phase(traj.grid)
         cost = CostSpec(1.0, 1.0, 0.1, [tgt] * (n_steps + 1), tgt)
-        solve_linearized(traj, smooth_control_series(traj.grid, traj.time, 3))
+        solve_linearized(traj, smooth_direction(traj.grid, traj.time, 3))
         solve_adjoint(traj, cost)
         # each sweep builds mu (and the sensitivity theta) once per step, at the
         # node the step leaves: the final node of the sensitivity costs nothing
@@ -465,7 +465,7 @@ class TestFftWorkers:
         ts = TimeSpec(0.004, 1e-3)
         v0 = stack_faces([swirl_velocity(grid, a) for a in (0.3, 0.6, 0.9)])
         phi0 = ScalarField(grid, np.stack([bubble_phase(grid).values] * 3))
-        h = smooth_control_series(grid, ts, 3)
+        h = smooth_direction(grid, ts, 3)
         tgt = stripe_phase(grid)
         cost = CostSpec(1.0, 1.0, 0.1, [tgt] * (ts.n_steps + 1), tgt)
 

@@ -19,7 +19,7 @@ from nsch import (
     TimeSpec,
     random_smooth_facefield,
     simulate,
-    smooth_control_series,
+    smooth_direction,
     solve_adjoint,
     solve_linearized,
 )
@@ -46,7 +46,7 @@ def case(request, params):
     else:
         v0 = stack_faces([swirl_velocity(GRID, a) for a in SWIRLS])
         phi0 = ScalarField(GRID, np.stack([bubble_phase(GRID).values] * 3))
-    h = smooth_control_series(GRID, TIME, 3)
+    h = smooth_direction(GRID, TIME, 3)
     return simulate(v0, phi0, h, TIME, params), h, tracking_cost()
 
 
